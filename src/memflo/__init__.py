@@ -18,7 +18,6 @@ from .errors import (
     NoCycle,
     QuadratureError,
     SingularJacobian,
-    SingularLeading,
     SpectralResolutionWarning,
 )
 from .floquet import (
@@ -36,8 +35,6 @@ from .floquet import (
     taylor_pep,
 )
 from .hb import (
-    DftOperator,
-    DiffOperator,
     HarmonicVector,
     MatrixHarmonics,
     TimeSamples,

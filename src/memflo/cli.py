@@ -196,68 +196,57 @@ def _seed_rng():
     return np.random.default_rng(int(seed)) if seed else None
 
 
-def _eval_memory1d(params: dict, n_harmonics: int, mode: str) -> RowResult:
-    t0 = time.perf_counter()
-    point = (params.get("_p1"), params.get("_p2"))
-    try:
-        model = Memory1DModel(float(params.get("a", 0.0)), float(params.get("k", 3.0)),
-                              float(params.get("s", math.inf)))
-        spec = model1d_exponent(model, rng=_seed_rng())
+def _memory1d_row(params: dict, n_harmonics: int, mode: str, warm):
+    model = Memory1DModel(float(params.get("a", 0.0)), float(params.get("k", 3.0)),
+                          float(params.get("s", math.inf)))
+    spec = model1d_exponent(model, rng=_seed_rng())
+    extra = {"n_bound_filtered": spec.diagnostics.get("n_bound_filtered", 0)}
+    if mode == "convergence":
         lam = max((p.exponent for p in spec.canonical_strip), key=lambda z: z.real)
-        extra = {"n_bound_filtered": spec.diagnostics.get("n_bound_filtered", 0)}
-        if mode == "convergence":
-            lam_inf = model1d_asymptotic_exponent(model)
-            extra.update(lambda_re=lam.real, lambda_im=lam.imag,
-                         deviation_from_asymptote=abs(lam - lam_inf))
-        return RowResult(point, lam.real, spec.stability, len(spec.canonical_strip),
-                         None, (time.perf_counter() - t0) * 1e3, extra=extra)
-    except MemfloError as exc:
-        return RowResult(point, None, None, None, None,
-                         (time.perf_counter() - t0) * 1e3, error_code=_code(exc))
+        extra.update(lambda_re=lam.real, lambda_im=lam.imag,
+                     deviation_from_asymptote=abs(lam - model1d_asymptotic_exponent(model)))
+    return spec, None, extra, None
 
 
-def _eval_tl(params: dict, n_harmonics: int, mode: str) -> RowResult:
-    t0 = time.perf_counter()
-    point = (params.get("_p1"), params.get("_p2"))
-    try:
-        model = TlResonatorModel(float(params.get("R", 1.0)), float(params.get("Ra", 0.0)),
-                                 float(params.get("Z0", 1.0)), float(params.get("tau_f", 1.0)))
-        spec = tl_spectrum(model, n_roots=int(params.get("n_roots", 5)))
-        lam = spec.canonical_strip[0].exponent
-        extra = {"reflection_coefficient": spec.diagnostics["reflection_coefficient"]}
-        return RowResult(point, lam.real, spec.stability, len(spec.canonical_strip),
-                         None, (time.perf_counter() - t0) * 1e3, extra=extra)
-    except MatchedLine as exc:
-        return RowResult(point, None, None, None, None,
-                         (time.perf_counter() - t0) * 1e3, error_code="matched_line")
-    except (MemfloError, ValueError) as exc:
-        return RowResult(point, None, None, None, None,
-                         (time.perf_counter() - t0) * 1e3, error_code=_code(exc))
+def _tl_row(params: dict, n_harmonics: int, mode: str, warm):
+    model = TlResonatorModel(float(params.get("R", 1.0)), float(params.get("Ra", 0.0)),
+                             float(params.get("Z0", 1.0)), float(params.get("tau_f", 1.0)))
+    spec = tl_spectrum(model, n_roots=int(params.get("n_roots", 5)))
+    extra = {"reflection_coefficient": spec.diagnostics["reflection_coefficient"]}
+    return spec, None, extra, None
 
 
-def _eval_particle(params: dict, n_harmonics: int, mode: str,
-                   warm=None) -> tuple[RowResult, object]:
-    t0 = time.perf_counter()
-    ratio = float(params.get("ratio", 1.0))
+def _particle_row(params: dict, n_harmonics: int, mode: str, warm):
     omega1 = float(params.get("omega1", 2.0))
+    model = BrownianParticleModel(
+        float(params.get("alpha", 1.0)), float(params.get("beta", 1.0)),
+        float(params.get("g", 0.0)), float(params.get("k", 1.0)),
+        (omega1, omega1 / float(params.get("ratio", 1.0))), float(params.get("mass", 1.0)))
+    cycle, spec = particle_spectrum(model, n_harmonics=n_harmonics, seed=warm)
+    amp = cycle_amplitude(cycle)
+    extra = {"cycle_amplitude": amp, "period": cycle.period,
+             "cycle_exists": amp > CYCLE_AMPLITUDE_TOL}
+    return spec, cycle.residual, extra, cycle if amp > CYCLE_AMPLITUDE_TOL else None
+
+
+# model -> evaluator returning (spectrum, cycle residual, row extra, next warm start);
+# the evaluators look the model functions up at call time so they can be rebound
+_EVALUATORS = {"memory1d": _memory1d_row, "tl": _tl_row, "particle": _particle_row}
+
+
+def _evaluate(model: str, params: dict, n_harmonics: int, mode: str,
+              warm=None) -> tuple[RowResult, object]:
+    """One grid point as a row; input and solver failures become error codes."""
+    t0 = time.perf_counter()
     point = (params.get("_p1"), params.get("_p2"))
     try:
-        model = BrownianParticleModel(
-            float(params.get("alpha", 1.0)), float(params.get("beta", 1.0)),
-            float(params.get("g", 0.0)), float(params.get("k", 1.0)),
-            (omega1, omega1 / ratio), float(params.get("mass", 1.0)))
-        cycle, spec = particle_spectrum(model, n_harmonics=n_harmonics, seed=warm)
-        amp = cycle_amplitude(cycle)
-        extra = {"cycle_amplitude": amp, "period": cycle.period,
-                 "cycle_exists": amp > CYCLE_AMPLITUDE_TOL}
-        row = RowResult(point, spec.max_nontrivial_re(), spec.stability,
-                        len(spec.canonical_strip), cycle.residual,
-                        (time.perf_counter() - t0) * 1e3, extra=extra)
-        warm_next = cycle if amp > CYCLE_AMPLITUDE_TOL else None
-        return row, warm_next
+        spec, residual, extra, warm_next = _EVALUATORS[model](params, n_harmonics, mode, warm)
     except (MemfloError, ValueError) as exc:
-        return RowResult(point, None, None, None, None,
-                         (time.perf_counter() - t0) * 1e3, error_code=_code(exc)), None
+        return RowResult(point, None, None, None, None, (time.perf_counter() - t0) * 1e3,
+                         error_code=_code(exc)), None
+    return RowResult(point, spec.max_nontrivial_re(), spec.stability,
+                     len(spec.canonical_strip), residual, (time.perf_counter() - t0) * 1e3,
+                     extra=extra), warm_next
 
 
 def _code(exc) -> str:
@@ -298,12 +287,7 @@ def _run_chain(model: str, mode: str, n_harmonics: int, chain) -> list[tuple[int
     out = []
     warm = None
     for idx, params in chain:
-        if model == "memory1d":
-            row = _eval_memory1d(params, n_harmonics, mode)
-        elif model == "tl":
-            row = _eval_tl(params, n_harmonics, mode)
-        else:
-            row, warm = _eval_particle(params, n_harmonics, mode, warm=warm)
+        row, warm = _evaluate(model, params, n_harmonics, mode, warm)
         out.append((idx, row))
     return out
 
@@ -374,11 +358,7 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
 
         def point_eval(v: float) -> RowResult:
             params = dict(fixed, **{name: v}, _p1=v, _p2=None)
-            if config.model == "memory1d":
-                return _eval_memory1d(params, config.n_harmonics, config.mode)
-            if config.model == "tl":
-                return _eval_tl(params, config.n_harmonics, config.mode)
-            return _eval_particle(params, config.n_harmonics, config.mode)[0]
+            return _evaluate(config.model, params, config.n_harmonics, config.mode)[0]
 
         rows, history, boundary = _bisect_scalar(point_eval, values, config.bisect_tol)
         meta["bisect"] = {"parameter": name, "history": history, "boundary": boundary,

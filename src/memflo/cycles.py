@@ -7,12 +7,16 @@ in the frequency domain: the harmonic residual
 
     rho = Omega_n z - F(z) - M(z)
 
-is driven to zero by damped Newton iteration, where F collects the harmonics
-of f sampled on an oversampled grid (alias-free in the retained band for
-polynomial nonlinearities) and M applies the kernel transfer per harmonic to
-the integrand harmonics.  For autonomous systems the fundamental frequency is
-an unknown and one first-harmonic imaginary part is pinned to zero to fix the
-time origin.
+is driven to zero by damped Newton iteration (to a residual norm of 1e-10,
+halving the step at most 20 times), where F collects the harmonics of f
+sampled on the oversampled grid ``sample_times(2N, T)`` (alias-free in the
+retained band for polynomial nonlinearities) and M applies the kernel
+transfer per harmonic to the integrand harmonics.  Jacobians sampled on the
+same grid keep the band -2N..2N before they become Toeplitz operators.  For
+autonomous systems the fundamental frequency is an unknown and one
+first-harmonic imaginary part, on the component with the largest
+first-harmonic magnitude in the seed, is pinned to zero to fix the time
+origin.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,9 +34,13 @@ from .floquet import FloquetProblem
 from .hb import (
     HarmonicVector,
     MatrixHarmonics,
+    TimeSamples,
+    _grid_basis,
+    dft,
     extract_real_rows,
     pack_real_coefficients,
     real_coefficient_basis,
+    sample_times,
     stacked_diff_matrix,
     toeplitz_from_periodic,
     unpack_real_coefficients,
@@ -135,12 +143,6 @@ class LimitCycle:
     def omega0(self) -> float:
         return 2 * np.pi / self.period
 
-    def amplitude_profile(self) -> np.ndarray:
-        """Max amplitude magnitude per |harmonic|, useful for resolution checks."""
-        a = np.abs(self.harmonics.amplitudes)
-        n = self.harmonics.n_harmonics
-        return np.array([max(a[:, n + h].max(), a[:, n - h].max()) for h in range(n + 1)])
-
 
 def rotate_phase(hv: HarmonicVector, phi: float) -> HarmonicVector:
     """Shift the time origin: a_h -> a_h * exp(i h phi)."""
@@ -149,25 +151,13 @@ def rotate_phase(hv: HarmonicVector, phi: float) -> HarmonicVector:
                           real_signal=hv.real_signal)
 
 
-def _oversampled_grid(n_harmonics: int, period: float):
-    g = 2 * (2 * n_harmonics) + 1
-    times = period * np.arange(1, g + 1) / g
-    return g, times
+def _sampled_band(fn, z_real: np.ndarray, times: np.ndarray, period: float) -> MatrixHarmonics:
+    """Harmonics -2N..2N of the matrix fn(z, t) sampled along the cycle.
 
-
-def _dense_eval(amps: np.ndarray, n_harmonics: int, omega0: float,
-                times: np.ndarray) -> np.ndarray:
-    h = np.arange(-n_harmonics, n_harmonics + 1)
-    return amps @ np.exp(1j * omega0 * np.outer(h, times))
-
-
-def _grid_harmonics(values: np.ndarray, n_keep: int) -> np.ndarray:
-    """Forward coefficients -n_keep..n_keep of samples on the g-point grid."""
-    g = values.shape[-1]
-    k = np.arange(1, g + 1)
-    h = np.arange(-n_keep, n_keep + 1)
-    basis = np.exp(-2j * np.pi * np.outer(h, k) / g) / g
-    return values @ basis.T
+    ``times`` is the oversampled grid ``sample_times(2N, period)``.
+    """
+    samples = np.stack([np.atleast_2d(fn(z, t)) for z, t in zip(z_real.T, times)], axis=-1)
+    return MatrixHarmonics.from_time_grid(samples, period, (len(times) - 1) // 2)
 
 
 def _memory_factors(model: SystemModel, omegas: np.ndarray):
@@ -181,14 +171,15 @@ def _residual_complex(model: SystemModel, amps: np.ndarray, omega0: float):
     """Harmonic residual and the sampled quantities reused by the Jacobian."""
     n = model.dim
     nh = (amps.shape[1] - 1) // 2
-    period = 2 * np.pi / omega0
-    g, times = _oversampled_grid(nh, period)
-    z_samples = _dense_eval(amps, nh, omega0, times)
-    z_real = z_samples.real  # conjugate-symmetric amplitudes guarantee real samples
+    times = sample_times(2 * nh, 2 * np.pi / omega0)
+    g = len(times)
+    basis = _grid_basis(nh, g)
+    # conjugate-symmetric amplitudes guarantee real samples
+    z_real = HarmonicVector(n, nh, amps, omega0).evaluate(times).real
     f_samples = np.empty((n, g))
     for i, t in enumerate(times):
         f_samples[:, i] = np.asarray(model.rhs(z_real[:, i], t), dtype=float)
-    f_tilde = _grid_harmonics(f_samples, nh)
+    f_tilde = f_samples @ basis.T
 
     omegas = np.arange(-nh, nh + 1) * omega0
     h = np.arange(-nh, nh + 1)
@@ -203,7 +194,7 @@ def _residual_complex(model: SystemModel, amps: np.ndarray, omega0: float):
             w_samples = np.empty((n, g))
             for i in range(g):
                 w_samples[:, i] = model.integrand_values(z_real[:, i])
-            w_tilde = _grid_harmonics(w_samples, nh)
+            w_tilde = w_samples @ basis.T
         for j in range(2 * nh + 1):
             rho[:, j] -= factors[j] @ w_tilde[:, j]
     return rho, z_real, times, factors, w_tilde
@@ -219,13 +210,9 @@ def _jacobian_complex(model: SystemModel, amps: np.ndarray, omega0: float,
                       z_real: np.ndarray, times: np.ndarray, factors) -> np.ndarray:
     n = model.dim
     nh = (amps.shape[1] - 1) // 2
-    g = z_real.shape[1]
     period = 2 * np.pi / omega0
 
-    a_samples = np.empty((n, n, g))
-    for i in range(g):
-        a_samples[:, :, i] = np.atleast_2d(model.rhs_jacobian(z_real[:, i], times[i]))
-    a_mh = MatrixHarmonics.from_time_grid(a_samples, period, 2 * nh)
+    a_mh = _sampled_band(model.rhs_jacobian, z_real, times, period)
     jac = stacked_diff_matrix(n, nh, omega0) \
         - toeplitz_from_periodic(a_mh, n_harmonics=nh).matrix()
 
@@ -233,10 +220,8 @@ def _jacobian_complex(model: SystemModel, amps: np.ndarray, omega0: float,
         if model.memory_integrand is None:
             jw_top = np.eye(n * (2 * nh + 1), dtype=complex)
         else:
-            jw_samples = np.empty((n, n, g))
-            for i in range(g):
-                jw_samples[:, :, i] = model.integrand_jacobian_values(z_real[:, i])
-            jw_mh = MatrixHarmonics.from_time_grid(jw_samples, period, 2 * nh)
+            jw_mh = _sampled_band(lambda z, t: model.integrand_jacobian_values(z),
+                                  z_real, times, period)
             jw_top = toeplitz_from_periodic(jw_mh, n_harmonics=nh).matrix()
         m = 2 * nh + 1
         mem = np.zeros((n * m, n * m), dtype=complex)
@@ -262,18 +247,18 @@ def _omega_derivative(model: SystemModel, amps: np.ndarray, omega0: float,
     return d
 
 
-def solve_cycle(model: SystemModel, initial_guess: LimitCycle, tol: float = 1e-10,
-                max_iter: int = 60, max_halvings: int = 20,
-                anchor: int | None = None) -> LimitCycle:
+def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
+                max_iter: int = 60) -> LimitCycle:
     """Damped Newton iteration on the harmonic-balance residual.
 
     For autonomous models the fundamental frequency joins the unknowns and
-    the phase condition Im a_{anchor,1} = 0 closes the system; the anchor
-    defaults to the component with the largest first-harmonic magnitude in
-    the seed.  Raises :class:`NoConvergence` with the residual trace when the
-    iteration stalls and :class:`SingularJacobian` when the Newton system is
-    singular.
+    the phase condition Im a_{anchor,1} = 0 closes the system; the anchor is
+    the component with the largest first-harmonic magnitude in the seed.
+    Raises :class:`NoConvergence` with the residual trace when the iteration
+    stalls or runs past ``max_iter`` steps and :class:`SingularJacobian` when
+    the Newton system is singular.
     """
+    tol = 1e-10
     n = model.dim
     hv = initial_guess.harmonics
     nh = hv.n_harmonics
@@ -281,9 +266,8 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle, tol: float = 1e-1
         raise ValueError("guess dimension does not match the model")
     omega0 = 2 * np.pi / initial_guess.period
 
-    if anchor is None:
-        first = np.abs(hv.amplitudes[:, nh + 1]) if nh >= 1 else np.zeros(n)
-        anchor = int(np.argmax(first))
+    first = np.abs(hv.amplitudes[:, nh + 1]) if nh >= 1 else np.zeros(n)
+    anchor = int(np.argmax(first))
     if model.autonomous and nh >= 1:
         pivot = hv.amplitudes[anchor, nh + 1]
         if abs(pivot) > 0:
@@ -326,7 +310,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle, tol: float = 1e-1
 
         step = 1.0
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(20):
             u_new = u + step * delta[:n * m]
             w_new = omega0 + step * delta[n * m] if model.autonomous else omega0
             if w_new <= 0:
@@ -376,15 +360,11 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
     """
     n = model.dim
     nh = cycle.harmonics.n_harmonics
-    omega0 = cycle.omega0
-    _, times = _oversampled_grid(nh, cycle.period)
-    z_real = _dense_eval(cycle.harmonics.amplitudes, nh, omega0, times).real
-    g = len(times)
+    times = sample_times(2 * nh, cycle.period)
+    # evaluate at omega0 = 2*pi/period, the frequency of the grid and of the problem
+    z_real = replace(cycle.harmonics, omega0=cycle.omega0).evaluate(times).real
 
-    a_samples = np.empty((n, n, g))
-    for i in range(g):
-        a_samples[:, :, i] = np.atleast_2d(model.rhs_jacobian(z_real[:, i], times[i]))
-    a_mh = MatrixHarmonics.from_time_grid(a_samples, cycle.period, 2 * nh)
+    a_mh = _sampled_band(model.rhs_jacobian, z_real, times, cycle.period)
     jac = toeplitz_from_periodic(a_mh, n_harmonics=nh)
 
     transfer = None
@@ -393,11 +373,9 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
             transfer = MemoryTransfer(model.kernel)
         else:
             env = model.kernel
-            b_samples = np.empty((n, n, g))
-            for i in range(g):
-                b_samples[:, :, i] = env.coefficient @ model.integrand_jacobian_values(
-                    z_real[:, i])
-            profile = MatrixHarmonics.from_time_grid(b_samples, cycle.period, 2 * nh)
+            profile = _sampled_band(
+                lambda z, t: env.coefficient @ model.integrand_jacobian_values(z),
+                z_real, times, cycle.period)
             transfer = MemoryTransfer(ModulatedExponential(profile, env.rate))
     return FloquetProblem(jac, transfer, cycle.period, nh, n)
 
@@ -406,15 +384,15 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
 
 
 def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
-                               period_estimate: float | None = None,
-                               n_periods: int = 10, n_steps: int = 2000) -> LimitCycle:
+                               period_estimate: float | None = None) -> LimitCycle:
     """Initial cycle guess from fixed-step integration of the transient.
 
-    Marches RK4 with the memory integral evaluated by trapezoid quadrature
-    over a finite history window (five decay times for exponential
-    envelopes), estimates the period from late upcrossings, and transforms
-    the last period to harmonic form.
+    Marches RK4 over ten estimated periods in 2000 steps, with the memory
+    integral evaluated by trapezoid quadrature over a finite history window
+    (five decay times for exponential envelopes), estimates the period from
+    late upcrossings, and transforms the last period to harmonic form.
     """
+    n_periods, n_steps = 10, 2000
     t_guess = period_estimate or model.period_hint
     if t_guess is None:
         raise ValueError("need a period estimate to seed from time integration")
@@ -488,16 +466,11 @@ def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
         hist_w[:, i + 1] = model.integrand_values(z)
 
     period = _estimate_period(times, hist_z, t_guess) if model.autonomous else t_guess
-    m = 2 * n_harmonics + 1
-    sample_t = t_end - period + period * np.arange(1, m + 1) / m
-    amps_samples = np.empty((model.dim, m))
+    sample_t = t_end - period + sample_times(n_harmonics, period)
+    amps_samples = np.empty((model.dim, len(sample_t)))
     for c in range(model.dim):
         amps_samples[c] = np.interp(sample_t, times, hist_z[c])
-    k = np.arange(1, m + 1)
-    hgrid = np.arange(-n_harmonics, n_harmonics + 1)
-    basis = np.exp(-2j * np.pi * np.outer(hgrid, k) / m) / m
-    amps = amps_samples @ basis.T
-    hv = HarmonicVector(model.dim, n_harmonics, amps, 2 * np.pi / period, real_signal=False)
+    hv = dft(TimeSamples(model.dim, amps_samples, period))
     return LimitCycle(period, hv, math.inf, phase_anchor=None)
 
 

@@ -32,14 +32,6 @@ class NoCycle(MemfloError):
     """No periodic attractor was found from any seed at this parameter point."""
 
 
-class SingularLeading(MemfloError):
-    """Leading polynomial-eigenproblem coefficient is singular.
-
-    Raised only when the caller refuses infinite eigenvalues; by default they
-    are counted and reported alongside the finite ones.
-    """
-
-
 class MatchedLine(MemfloError):
     """Zero reflection coefficient: the resonator has no discrete spectrum."""
 

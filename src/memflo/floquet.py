@@ -9,12 +9,14 @@ harmonics.  Q(lambda) is the memory coupling of :mod:`memflo.kernels`.  Three
 solution routes are provided: direct scalar root hunting (1-D problems), an
 exact quadratic polynomial eigenproblem obtained by clearing the rational
 denominators of exponential-family kernels, and a Taylor-series polynomial
-approximation for everything else.  Polynomial eigenproblems are linearized
-in first companion form and solved densely; raw eigenvalues are filtered
-against the kernel decay bound, polished by bordered Newton iteration on the
-exact transcendental operator, and collapsed into splitting classes (each
-exponent class is invariant under shifts by i*omega0; multipliers
-exp(lambda*T) label the classes uniquely).
+approximation of degree four for everything else.  Polynomial
+eigenproblems are linearized in first companion form and solved densely;
+raw eigenvalues are filtered against the kernel decay bound, polished by
+bordered Newton iteration on the exact transcendental operator, and collapsed
+into splitting classes (each exponent class is invariant under shifts by
+i*omega0; multipliers exp(lambda*T) label the classes uniquely).  The
+tolerances are the module constants below; the stability verdict is derived
+from the classes by :attr:`FloquetSpectrum.stability`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import BoundViolation, NoConvergence, SingularLeading
-from .hb import HarmonicVector, ToeplitzMatrix, stacked_diff_matrix
+from .errors import BoundViolation, NoConvergence
+from .hb import (
+    HarmonicVector,
+    MatrixHarmonics,
+    ToeplitzMatrix,
+    stacked_diff_matrix,
+    toeplitz_from_periodic,
+)
 from .kernels import (
     ExponentialDecay,
     MemoryTransfer,
@@ -123,7 +131,6 @@ class FloquetSpectrum:
 
     pairs: list
     canonical_strip: list
-    stability: str
     period: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -142,6 +149,14 @@ class FloquetSpectrum:
     def max_nontrivial_re(self) -> float | None:
         res = [p.exponent.real for p in self.canonical_strip if not p.trivial]
         return max(res) if res else None
+
+    @property
+    def stability(self) -> str:
+        """Verdict on the largest non-trivial real part, with a STABILITY_TOL band."""
+        worst = self.max_nontrivial_re()
+        if worst is None or abs(worst) <= STABILITY_TOL:
+            return "Marginal"
+        return "Unstable" if worst > STABILITY_TOL else "Stable"
 
 
 def _gauge_normalize(vec: np.ndarray) -> np.ndarray:
@@ -223,15 +238,14 @@ def _scalar_constant_coefficient(p: FloquetProblem) -> complex:
     return complex(block[0, 0])
 
 
-def solve_scalar(p: FloquetProblem, re_max: float | None = None,
-                 grid_shape: tuple[int, int] = (21, 21), rng=None,
-                 newton_tol: float = 5e-14, max_iter: int = 80) -> FloquetSpectrum:
+def solve_scalar(p: FloquetProblem, rng=None) -> FloquetSpectrum:
     """All exponents of a scalar constant-coefficient problem.
 
     Roots of the zero-harmonic characteristic equation are found by Newton
-    iteration from a rectangular grid of starting points with Maehly
-    deflation; the other harmonics only shift those roots by -i*j*omega0, so
-    the zero-harmonic roots are already the canonical representatives.
+    iteration from a 21x21 grid of starting points with Maehly deflation; the
+    other harmonics only shift those roots by -i*j*omega0, so the
+    zero-harmonic roots are already the canonical representatives.  ``rng``
+    jitters the starting grid.
     """
     if p.dim != 1:
         raise ValueError("solve_scalar requires a one-dimensional problem")
@@ -252,11 +266,11 @@ def solve_scalar(p: FloquetProblem, re_max: float | None = None,
         return 1.0 - complex(transfer_dlambda(mt, lam, 0.0)[0, 0])
 
     re_lo = (-kc + 0.05) if math.isfinite(kc) else (a.real - 5.0)
-    re_hi = re_max if re_max is not None else a.real + 2.0
+    re_hi = a.real + 2.0
     if re_hi <= re_lo:
         re_hi = re_lo + 1.0
-    res = np.linspace(re_lo, re_hi, grid_shape[0])
-    ims = np.linspace(-omega0 / 2, omega0 / 2, grid_shape[1])
+    res = np.linspace(re_lo, re_hi, 21)
+    ims = np.linspace(-omega0 / 2, omega0 / 2, 21)
     if rng is not None:
         res = res + rng.uniform(-1, 1, res.shape) * (res[1] - res[0]) * 0.1
         ims = ims + rng.uniform(-1, 1, ims.shape) * (ims[1] - ims[0]) * 0.1
@@ -267,7 +281,7 @@ def solve_scalar(p: FloquetProblem, re_max: float | None = None,
         for im0 in ims:
             lam = complex(re0, im0)
             converged = False
-            for _ in range(max_iter):
+            for _ in range(80):
                 try:
                     val = g(lam)
                     der = gp(lam)
@@ -283,7 +297,7 @@ def solve_scalar(p: FloquetProblem, re_max: float | None = None,
                 lam = lam - step
                 if math.isfinite(kc) and mt.truncation is None and lam.real <= -kc + 1e-8:
                     break
-                if abs(step) < newton_tol * (1.0 + abs(lam)):
+                if abs(step) < 5e-14 * (1.0 + abs(lam)):
                     converged = True
                     break
             if not converged:
@@ -364,11 +378,8 @@ def cleared_pep(p: FloquetProblem) -> list[np.ndarray]:
     linear = stacked_diff_matrix(p.dim, p.n_harmonics, p.omega0) - p.jacobian.matrix()
     rate_shift = k.rate + 1j * p.omegas  # d_j = rate + i*omega_j per harmonic
     mask = _kernel_row_mask(p)
-
-    from .hb import toeplitz_from_periodic
-
-    profile = _constant_profile(k.coefficient, p.omega0) if isinstance(k, ExponentialDecay) \
-        else k.profile
+    profile = MatrixHarmonics.constant(k.coefficient, p.omega0) \
+        if isinstance(k, ExponentialDecay) else k.profile
     # multiplying row-harmonic j by (rate + lambda + i*omega_j) leaves the
     # plain Toeplitz coupling of the kernel profile
     kernel_rows = toeplitz_from_periodic(profile, n_harmonics=p.n_harmonics).matrix()
@@ -387,12 +398,6 @@ def cleared_pep(p: FloquetProblem) -> list[np.ndarray]:
     return [p0, p1, p2]
 
 
-def _constant_profile(mat: np.ndarray, omega0: float):
-    from .hb import MatrixHarmonics
-
-    return MatrixHarmonics.constant(mat, omega0)
-
-
 @dataclass
 class PepResult:
     """Finite eigenpairs plus the multiplicity of eigenvalues at infinity."""
@@ -407,14 +412,12 @@ class PepResult:
         return len(self.eigenpairs) + self.n_infinite
 
 
-def solve_pep(coeffs: list[np.ndarray], allow_infinite: bool = True) -> PepResult:
+def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     """Solve (sum_k P_k lambda^k) v = 0 by first companion linearization.
 
     A degree-r problem of size m yields exactly r*m eigenvalues counting the
     infinite ones that arise from a singular leading coefficient; those are
-    counted in ``n_infinite`` rather than dropped.  With
-    ``allow_infinite=False`` a singular leading coefficient raises
-    :class:`~memflo.errors.SingularLeading` instead.
+    counted in ``n_infinite`` rather than dropped.
     """
     coeffs = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in coeffs]
     degree = len(coeffs) - 1
@@ -425,11 +428,6 @@ def solve_pep(coeffs: list[np.ndarray], allow_infinite: bool = True) -> PepResul
         if c.shape != (msize, msize):
             raise ValueError("coefficient matrices must be square and same size")
 
-    lead = coeffs[-1]
-    sv = np.linalg.svd(lead, compute_uv=False)
-    if not allow_infinite and sv[-1] <= max(1.0, sv[0]) * msize * np.finfo(float).eps:
-        raise SingularLeading("leading coefficient is singular; infinite eigenvalues present")
-
     dim = degree * msize
     a = np.zeros((dim, dim), dtype=complex)
     b = np.eye(dim, dtype=complex)
@@ -437,7 +435,7 @@ def solve_pep(coeffs: list[np.ndarray], allow_infinite: bool = True) -> PepResul
         a[k * msize:(k + 1) * msize, (k + 1) * msize:(k + 2) * msize] = np.eye(msize)
     for k in range(degree):
         a[(degree - 1) * msize:, k * msize:(k + 1) * msize] = -coeffs[k]
-    b[(degree - 1) * msize:, (degree - 1) * msize:] = lead
+    b[(degree - 1) * msize:, (degree - 1) * msize:] = coeffs[-1]
 
     w, vr = scipy.linalg.eig(a, b)
     finite = np.isfinite(w)
@@ -462,13 +460,14 @@ def solve_pep(coeffs: list[np.ndarray], allow_infinite: bool = True) -> PepResul
 # --- Newton polish ----------------------------------------------------------
 
 
-def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair, tol: float = 1e-10,
-                     max_iter: int = 50) -> FloquetEigenpair:
+def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenpair:
     """Polish a seed against the exact transcendental operator.
 
-    Bordered Newton iteration on {R(lambda) x = 0, x_pivot = 1}; on failure
-    the seed is returned flagged unrefined.
+    Bordered Newton iteration on {R(lambda) x = 0, x_pivot = 1}, at most 50
+    steps to a residual below 1e-10; on failure the seed is returned flagged
+    unrefined.
     """
+    tol = 1e-10
     if seed.residual >= 0.1:
         raise ValueError("refinement expects a seed with residual below 0.1")
     x = np.array(seed.eigenvector.flat, dtype=complex)
@@ -476,7 +475,7 @@ def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair, tol: float = 1e-
     x = x / x[idx]
     lam = complex(seed.exponent)
     size = p.size
-    for _ in range(max_iter):
+    for _ in range(50):
         try:
             rmat = assemble_residual_matrix(p, lam)
         except BoundViolation:
@@ -516,19 +515,37 @@ def _strip_steps(im: float, omega0: float) -> int:
     return int(math.ceil(im / omega0 - 0.5))
 
 
+def _merge_classes(pairs) -> list[FloquetEigenpair]:
+    """Exponents closer than MERGE_TOL form one class, kept at its lowest residual.
+
+    Returns the classes in ascending (Re, Im) order of their first member.
+    """
+    classes: list[FloquetEigenpair] = []
+    for cand in sorted(pairs, key=lambda q: (q.exponent.real, q.exponent.imag)):
+        for i, rep in enumerate(classes):
+            if abs(cand.exponent - rep.exponent) < MERGE_TOL:
+                if cand.residual < rep.residual:
+                    classes[i] = cand
+                break
+        else:
+            classes.append(cand)
+    return classes
+
+
+def _least_stable_first(classes) -> list[FloquetEigenpair]:
+    return sorted(classes, key=lambda q: (-q.exponent.real, q.exponent.imag))
+
+
 def canonicalize_spectrum(pairs, omega0: float, autonomous: bool = False,
-                          merge_tol: float = MERGE_TOL,
-                          trivial_factor: float = TRIVIAL_FACTOR,
-                          stability_tol: float = STABILITY_TOL,
                           period: float | None = None,
                           diagnostics: dict | None = None) -> FloquetSpectrum:
-    """Collapse splitting copies into classes and grade stability.
+    """Collapse splitting copies into classes.
 
     Each exponent is shifted into the strip Im in (-omega0/2, omega0/2] (the
-    upper edge is kept), classes closer than ``merge_tol`` keep their
+    upper edge is kept), classes closer than ``MERGE_TOL`` keep their
     lowest-residual representative, and for autonomous problems the class
-    nearest zero is labeled as the time-translation mode and excluded from
-    the verdict.
+    nearest zero (within ``TRIVIAL_FACTOR * omega0``) is labeled as the
+    time-translation mode and excluded from the verdict.
     """
     period = period if period is not None else 2 * np.pi / omega0
     mapped = []
@@ -541,12 +558,14 @@ def canonicalize_spectrum(pairs, omega0: float, autonomous: bool = False,
         mapped.append(FloquetEigenpair(lam, mult, vec, pair.residual,
                                        bound_ok=pair.bound_ok, refined=pair.refined))
 
-    mapped.sort(key=lambda q: (q.exponent.real, q.exponent.imag))
+    # copies split across the strip boundary by rounding still belong together
     classes: list[FloquetEigenpair] = []
-    for cand in mapped:
+    for cand in _merge_classes(mapped):
         merged = False
         for i, rep in enumerate(classes):
-            if abs(cand.exponent - rep.exponent) < merge_tol:
+            gap = cand.exponent - rep.exponent
+            steps = round(gap.imag / omega0)
+            if steps != 0 and abs(gap - 1j * steps * omega0) < MERGE_TOL:
                 if cand.residual < rep.residual:
                     classes[i] = cand
                 merged = True
@@ -554,41 +573,12 @@ def canonicalize_spectrum(pairs, omega0: float, autonomous: bool = False,
         if not merged:
             classes.append(cand)
 
-    # copies split across the strip boundary by rounding still belong together
-    deduped: list[FloquetEigenpair] = []
-    for cand in classes:
-        merged = False
-        for i, rep in enumerate(deduped):
-            gap = cand.exponent - rep.exponent
-            steps = round(gap.imag / omega0)
-            if steps != 0 and abs(gap - 1j * steps * omega0) < merge_tol:
-                if cand.residual < rep.residual:
-                    deduped[i] = cand
-                merged = True
-                break
-        if not merged:
-            deduped.append(cand)
-    classes = deduped
-
     if autonomous and classes:
         nearest = min(range(len(classes)), key=lambda i: abs(classes[i].exponent))
-        if abs(classes[nearest].exponent) < trivial_factor * omega0:
+        if abs(classes[nearest].exponent) < TRIVIAL_FACTOR * omega0:
             classes[nearest] = replace(classes[nearest], trivial=True)
 
-    nontrivial = [c.exponent.real for c in classes if not c.trivial]
-    if not nontrivial:
-        stability = "Marginal"
-    else:
-        worst = max(nontrivial)
-        if worst > stability_tol:
-            stability = "Unstable"
-        elif abs(worst) <= stability_tol:
-            stability = "Marginal"
-        else:
-            stability = "Stable"
-
-    classes.sort(key=lambda q: (-q.exponent.real, q.exponent.imag))
-    return FloquetSpectrum(list(pairs), classes, stability, period,
+    return FloquetSpectrum(list(pairs), _least_stable_first(classes), period,
                            diagnostics=dict(diagnostics or {}))
 
 
@@ -603,19 +593,19 @@ def _edge_energy_fraction(vec: np.ndarray, dim: int, n_harmonics: int, band: int
     return float(np.linalg.norm(outer) / total) if total > 0 else 1.0
 
 
-def floquet_spectrum(p: FloquetProblem, taylor_degree: int = 4,
-                     autonomous: bool = False, refine: bool = True,
-                     merge_tol: float = MERGE_TOL, edge_tol: float = 1e-6,
-                     stability_tol: float = STABILITY_TOL,
-                     trivial_factor: float = TRIVIAL_FACTOR,
+def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                      strip_reduce: bool = True) -> FloquetSpectrum:
     """Full pipeline: polynomial eigenproblem, filters, polish, classes.
 
     Untruncated exponential-family kernels go through the exact cleared
     quadratic; memoryless problems through the linear pencil; anything else
-    through a Taylor polynomial of the requested degree.  Diagnostics count
-    every discarded candidate (decay-bound violations, clearing artifacts at
-    the kernel poles, truncation-edge pollution, failed polishes).
+    through a degree-4 Taylor polynomial.  Every surviving candidate is
+    polished and must meet ``CERTIFICATE_TOL``.  ``autonomous`` marks the
+    time-translation class as trivial; ``strip_reduce=False`` treats the
+    problem as time invariant, so exponents are merged as plain eigenvalues
+    without strip folding.  Diagnostics count every discarded candidate
+    (decay-bound violations, clearing artifacts at the kernel poles,
+    truncation-edge pollution, failed polishes).
     """
     cleared = False
     if p.transfer is None:
@@ -625,7 +615,7 @@ def floquet_spectrum(p: FloquetProblem, taylor_degree: int = 4,
         coeffs = cleared_pep(p)
         cleared = True
     else:
-        coeffs = taylor_pep(p, taylor_degree)
+        coeffs = taylor_pep(p, 4)
 
     pep = solve_pep(coeffs)
     diag = {"n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite,
@@ -649,7 +639,7 @@ def floquet_spectrum(p: FloquetProblem, taylor_degree: int = 4,
             continue
         if p.n_harmonics >= 8:
             band = max(2, p.n_harmonics // 4)
-            if _edge_energy_fraction(vec, p.dim, p.n_harmonics, band) > edge_tol:
+            if _edge_energy_fraction(vec, p.dim, p.n_harmonics, band) > 1e-6:
                 diag["n_edge_filtered"] += 1
                 continue
         survivors.append((lam, vec))
@@ -665,7 +655,7 @@ def floquet_spectrum(p: FloquetProblem, taylor_degree: int = 4,
         lam_c = lam - 1j * m * p.omega0
         match = None
         for i, (prev, prev_m) in enumerate(seen):
-            if abs(lam_c - prev) < merge_tol:
+            if abs(lam_c - prev) < MERGE_TOL:
                 match = i
                 break
         if match is not None:
@@ -681,11 +671,10 @@ def floquet_spectrum(p: FloquetProblem, taylor_degree: int = 4,
         if pair.residual >= 0.1:
             diag["n_seed_rejected"] += 1
             continue
-        if refine:
-            pair = refine_eigenpair(p, pair)
-            if not pair.refined:
-                diag["n_unrefined"] += 1
-                continue
+        pair = refine_eigenpair(p, pair)
+        if not pair.refined:
+            diag["n_unrefined"] += 1
+            continue
         if pair.residual >= CERTIFICATE_TOL:
             diag["n_certificate_failed"] += 1
             continue
@@ -693,24 +682,9 @@ def floquet_spectrum(p: FloquetProblem, taylor_degree: int = 4,
 
     if strip_reduce:
         return canonicalize_spectrum(polished, p.omega0, autonomous=autonomous,
-                                     merge_tol=merge_tol, trivial_factor=trivial_factor,
-                                     stability_tol=stability_tol, period=p.period,
-                                     diagnostics=diag)
-    # time-invariant problems: exponents are plain eigenvalues, no strip folding
-    dedup: list[FloquetEigenpair] = []
-    for cand in sorted(polished, key=lambda q: (q.exponent.real, q.exponent.imag)):
-        if any(abs(cand.exponent - r.exponent) < merge_tol for r in dedup):
-            continue
-        dedup.append(cand)
-    nontrivial = [c.exponent.real for c in dedup]
-    if not nontrivial:
-        stability = "Marginal"
-    else:
-        worst = max(nontrivial)
-        stability = ("Unstable" if worst > stability_tol
-                     else "Marginal" if abs(worst) <= stability_tol else "Stable")
-    dedup.sort(key=lambda q: (-q.exponent.real, q.exponent.imag))
-    return FloquetSpectrum(polished, dedup, stability, p.period, diagnostics=diag)
+                                     period=p.period, diagnostics=diag)
+    classes = _least_stable_first(_merge_classes(polished))
+    return FloquetSpectrum(polished, classes, p.period, diagnostics=diag)
 
 
 def _raw_pair(p: FloquetProblem, lam: complex, vec: np.ndarray) -> FloquetEigenpair:

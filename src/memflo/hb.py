@@ -6,12 +6,14 @@ uniform grid ``t_k = k*T/(2N+1)``, ``k = 1..2N+1``.  Vector signals are laid
 out component-major: the flat index of (component ``c``, harmonic ``h``) is
 ``c*(2N+1) + (h+N)``, and the same convention orders the time samples.
 
-The transform is kept as an explicit dense matrix pair because the
-eigenproblem assembly consumes the matrices themselves; FFT acceleration is
-deliberately out of scope at these sizes.  Multiplication by a periodic
-matrix becomes a block Toeplitz operator on the amplitudes; products are
-formed from Fourier coefficients gathered on an oversampled grid so that
-quadratic nonlinearities stay alias-free in the retained band.
+The forward transform is one explicit dense basis per (band, grid size),
+built once and shared by every module that gathers coefficients from
+samples; FFT acceleration is deliberately out of scope at these sizes.  The
+inverse is plain evaluation of the series on the grid.  Multiplication by a
+periodic matrix becomes a block Toeplitz operator on the amplitudes; products
+are formed from Fourier coefficients gathered on the oversampled grid
+``sample_times(2N, T)`` so that quadratic nonlinearities stay alias-free in
+the retained band.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import numpy as np
 __all__ = [
     "HarmonicVector",
     "TimeSamples",
-    "DftOperator",
-    "DiffOperator",
     "ToeplitzMatrix",
     "MatrixHarmonics",
     "dft",
@@ -50,16 +50,17 @@ def sample_times(n_harmonics: int, period: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _dft_pair(n_harmonics: int):
-    """Forward/inverse DFT matrices for the pinned grid and harmonic ordering."""
-    m = 2 * n_harmonics + 1
-    h = np.arange(-n_harmonics, n_harmonics + 1)
-    k = np.arange(1, m + 1)
-    forward = np.exp(-2j * np.pi * np.outer(h, k) / m) / m
-    inverse = np.exp(2j * np.pi * np.outer(k, h) / m)
-    forward.setflags(write=False)
-    inverse.setflags(write=False)
-    return forward, inverse
+def _grid_basis(n_keep: int, g: int) -> np.ndarray:
+    """Forward DFT rows h = -n_keep..n_keep for samples on t_k = k*T/g, k = 1..g.
+
+    ``samples @ basis.T`` gives the coefficients; for g = 2*n_keep + 1 this
+    inverts evaluation on the collocation grid.
+    """
+    h = np.arange(-n_keep, n_keep + 1)
+    k = np.arange(1, g + 1)
+    basis = np.exp(-2j * np.pi * np.outer(h, k) / g) / g
+    basis.setflags(write=False)
+    return basis
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -156,39 +157,6 @@ class HarmonicVector:
         return cls(dim, n_harmonics, a, omega0, real_signal)
 
 
-@dataclass(frozen=True)
-class DftOperator:
-    """Explicit matrix pair mapping time samples to harmonic amplitudes."""
-
-    n_harmonics: int
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    def __post_init__(self):
-        m = 2 * self.n_harmonics + 1
-        eye_defect = np.max(np.abs(self.forward @ self.inverse - np.eye(m)))
-        if eye_defect > 1e-12 * m:
-            raise ValueError(f"forward*inverse deviates from identity by {eye_defect:.3e}")
-
-    @classmethod
-    def build(cls, n_harmonics: int) -> "DftOperator":
-        fwd, inv = _dft_pair(n_harmonics)
-        return cls(n_harmonics, fwd, inv)
-
-
-@dataclass(frozen=True)
-class DiffOperator:
-    """Diagonal differentiation operator; entry for harmonic h is i*h*omega0."""
-
-    n_harmonics: int
-    omega0: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        h = np.arange(-self.n_harmonics, self.n_harmonics + 1)
-        return np.diag(1j * h * self.omega0)
-
-
 def dft(x: TimeSamples, n_harmonics: int | None = None) -> HarmonicVector:
     """Transform time samples to harmonic amplitudes.
 
@@ -199,16 +167,14 @@ def dft(x: TimeSamples, n_harmonics: int | None = None) -> HarmonicVector:
         raise ValueError(
             f"sample count {x.samples.shape[1]} does not match n_harmonics={n_harmonics}"
         )
-    fwd, _ = _dft_pair(n)
-    amps = x.samples @ fwd.T
+    amps = x.samples @ _grid_basis(n, 2 * n + 1).T
     real = bool(np.max(np.abs(np.asarray(x.samples).imag)) == 0.0) if np.iscomplexobj(x.samples) else True
     return HarmonicVector(x.dim, n, amps, 2 * np.pi / x.period, real_signal=real)
 
 
 def idft(a: HarmonicVector) -> TimeSamples:
     """Evaluate the truncated series on the collocation grid."""
-    _, inv = _dft_pair(a.n_harmonics)
-    samples = a.amplitudes @ inv.T
+    samples = a.evaluate(sample_times(a.n_harmonics, a.period))
     return TimeSamples(a.dim, samples, a.period)
 
 
@@ -252,10 +218,7 @@ class MatrixHarmonics:
         rows, cols, g = values.shape
         if g < 2 * n_keep + 1:
             raise ValueError("grid too coarse for the requested coefficient band")
-        k = np.arange(1, g + 1)
-        h = np.arange(-n_keep, n_keep + 1)
-        basis = np.exp(-2j * np.pi * np.outer(h, k) / g) / g
-        coeffs = np.einsum("rcg,hg->rch", values.astype(complex), basis)
+        coeffs = np.einsum("rcg,hg->rch", values.astype(complex), _grid_basis(n_keep, g))
         return cls(rows, cols, n_keep, coeffs, 2 * np.pi / period)
 
     def coefficient(self, harmonic: int) -> np.ndarray:
@@ -267,10 +230,6 @@ class MatrixHarmonics:
     def evaluate(self, t: float) -> np.ndarray:
         h = np.arange(-self.n_harmonics, self.n_harmonics + 1)
         return (self.coeffs * np.exp(1j * self.omega0 * h * t)).sum(axis=2)
-
-    def element(self, r: int, c: int, omega0: float | None = None) -> HarmonicVector:
-        return HarmonicVector(1, self.n_harmonics, self.coeffs[r, c][None, :],
-                              omega0 or self.omega0)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
 from .errors import BoundViolation, QuadratureError
-from .hb import MatrixHarmonics
+from .hb import MatrixHarmonics, toeplitz_from_periodic
 
 __all__ = [
     "ExponentialDecay",
@@ -163,10 +163,6 @@ class ModulatedExponential:
 
 
 KernelSpec = Union[ExponentialDecay, Delay, FiniteSupportSampled, ModulatedExponential]
-
-
-def kernel_dim(kernel: KernelSpec) -> int:
-    return kernel.dim
 
 
 def critical_exponent(kernel: KernelSpec) -> float:
@@ -429,8 +425,6 @@ def _blockdiag_over_harmonics(blocks: list[np.ndarray], dim: int) -> np.ndarray:
 def _row_scaled_toeplitz(profile: MatrixHarmonics, factors: np.ndarray,
                          n_harmonics: int) -> np.ndarray:
     """Toeplitz coupling of the profile, row harmonic j scaled by factors[j]."""
-    from .hb import toeplitz_from_periodic
-
     top = toeplitz_from_periodic(profile, n_harmonics=n_harmonics).matrix()
     dim = profile.rows
     scale = np.tile(factors, dim)

@@ -29,10 +29,15 @@ from .floquet import (
     FloquetSpectrum,
     canonicalize_spectrum,
     floquet_spectrum,
-    make_eigenpair,
     solve_scalar,
 )
-from .hb import HarmonicVector, MatrixHarmonics, differentiate, toeplitz_from_periodic
+from .hb import (
+    HarmonicVector,
+    MatrixHarmonics,
+    differentiate,
+    sample_times,
+    toeplitz_from_periodic,
+)
 from .kernels import ExponentialDecay, MemoryTransfer
 
 CYCLE_AMPLITUDE_TOL = 1e-6  # oscillation smaller than this counts as the rest state
@@ -83,9 +88,9 @@ def model1d_problem(m: Memory1DModel, n_harmonics: int = 0,
 
 
 def model1d_exponent(m: Memory1DModel, n_harmonics: int = 0,
-                     period: float = 2 * math.pi, **solver_kwargs) -> FloquetSpectrum:
+                     period: float = 2 * math.pi, rng=None) -> FloquetSpectrum:
     """Exponent classes of the scalar memory model via direct root hunting."""
-    return solve_scalar(model1d_problem(m, n_harmonics, period), **solver_kwargs)
+    return solve_scalar(model1d_problem(m, n_harmonics, period), rng=rng)
 
 
 def model1d_asymptotic_exponent(m: Memory1DModel) -> float:
@@ -143,7 +148,8 @@ class BrownianParticleModel:
         return -self.alpha + self.beta * float(v @ v)
 
 
-def _particle_system(m: BrownianParticleModel, memoryless: bool = False) -> SystemModel:
+def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> SystemModel:
+    """State-space form of the particle equations (4-D: position then velocity)."""
     w2 = np.array([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
 
     if memoryless:
@@ -190,11 +196,6 @@ def _particle_system(m: BrownianParticleModel, memoryless: bool = False) -> Syst
                        period_hint=2 * math.pi / m.omega_bar[0])
 
 
-def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> SystemModel:
-    """State-space form of the particle equations (4-D: position then velocity)."""
-    return _particle_system(m, memoryless)
-
-
 def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
                          memoryless: bool = False) -> LimitCycle | None:
     """Rotating-orbit seed; exact when the well is isotropic.
@@ -231,36 +232,41 @@ def particle_effective_friction(m: BrownianParticleModel, c: LimitCycle) -> Matr
     variational problem.
     """
     nh = c.harmonics.n_harmonics
-    g = 2 * (2 * nh) + 1
-    times = c.period * np.arange(1, g + 1) / g
+    times = sample_times(2 * nh, c.period)
     z = c.harmonics.evaluate(times).real
-    samples = np.empty((2, 2, g))
-    for i in range(g):
+    samples = np.empty((2, 2, len(times)))
+    for i in range(len(times)):
         v = z[2:, i]
         samples[:, :, i] = m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v)
     return MatrixHarmonics.from_time_grid(samples, c.period, 2 * nh)
 
 
-def particle_equilibrium_spectrum(m: BrownianParticleModel,
-                                  period: float | None = None) -> FloquetSpectrum:
+def _equilibrium_spectrum(m: BrownianParticleModel, memoryless: bool) -> FloquetSpectrum:
     """Exponents of the resting state at the origin.
 
     The linearization is time invariant, so the eigenproblem reduces to its
     zero-harmonic block and the exponents are plain constants (no splitting
-    classes, no strip folding).
+    classes, no strip folding).  Without memory the friction at rest enters
+    the Jacobian; with memory it is the coefficient of the decay kernel.
     """
-    period = period or 2 * math.pi / m.omega_bar[0]
-    omega0 = 2 * math.pi / period
+    period = 2 * math.pi / m.omega_bar[0]
     a = np.zeros((4, 4))
     a[0, 2] = a[1, 3] = 1.0
     a[2:, :2] = -np.diag([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
-    jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, omega0), n_harmonics=0)
-    gamma0 = m.friction(np.zeros(2))
-    c = np.zeros((4, 4))
-    c[2:, 2:] = -m.k * gamma0 * np.eye(2)
-    transfer = MemoryTransfer(ExponentialDecay(c, m.k))
-    problem = FloquetProblem(jac, transfer, period, 0, 4)
-    return floquet_spectrum(problem, autonomous=False, strip_reduce=False)
+    transfer = None
+    if memoryless:
+        a[2:, 2:] = -m.friction_memoryless(np.zeros(2)) * np.eye(2)
+    else:
+        c = np.zeros((4, 4))
+        c[2:, 2:] = -m.k * m.friction(np.zeros(2)) * np.eye(2)
+        transfer = MemoryTransfer(ExponentialDecay(c, m.k))
+    jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, m.omega_bar[0]), n_harmonics=0)
+    return floquet_spectrum(FloquetProblem(jac, transfer, period, 0, 4), strip_reduce=False)
+
+
+def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
+    """Exponents of the resting state at the origin, with friction memory."""
+    return _equilibrium_spectrum(m, memoryless=False)
 
 
 def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
@@ -273,7 +279,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     degenerate zero cycle is returned with the equilibrium spectrum;
     otherwise :class:`NoCycle` is raised (non-periodic attractor regime).
     """
-    system = _particle_system(m, memoryless)
+    system = particle_system(m, memoryless)
     seeds = []
     if seed is not None:
         seeds.append(seed)
@@ -302,8 +308,8 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
             cycle = None
 
     if cycle is None:
-        eq = particle_equilibrium_spectrum(m) if not memoryless \
-            else _memoryless_equilibrium_spectrum(m)
+        eq = _equilibrium_spectrum(m, memoryless=True) if memoryless \
+            else particle_equilibrium_spectrum(m)
         if eq.stability != "Unstable":
             zero = LimitCycle(2 * math.pi / m.omega_bar[0],
                               HarmonicVector(4, n_harmonics,
@@ -316,24 +322,6 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     problem = linearize(system, cycle)
     spectrum = floquet_spectrum(problem, autonomous=True)
     return cycle, spectrum
-
-
-def _memoryless_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
-    period = 2 * math.pi / m.omega_bar[0]
-    a = np.zeros((4, 4))
-    a[0, 2] = a[1, 3] = 1.0
-    a[2:, :2] = -np.diag([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
-    a[2:, 2:] = -m.friction_memoryless(np.zeros(2)) * np.eye(2)
-    vals, vecs = np.linalg.eig(a)
-    omega0 = 2 * math.pi / period
-    jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, omega0), n_harmonics=0)
-    problem = FloquetProblem(jac, None, period, 0, 4)
-    pairs = [make_eigenpair(problem, complex(v), vecs[:, i], 0.0)
-             for i, v in enumerate(vals)]
-    worst = max(p.exponent.real for p in pairs)
-    verdict = ("Unstable" if worst > 1e-6 else
-               "Marginal" if abs(worst) <= 1e-6 else "Stable")
-    return FloquetSpectrum(pairs, pairs, verdict, period)
 
 
 def cycle_amplitude(cycle: LimitCycle) -> float:

@@ -220,5 +220,16 @@ def test_main_row_failure_exit_code(tmp_path):
     assert cli.main(["run", path, "--out", out_path]) == 2
 
 
+def test_memory1d_invalid_points_become_error_rows(tmp_path):
+    cfg_text = "model = memory1d\nmode = sweep\na = 0.0\nk = range(-1, 1, 3)\ns = inf\n"
+    path = write(tmp_path, "m.cfg", cfg_text)
+    out_path = str(tmp_path / "m.csv")
+    assert cli.main(["run", path, "--out", out_path]) == 2
+    rows = open(out_path).read().strip().split("\n")[1:]
+    codes = [row.split(",")[-1] for row in rows]
+    assert codes == ["valueerror", "valueerror", ""]
+    assert rows[2].split(",")[3] == "Unstable"  # k = 1, a = 0: lambda = (sqrt(5) - 1)/2
+
+
 def test_selfcheck_passes():
     assert cli.main(["selfcheck"]) == 0

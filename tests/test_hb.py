@@ -56,12 +56,6 @@ def test_time_samples_reject_even_count():
         hb.TimeSamples(1, np.zeros((1, 6)), period=1.0)
 
 
-def test_dft_operator_inverse_invariant():
-    op = hb.DftOperator.build(6)
-    m = 2 * 6 + 1
-    assert np.max(np.abs(op.forward @ op.inverse - np.eye(m))) < 1e-12
-
-
 # --- idft --------------------------------------------------------------------
 
 
@@ -120,8 +114,7 @@ def test_differentiate_twice_cosine():
 
 
 def test_diff_operator_matrix_is_diagonal():
-    op = hb.DiffOperator(3, omega0=2.0)
-    mat = op.matrix
+    mat = hb.stacked_diff_matrix(1, 3, 2.0)
     h = np.arange(-3, 4)
     assert np.array_equal(mat, np.diag(1j * h * 2.0))
 
@@ -192,7 +185,8 @@ def test_toeplitz_from_element_table_matches_matrix_harmonics():
     n = 2
     coeffs = rng.normal(size=(2, 2, 5)) + 1j * rng.normal(size=(2, 2, 5))
     mh = hb.MatrixHarmonics(2, 2, n, coeffs, omega0=1.0)
-    table = [[mh.element(r, c) for c in range(2)] for r in range(2)]
+    table = [[hb.HarmonicVector(1, n, coeffs[r, c][None, :], omega0=1.0) for c in range(2)]
+             for r in range(2)]
     assert np.array_equal(hb.toeplitz_from_periodic(table).matrix(),
                           hb.toeplitz_from_periodic(mh).matrix())
 

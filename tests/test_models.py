@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from memflo import floquet as F
 from memflo import models as M
 from memflo.errors import MatchedLine, NoCycle
 from memflo.oracles import monodromy_multipliers, quadratic_memory_exponent
@@ -151,6 +152,20 @@ def test_particle_equilibrium_regime_returns_zero_cycle():
     m = M.BrownianParticleModel(alpha=0.05, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
     cyc, spec = M.particle_spectrum(m, n_harmonics=12)
     assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
+    assert spec.stability == "Stable"
+
+
+def test_memoryless_rest_state_counts_each_double_exponent_once():
+    # isotropic well: -0.25 +- 1.9843i are double eigenvalues of the rest state
+    m = M.BrownianParticleModel(alpha=-0.5, beta=1.0, g=0.0, k=1.0, omega_bar=(2.0, 2.0))
+    cyc, spec = M.particle_spectrum(m, n_harmonics=8, memoryless=True)
+    assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
+    classes = spec.canonical_strip
+    assert len(classes) == 2
+    for i, a in enumerate(classes):
+        for b in classes[i + 1:]:
+            assert abs(a.exponent - b.exponent) >= F.MERGE_TOL
+    assert all(c.residual < F.CERTIFICATE_TOL for c in classes)
     assert spec.stability == "Stable"
 
 
