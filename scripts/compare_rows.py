@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Compare the figure outputs of two checkouts row by row.
+
+Usage: python3 scripts/compare_rows.py PARENT_DIR CHANGE_DIR
+
+Each directory is a checkout whose ``figs/*.cfg`` have been run (for example
+with ``scripts/reproduce_figures.py``).  For every config of PARENT_DIR the
+output it names is read from both directories and held to fixed tolerances:
+
+- memory1d and tl outputs are identical outside the JSON ``metadata`` block;
+- particle rows are identical in every field except ``max_re_lambda``, which
+  may move by at most 1e-9 * (1 + |x|), x the parent value;
+- bisection boundaries are identical; the bisection history may differ only
+  in its exponent values, within the same bound.
+
+Prints how many rows are byte-identical and exits 1 on any violation.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+REL_TOL = 1e-9
+
+
+def _config(path: Path) -> dict:
+    """The key = value pairs of a figure config, comments dropped."""
+    out = {}
+    for line in path.read_text().splitlines():
+        key, sep, value = line.split("#", 1)[0].partition("=")
+        if sep:
+            out[key.strip()] = value.strip()
+    return out
+
+
+def _close(a, b) -> bool:
+    """Equal, or two numbers within the pinned relative tolerance."""
+    if a == b:
+        return True
+    try:
+        a, b = float(a), float(b)
+    except (TypeError, ValueError):  # an empty field or None against a number
+        return False
+    return abs(a - b) <= REL_TOL * (1.0 + abs(a))
+
+
+def _csv_rows(text: str) -> tuple[str, list[str]]:
+    header, *rows = text.rstrip("\n").split("\n")
+    return header, rows
+
+
+def _compare_csv(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]:
+    head_old, rows_old = _csv_rows(old)
+    head_new, rows_new = _csv_rows(new)
+    if head_old != head_new or len(rows_old) != len(rows_new):
+        return 0, len(rows_old), ["header or row count differs"]
+    col = head_old.split(",").index("max_re_lambda")
+    same, errors = 0, []
+    for i, (a, b) in enumerate(zip(rows_old, rows_new)):
+        if a == b:
+            same += 1
+            continue
+        fa, fb = a.split(","), b.split(",")
+        if not loose or len(fa) != len(fb) or not _close(fa[col], fb[col]) \
+                or fa[:col] + fa[col + 1:] != fb[:col] + fb[col + 1:]:
+            errors.append(f"row {i}: {a!r} != {b!r}")
+    return same, len(rows_old), errors
+
+
+def _compare_json(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]:
+    doc_old, doc_new = json.loads(old), json.loads(new)
+    rows_old, rows_new = doc_old["rows"], doc_new["rows"]
+    if doc_old["header"] != doc_new["header"] or len(rows_old) != len(rows_new):
+        return 0, len(rows_old), ["header or row count differs"]
+    same, errors = 0, []
+    for i, (a, b) in enumerate(zip(rows_old, rows_new)):
+        if json.dumps(a) == json.dumps(b):
+            same += 1
+            continue
+        rest_a = {k: v for k, v in a.items() if k != "max_re_lambda"}
+        rest_b = {k: v for k, v in b.items() if k != "max_re_lambda"}
+        if not loose or rest_a != rest_b or not _close(a["max_re_lambda"], b["max_re_lambda"]):
+            errors.append(f"row {i}: {json.dumps(a)} != {json.dumps(b)}")
+    bis_old = doc_old["metadata"].get("bisect")
+    bis_new = doc_new["metadata"].get("bisect")
+    if (bis_old is None) != (bis_new is None):
+        errors.append("bisection present on one side only")
+    elif bis_old is not None:
+        if bis_old["boundary"] != bis_new["boundary"]:
+            errors.append(f"boundary {bis_old['boundary']!r} != {bis_new['boundary']!r}")
+        hist_old, hist_new = bis_old["history"], bis_new["history"]
+        if len(hist_old) != len(hist_new):
+            errors.append("bisection history lengths differ")
+        for j, (a, b) in enumerate(zip(hist_old, hist_new)):
+            exact = all(a[k] == b[k] for k in ("lo", "hi", "mid"))
+            values = [(a[k], b[k]) for k in ("max_re_lambda", "scalar")]
+            ok = exact and all((x == y) if not loose else _close(x, y) for x, y in values)
+            if not ok:
+                errors.append(f"history step {j}: {a} != {b}")
+    return same, len(rows_old), errors
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    parent, change = Path(argv[0]), Path(argv[1])
+    configs = sorted((parent / "figs").glob("*.cfg"))
+    if not configs:
+        print(f"no figs/*.cfg under {parent}", file=sys.stderr)
+        return 2
+    total_same = total_rows = n_errors = 0
+    for cfg_path in configs:
+        cfg = _config(cfg_path)
+        output = cfg.get("output")
+        if output is None:
+            continue
+        old_path, new_path = parent / output, change / output
+        if not old_path.exists() or not new_path.exists():
+            print(f"{output}: missing in {'PARENT_DIR' if not old_path.exists() else 'CHANGE_DIR'}")
+            n_errors += 1
+            continue
+        loose = cfg.get("model") == "particle"  # only particle exponents may move
+        compare = _compare_json if output.endswith(".json") else _compare_csv
+        same, rows, errors = compare(old_path.read_text(), new_path.read_text(), loose)
+        total_same += same
+        total_rows += rows
+        n_errors += len(errors)
+        print(f"{output}: {same}/{rows} rows byte-identical, {len(errors)} violations")
+        for err in errors[:10]:
+            print(f"  {err}")
+    print(f"total: {total_same}/{total_rows} rows byte-identical, {n_errors} violations")
+    return 1 if n_errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,9 +3,11 @@
 The package computes Floquet exponents, multipliers, and eigenvectors of
 limit cycles governed by integro-differential equations with linear memory
 kernels.  Everything runs in the frequency domain: periodic signals are
-truncated Fourier series, the variational problem becomes a transcendental
-eigenproblem in the exponent, and polynomial reductions of it are solved by
-companion linearization and polished by Newton iteration.
+truncated Fourier series and the variational problem becomes a transcendental
+eigenproblem in the exponent.  Exponential memory is carried as extra states,
+which makes that problem a standard Hill eigenproblem; other kernels go
+through a companion-linearized Taylor polynomial.  Every candidate is polished
+by Newton iteration on the exact operator.
 """
 
 from .cycles import LimitCycle, SystemModel, hb_residual, linearize, solve_cycle
@@ -26,8 +28,8 @@ from .floquet import (
     FloquetSpectrum,
     assemble_residual_matrix,
     canonicalize_spectrum,
-    cleared_pep,
     floquet_spectrum,
+    hill_matrix,
     refine_eigenpair,
     solve_pep,
     solve_scalar,

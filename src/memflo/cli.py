@@ -312,23 +312,19 @@ def _bisect_scalar(point_eval, values: np.ndarray, tol: float):
 
     Returns (rows, history, boundary or None).
     """
-    rows = []
-    signs = []
-    for v in values:
-        row = point_eval(float(v))
-        rows.append(row)
-        val = _bisect_value(row)
-        signs.append(math.copysign(1.0, val) if val != 0 else 0.0)
+    rows = [point_eval(float(v)) for v in values]
+    scalars = [_bisect_value(row) for row in rows]
+    signs = [math.copysign(1.0, val) if val != 0 else 0.0 for val in scalars]
     bracket = None
     for i in range(len(values) - 1):
         if signs[i] != signs[i + 1]:
-            bracket = (float(values[i]), float(values[i + 1]))
+            bracket = i
             break
     history = []
     if bracket is None:
         return rows, history, None
-    lo, hi = bracket
-    sign_lo = math.copysign(1.0, _bisect_value(point_eval(lo)))
+    lo, hi = float(values[bracket]), float(values[bracket + 1])
+    sign_lo = math.copysign(1.0, scalars[bracket])  # the scan already solved lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         row = point_eval(mid)

@@ -69,6 +69,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RESOLUTION_WARN_RATIO = 1e-8
+NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
 
 
 @dataclass
@@ -258,7 +259,6 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     stalls or runs past ``max_iter`` steps and :class:`SingularJacobian` when
     the Newton system is singular.
     """
-    tol = 1e-10
     n = model.dim
     hv = initial_guess.harmonics
     nh = hv.n_harmonics
@@ -292,7 +292,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     norm = float(np.linalg.norm(rr))
     trace.append(norm)
     for _ in range(max_iter):
-        if norm < tol:
+        if norm < NEWTON_TOL:
             break
         a, rho, z_real, times, factors, w_tilde = ctx
         jc = _jacobian_complex(model, a, omega0, z_real, times, factors)
@@ -341,7 +341,7 @@ def _warn_if_underresolved(hv: HarmonicVector):
         return
     a = np.abs(hv.amplitudes)
     peak = a.max()
-    if peak < 1e-12:  # numerically zero state, nothing to resolve
+    if peak < NEWTON_TOL:  # zero within the Newton tolerance, nothing to resolve
         return
     edge = max(a[:, 0].max(), a[:, -1].max())
     if edge > RESOLUTION_WARN_RATIO * peak:

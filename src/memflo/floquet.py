@@ -6,12 +6,12 @@ The characteristic operator on the harmonic layout is
 
 whose null pairs (lambda, r) are the Floquet exponents and eigenvector
 harmonics.  Q(lambda) is the memory coupling of :mod:`memflo.kernels`.  Three
-solution routes are provided: direct scalar root hunting (1-D problems), an
-exact quadratic polynomial eigenproblem obtained by clearing the rational
-denominators of exponential-family kernels, and a Taylor-series polynomial
-approximation of degree four for everything else.  Polynomial
-eigenproblems are linearized in first companion form and solved densely;
-raw eigenvalues are filtered against the kernel decay bound, polished by
+solution routes are provided: direct scalar root hunting (1-D problems), the
+standard Floquet-Fourier-Hill eigenproblem for memoryless problems and
+untruncated exponential-family kernels, whose memory integral is carried as
+extra states (the linear chain trick), and a companion-linearized Taylor
+polynomial of degree four for delay, sampled and truncated kernels.  Raw
+eigenvalues are filtered against the kernel decay bound, polished by
 bordered Newton iteration on the exact transcendental operator, and collapsed
 into splitting classes (each exponent class is invariant under shifts by
 i*omega0; multipliers exp(lambda*T) label the classes uniquely).  The
@@ -59,7 +59,7 @@ __all__ = [
     "eigenpair_residual",
     "solve_scalar",
     "taylor_pep",
-    "cleared_pep",
+    "hill_matrix",
     "solve_pep",
     "refine_eigenpair",
     "canonicalize_spectrum",
@@ -352,50 +352,44 @@ def taylor_pep(p: FloquetProblem, degree: int) -> list[np.ndarray]:
     return coeffs
 
 
-def _kernel_row_mask(p: FloquetProblem) -> np.ndarray:
-    """Per-component mask of rows on which the memory kernel acts."""
-    k = p.transfer.kernel
-    if isinstance(k, ExponentialDecay):
-        return np.any(k.coefficient != 0.0, axis=1)
-    prof = np.asarray(k.profile.coeffs)
-    return np.any(np.abs(prof) > 0.0, axis=(1, 2))
+def _hill_applies(p: FloquetProblem) -> bool:
+    """Memoryless, or memory that an exact exponential state can carry."""
+    return p.transfer is None or (p.transfer.truncation is None and isinstance(
+        p.transfer.kernel, (ExponentialDecay, ModulatedExponential)))
 
 
-def cleared_pep(p: FloquetProblem) -> list[np.ndarray]:
-    """Exact quadratic eigenproblem for untruncated exponential-family kernels.
+def hill_matrix(p: FloquetProblem) -> np.ndarray:
+    """Hill matrix of the state and its exponential-memory states.
 
-    Rows carrying memory are multiplied by (rate + lambda + i*omega_j), which
-    turns the rational coupling into a constant block and leaves a degree-2
-    polynomial; rows without memory stay degree 1.  No approximation is made.
+    For the exponential family the memory integral q is itself a state,
+    dq/dt = -rate*q + B(t) z with B the kernel profile, so the harmonics of
+    (z, q) satisfy lambda [z; q] = H [z; q] with
+
+        H = [[A - D, E], [B, -(rate + D)]],
+
+    A the Toeplitz Jacobian, D = diag(i*omega_j) and E the injection of q
+    into the rows it drives.  Memory states sit only on rows where the
+    profile coupling is nonzero; a memoryless problem has none and H = A - D.
+    The Schur complement of H - lambda*I over the memory block is -R(lambda),
+    so no approximation is made.
     """
-    if p.transfer is None or p.transfer.truncation is not None:
-        raise ValueError("denominator clearing needs an untruncated exponential kernel")
+    if not _hill_applies(p):
+        raise ValueError("memory states need an untruncated exponential-family kernel")
+    linear = p.jacobian.matrix() - stacked_diff_matrix(p.dim, p.n_harmonics, p.omega0)
+    if p.transfer is None:
+        return linear
     k = p.transfer.kernel
-    if not isinstance(k, (ExponentialDecay, ModulatedExponential)):
-        raise ValueError("denominator clearing needs an exponential-family kernel")
-    n, m = p.dim, 2 * p.n_harmonics + 1
-    size = n * m
-    linear = stacked_diff_matrix(p.dim, p.n_harmonics, p.omega0) - p.jacobian.matrix()
-    rate_shift = k.rate + 1j * p.omegas  # d_j = rate + i*omega_j per harmonic
-    mask = _kernel_row_mask(p)
     profile = MatrixHarmonics.constant(k.coefficient, p.omega0) \
         if isinstance(k, ExponentialDecay) else k.profile
-    # multiplying row-harmonic j by (rate + lambda + i*omega_j) leaves the
-    # plain Toeplitz coupling of the kernel profile
-    kernel_rows = toeplitz_from_periodic(profile, n_harmonics=p.n_harmonics).matrix()
-
-    p0 = np.array(linear, dtype=complex)
-    p1 = np.eye(size, dtype=complex)
-    p2 = np.zeros((size, size), dtype=complex)
-    for c in range(n):
-        rows = slice(c * m, (c + 1) * m)
-        if not mask[c]:
-            continue
-        d = rate_shift[:, None]
-        p2[rows] = np.eye(size)[rows]
-        p1[rows] = linear[rows] + d * np.eye(size)[rows]
-        p0[rows] = d * linear[rows] - kernel_rows[rows]
-    return [p0, p1, p2]
+    coupling = toeplitz_from_periodic(profile, n_harmonics=p.n_harmonics).matrix()
+    rows = np.flatnonzero(np.any(coupling != 0.0, axis=1))
+    size, n_mem = p.size, len(rows)
+    h = np.zeros((size + n_mem, size + n_mem), dtype=complex)
+    h[:size, :size] = linear
+    h[rows, size + np.arange(n_mem)] = 1.0
+    h[size:, :size] = coupling[rows]
+    h[size:, size:] = np.diag(-(k.rate + 1j * np.tile(p.omegas, p.dim)[rows]))
+    return h
 
 
 @dataclass
@@ -404,8 +398,6 @@ class PepResult:
 
     eigenpairs: list  # (eigenvalue, vector, residual)
     n_infinite: int
-    degree: int
-    size: int
 
     @property
     def total(self) -> int:
@@ -417,7 +409,8 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
 
     A degree-r problem of size m yields exactly r*m eigenvalues counting the
     infinite ones that arise from a singular leading coefficient; those are
-    counted in ``n_infinite`` rather than dropped.
+    counted in ``n_infinite`` rather than dropped.  An identity leading
+    coefficient makes the pencil a standard eigenproblem, solved without QZ.
     """
     coeffs = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in coeffs]
     degree = len(coeffs) - 1
@@ -430,31 +423,29 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
 
     dim = degree * msize
     a = np.zeros((dim, dim), dtype=complex)
-    b = np.eye(dim, dtype=complex)
     for k in range(degree - 1):
         a[k * msize:(k + 1) * msize, (k + 1) * msize:(k + 2) * msize] = np.eye(msize)
     for k in range(degree):
         a[(degree - 1) * msize:, k * msize:(k + 1) * msize] = -coeffs[k]
-    b[(degree - 1) * msize:, (degree - 1) * msize:] = coeffs[-1]
-
-    w, vr = scipy.linalg.eig(a, b)
+    if np.array_equal(coeffs[-1], np.eye(msize)):
+        w, vr = scipy.linalg.eig(a)
+    else:
+        b = np.eye(dim, dtype=complex)
+        b[(degree - 1) * msize:, (degree - 1) * msize:] = coeffs[-1]
+        w, vr = scipy.linalg.eig(a, b)
     finite = np.isfinite(w)
     n_inf = int(np.sum(~finite))
-    pairs = []
-    for idx in np.nonzero(finite)[0]:
-        lam = complex(w[idx])
-        v = vr[:, idx]
-        blocks = v.reshape(degree, msize)
-        best = int(np.argmax(np.linalg.norm(blocks, axis=1)))
-        x = blocks[best]
-        nrm = np.linalg.norm(x)
-        if nrm == 0:
-            continue
-        x = x / nrm
-        val = sum(c @ x * lam**k for k, c in enumerate(coeffs))
-        pairs.append((lam, x, float(np.linalg.norm(val))))
+    lams = w[finite]
+    # row i: the largest degree block of eigenvector i, at unit norm
+    blocks = vr[:, finite].reshape(degree, msize, -1)
+    best = np.argmax(np.linalg.norm(blocks, axis=1), axis=0)
+    x = blocks[best, :, np.arange(len(lams))]
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    val = sum((x @ c.T) * lams[:, None]**k for k, c in enumerate(coeffs))
+    resid = np.linalg.norm(val, axis=1)
+    pairs = [(complex(lam), x[i], float(resid[i])) for i, lam in enumerate(lams)]
     pairs.sort(key=lambda t: (t[0].real, t[0].imag))
-    return PepResult(pairs, n_inf, degree, msize)
+    return PepResult(pairs, n_inf)
 
 
 # --- Newton polish ----------------------------------------------------------
@@ -595,44 +586,32 @@ def _edge_energy_fraction(vec: np.ndarray, dim: int, n_harmonics: int, band: int
 
 def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                      strip_reduce: bool = True) -> FloquetSpectrum:
-    """Full pipeline: polynomial eigenproblem, filters, polish, classes.
+    """Full pipeline: eigenproblem, filters, polish, classes.
 
-    Untruncated exponential-family kernels go through the exact cleared
-    quadratic; memoryless problems through the linear pencil; anything else
-    through a degree-4 Taylor polynomial.  Every surviving candidate is
-    polished and must meet ``CERTIFICATE_TOL``.  ``autonomous`` marks the
+    Memoryless problems and untruncated exponential-family kernels go through
+    the exact standard eigenproblem of :func:`hill_matrix`; delay, sampled
+    and truncated kernels through a degree-4 Taylor polynomial.  Every
+    surviving candidate's state part is polished against the exact R(lambda)
+    and must meet ``CERTIFICATE_TOL``.  ``autonomous`` marks the
     time-translation class as trivial; ``strip_reduce=False`` treats the
     problem as time invariant, so exponents are merged as plain eigenvalues
     without strip folding.  Diagnostics count every discarded candidate
-    (decay-bound violations, clearing artifacts at the kernel poles,
-    truncation-edge pollution, failed polishes).
+    (decay-bound violations, truncation-edge pollution, failed polishes).
     """
-    cleared = False
-    if p.transfer is None:
-        coeffs = taylor_pep(p, 1)
-    elif p.transfer.truncation is None and isinstance(
-            p.transfer.kernel, (ExponentialDecay, ModulatedExponential)):
-        coeffs = cleared_pep(p)
-        cleared = True
+    if _hill_applies(p):
+        hill = hill_matrix(p)
+        pep = solve_pep([-hill, np.eye(len(hill))])
     else:
-        coeffs = taylor_pep(p, 4)
-
-    pep = solve_pep(coeffs)
+        pep = solve_pep(taylor_pep(p, 4))
     diag = {"n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite,
-            "n_bound_filtered": 0, "bound_filtered": [], "n_pole_guard": 0,
+            "n_bound_filtered": 0, "bound_filtered": [],
             "n_edge_filtered": 0, "n_unrefined": 0, "n_certificate_failed": 0,
             "n_seed_rejected": 0}
 
     kc = p.critical_exponent
-    pole_shift = None
-    if cleared:
-        pole_shift = p.transfer.kernel.rate
-
     survivors = []
     for lam, vec, _pep_res in pep.eigenpairs:
-        if pole_shift is not None and np.min(np.abs(lam + pole_shift + 1j * p.omegas)) < 1e-6:
-            diag["n_pole_guard"] += 1
-            continue
+        vec = vec[:p.size]
         if math.isfinite(kc) and lam.real <= -kc + BOUND_MARGIN:
             diag["n_bound_filtered"] += 1
             diag["bound_filtered"].append([lam.real, lam.imag])

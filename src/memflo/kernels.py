@@ -368,16 +368,13 @@ def transfer_taylor(mt: MemoryTransfer, omega_j: float, degree: int) -> list[np.
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
-def truncation_error_bound(mt: MemoryTransfer, lambda_ref: complex, s_bar: float,
-                           s: float) -> float:
+def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
     """Tail integral of max_t ||K(t, tau)|| over the window (s_bar, s].
 
     This is the kernel-dependent factor of the exponent-perturbation bound;
     the multiplicative constant of that bound is problem dependent, so the
     returned value is meaningful as a relative convergence indicator only.
-    ``lambda_ref`` is accepted for signature stability but does not enter.
     """
-    del lambda_ref
     if s_bar > s:
         raise ValueError("window ordering must satisfy s_bar <= s")
     if s_bar == s:

@@ -104,6 +104,22 @@ def test_tl_bisection_finds_threshold(tmp_path):
     assert result.metadata["bisect"]["history"]  # bracket trail is kept
 
 
+def test_bisection_solves_each_point_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.tl_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "tl_spectrum", counted)
+    cfg = cli.parse_config(write(tmp_path, "tl.cfg", TL_BISECT))
+    result = cli.run(cfg)
+    history = result.metadata["bisect"]["history"]
+    assert history
+    assert len(calls) == 11 + len(history)  # scan points plus bisection midpoints
+
+
 def test_matched_line_row_is_error_coded(tmp_path):
     cfg_text = "model = tl\nmode = sweep\nRa = range(-0.5, 0.5, 3)\nR = 1.0\n"
     cfg = cli.parse_config(write(tmp_path, "tl2.cfg", cfg_text))

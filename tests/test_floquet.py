@@ -98,7 +98,7 @@ def test_solve_scalar_matches_quadratic_oracle_across_rates():
         assert lam == pytest.approx(quadratic_memory_exponent(a, 3.0), abs=1e-10)
 
 
-# --- taylor and cleared PEPs ------------------------------------------------------
+# --- taylor PEP and Hill matrix -----------------------------------------------------
 
 
 def test_taylor_pep_memoryless_is_linear():
@@ -122,31 +122,45 @@ def test_taylor_pep_exponential_blocks_are_geometric():
                                                         abs=1e-14)
 
 
-def test_cleared_pep_equals_scaled_residual():
-    # multiplying R(lambda) rows by (k + lambda + i w_j) gives the quadratic
-    rng = np.random.default_rng(8)
-    n = 2
-    p = scalar_problem(0.4, 2.0, n_harmonics=n)
-    coeffs = F.cleared_pep(p)
+def test_hill_matrix_schur_complement_is_minus_residual():
+    # eliminating the memory states of the Hill matrix recovers R(lambda)
+    p = scalar_problem(0.4, 2.0, n_harmonics=2)
+    h = F.hill_matrix(p)
+    size = p.size
+    assert h.shape == (2 * size, 2 * size)
     for lam in (0.3 + 0.2j, -0.5 + 1.1j):
+        shifted = h - lam * np.eye(len(h))
+        schur = shifted[:size, :size] - shifted[:size, size:] @ np.linalg.solve(
+            shifted[size:, size:], shifted[size:, :size])
         r = F.assemble_residual_matrix(p, lam)
-        scale = np.diag(2.0 + lam + 1j * p.omegas)
-        lhs = sum(c * lam**m for m, c in enumerate(coeffs))
-        assert np.max(np.abs(lhs - scale @ r)) < 1e-12
+        assert np.max(np.abs(schur + r)) < 1e-12
 
 
-def test_cleared_pep_skips_memoryless_rows():
-    # kernel acting on the second component only: first rows stay linear
+def test_hill_matrix_adds_states_only_on_kernel_rows():
+    # kernel acting on the second component only: one memory state per harmonic
     omega0 = 1.0
+    n = 1
     jac = hb.toeplitz_from_periodic(
-        hb.MatrixHarmonics.constant([[0.0, 1.0], [-1.0, 0.0]], omega0), n_harmonics=1)
+        hb.MatrixHarmonics.constant([[0.0, 1.0], [-1.0, 0.0]], omega0), n_harmonics=n)
     c = np.array([[0.0, 0.0], [0.0, 1.0]])
     mt = K.MemoryTransfer(K.ExponentialDecay(c, 2.0))
-    p = F.FloquetProblem(jac, mt, 2 * math.pi, 1, 2)
-    p0, p1, p2 = F.cleared_pep(p)
-    m = 3
-    assert np.max(np.abs(p2[:m, :])) == 0.0      # position rows degree 1
-    assert np.allclose(p2[m:, m:], np.eye(m), atol=1e-15)
+    p = F.FloquetProblem(jac, mt, 2 * math.pi, n, 2)
+    h = F.hill_matrix(p)
+    m = 2 * n + 1
+    assert h.shape == (p.size + m, p.size + m)
+    assert np.max(np.abs(h[:m, p.size:])) == 0.0  # position rows see no memory
+    assert np.array_equal(h[m:p.size, p.size:], np.eye(m))
+
+
+def test_hill_matrix_memoryless_is_plain_hill_operator():
+    p = memoryless_problem(0.5, n_harmonics=1)
+    want = 0.5 * np.eye(3) - hb.stacked_diff_matrix(1, 1, 1.0)
+    assert np.array_equal(F.hill_matrix(p), want)
+
+
+def test_hill_matrix_rejects_truncated_memory():
+    with pytest.raises(ValueError, match="untruncated"):
+        F.hill_matrix(scalar_problem(0.0, 3.0, s=2.0, n_harmonics=1))
 
 
 # --- solve_pep --------------------------------------------------------------------
@@ -166,11 +180,15 @@ def test_solve_pep_degree_two_scalar():
 
 def test_solve_pep_random_against_determinant_scan():
     rng = np.random.default_rng(12)
-    for _ in range(10):
+    for case in range(16):
         m = rng.integers(2, 5)
         coeffs = [rng.normal(size=(m, m)) for _ in range(3)]
+        if case >= 10:  # identity leading coefficient: the standard-eig branch
+            coeffs = coeffs[:1 + case % 2] + [np.eye(m)]
+        degree = len(coeffs) - 1
         res = F.solve_pep(coeffs)
-        assert res.total == 2 * m
+        assert res.total == degree * m
+        assert len(res.eigenpairs) == degree * m
         for lam, vec, resid in res.eigenpairs:
             assert resid < 1e-8
             assert abs(pep_determinant(coeffs, lam)) < 1e-6
@@ -358,7 +376,7 @@ def test_floquet_spectrum_residual_certificate():
 def test_floquet_spectrum_bound_filter_diagnostics():
     p = scalar_problem(0.0, 3.0, n_harmonics=3)
     spec = F.floquet_spectrum(p)
-    # the invalid branch of the cleared quadratic is discarded and logged
+    # the Hill matrix's root below -k, one copy per harmonic, is discarded and logged
     assert spec.diagnostics["n_bound_filtered"] == 7
     assert all(re <= -3.0 + 1e-6 for re, _ in spec.diagnostics["bound_filtered"])
     assert len(spec.canonical_strip) == 1

@@ -151,24 +151,24 @@ def test_transfer_taylor_truncated_window_matches_numerical():
 
 def test_truncation_bound_exponential_closed_form():
     mt = exp_transfer(3.0)
-    val = K.truncation_error_bound(mt, 0.0, 2.0, math.inf)
+    val = K.truncation_error_bound(mt, 2.0, math.inf)
     assert val == pytest.approx(math.exp(-6.0) / 3.0, rel=1e-12)
     assert val == pytest.approx(8.2625072555545276e-4, rel=1e-10)
 
 
 def test_truncation_bound_empty_window():
-    assert K.truncation_error_bound(exp_transfer(3.0), 0.0, 2.0, 2.0) == 0.0
+    assert K.truncation_error_bound(exp_transfer(3.0), 2.0, 2.0) == 0.0
 
 
 def test_truncation_bound_delay_support_exhausted():
     mt = K.MemoryTransfer(K.Delay([[2.0]], 1.0))
-    assert K.truncation_error_bound(mt, 0.0, 1.5, math.inf) == 0.0
-    assert K.truncation_error_bound(mt, 0.0, 0.5, math.inf) == 2.0
+    assert K.truncation_error_bound(mt, 1.5, math.inf) == 0.0
+    assert K.truncation_error_bound(mt, 0.5, math.inf) == 2.0
 
 
 def test_truncation_bound_rejects_bad_ordering():
     with pytest.raises(ValueError, match="ordering"):
-        K.truncation_error_bound(exp_transfer(1.0), 0.0, 3.0, 2.0)
+        K.truncation_error_bound(exp_transfer(1.0), 3.0, 2.0)
 
 
 @pytest.mark.parametrize("sbar", [1.0, 2.0, 4.0])
@@ -177,7 +177,7 @@ def test_truncated_transfer_converges_within_bound(sbar):
     full = K.transfer_at(exp_transfer(k), 0.0, 1.0)
     part = K.transfer_at(exp_transfer(k, truncation=sbar), 0.0, 1.0)
     gap = np.linalg.norm(full - part, 2)
-    bound = K.truncation_error_bound(exp_transfer(k), 0.0, sbar, math.inf)
+    bound = K.truncation_error_bound(exp_transfer(k), sbar, math.inf)
     assert gap <= bound * (1 + 1e-12)
 
 

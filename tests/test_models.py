@@ -220,25 +220,33 @@ def test_effective_friction_matches_finite_differences():
         assert np.max(np.abs(got - fd)) < 1e-6
 
 
-def test_particle_cleared_pep_is_exact_row_scaling():
-    # clearing the velocity-row denominators reproduces the quadratic exactly
-    from memflo import floquet as F
+def test_particle_hill_matrix_schur_complement_is_minus_residual():
+    # velocity rows carry the memory: eliminating those states recovers R(lambda)
     from memflo.cycles import linearize
 
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
     cyc, _ = M.particle_spectrum(m, n_harmonics=8)
     prob = linearize(M.particle_system(m), cyc)
-    coeffs = F.cleared_pep(prob)
-    assert len(coeffs) == 3
-    rng = np.random.default_rng(1)
+    h = F.hill_matrix(prob)
     mm = 2 * prob.n_harmonics + 1
+    size = prob.size
+    assert h.shape == (size + 2 * mm, size + 2 * mm)
+    rng = np.random.default_rng(1)
     for lam in (0.2 + 0.4j, -0.3 - 0.9j):
+        shifted = h - lam * np.eye(len(h))
+        schur = shifted[:size, :size] - shifted[:size, size:] @ np.linalg.solve(
+            shifted[size:, size:], shifted[size:, :size])
         r = F.assemble_residual_matrix(prob, lam)
-        scale = np.ones(4 * mm, dtype=complex)
-        scale[2 * mm:] = np.tile(m.k + lam + 1j * prob.omegas, 2)  # velocity rows only
-        lhs = sum(c * lam**j for j, c in enumerate(coeffs))
-        vec = rng.normal(size=4 * mm) + 1j * rng.normal(size=4 * mm)
-        assert np.linalg.norm(lhs @ vec - (scale * (r @ vec))) < 1e-10 * np.linalg.norm(vec)
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        assert np.linalg.norm(schur @ vec + r @ vec) < 1e-10 * np.linalg.norm(vec)
+
+
+def test_particle_spectrum_has_no_infinite_eigenvalues():
+    m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    _, spec = M.particle_spectrum(m, n_harmonics=8)
+    assert spec.diagnostics["n_infinite"] == 0
+    assert spec.diagnostics["n_raw"] == (4 + 2) * 17  # state plus velocity memory
+    assert len(spec.canonical_strip) == 6
 
 
 # --- resonator --------------------------------------------------------------------
@@ -299,3 +307,18 @@ def test_tl_reflection_pole_rejected():
     # (R + Ra) Y0 = -1 puts the reflection on its pole
     with pytest.raises(ValueError, match="pole"):
         M.TlResonatorModel(R=1.0, Ra=-2.0, Z0=1.0, tau_f=1.0).reflection_coefficient
+
+
+def test_collapsed_cycle_does_not_warn_about_resolution():
+    # the circular seed shrinks to the rest state; its leftover harmonics are
+    # rounding noise below the Newton tolerance, not an unresolved cycle
+    import warnings
+
+    from memflo.errors import SpectralResolutionWarning
+
+    m = M.BrownianParticleModel(alpha=-0.5, beta=1.0, g=0.0, k=1.0, omega_bar=(2.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpectralResolutionWarning)
+        cyc, spec = M.particle_spectrum(m, memoryless=True)
+    assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
+    assert spec.stability == "Stable"
