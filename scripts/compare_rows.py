@@ -10,8 +10,9 @@ output it names is read from both directories and held to fixed tolerances:
 - memory1d and tl outputs are identical outside the JSON ``metadata`` block;
 - particle rows are identical in every field except ``max_re_lambda``, which
   may move by at most 1e-9 * (1 + |x|), x the parent value;
-- bisection boundaries are identical; the bisection history may differ only
-  in its exponent values, within the same bound.
+- bisection boundaries are identical; the bisection history entries hold the
+  same keys and the same lo/hi/mid trail, and for particle configs their
+  other values may move within the same bound.
 
 Prints how many rows are byte-identical and exits 1 on any violation.
 """
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 REL_TOL = 1e-9
+TRAIL = ("lo", "hi", "mid")  # bisection bracket keys, compared exactly
 
 
 def _config(path: Path) -> dict:
@@ -94,9 +96,12 @@ def _compare_json(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]
         if len(hist_old) != len(hist_new):
             errors.append("bisection history lengths differ")
         for j, (a, b) in enumerate(zip(hist_old, hist_new)):
-            exact = all(a[k] == b[k] for k in ("lo", "hi", "mid"))
-            values = [(a[k], b[k]) for k in ("max_re_lambda", "scalar")]
-            ok = exact and all((x == y) if not loose else _close(x, y) for x, y in values)
+            if a == b:
+                continue
+            if a.keys() != b.keys():
+                errors.append(f"history step {j}: keys {sorted(a)} != {sorted(b)}")
+                continue
+            ok = loose and all(a[k] == b[k] if k in TRAIL else _close(a[k], b[k]) for k in a)
             if not ok:
                 errors.append(f"history step {j}: {a} != {b}")
     return same, len(rows_old), errors

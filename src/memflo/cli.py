@@ -15,7 +15,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -191,15 +190,10 @@ def _config_from_entries(entries: dict) -> SweepConfig:
 # --- per-point model evaluation ----------------------------------------------
 
 
-def _seed_rng():
-    seed = os.environ.get("MEMFLO_SEED")
-    return np.random.default_rng(int(seed)) if seed else None
-
-
 def _memory1d_row(params: dict, n_harmonics: int, mode: str, warm):
     model = Memory1DModel(float(params.get("a", 0.0)), float(params.get("k", 3.0)),
                           float(params.get("s", math.inf)))
-    spec = model1d_exponent(model, rng=_seed_rng())
+    spec = model1d_exponent(model)
     extra = {"n_bound_filtered": spec.diagnostics.get("n_bound_filtered", 0)}
     if mode == "convergence":
         lam = max((p.exponent for p in spec.canonical_strip), key=lambda z: z.real)

@@ -46,9 +46,7 @@ from .hb import (
     unpack_real_coefficients,
 )
 from .kernels import (
-    Delay,
     ExponentialDecay,
-    FiniteSupportSampled,
     KernelSpec,
     MemoryTransfer,
     ModulatedExponential,
@@ -387,83 +385,46 @@ def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
                                period_estimate: float | None = None) -> LimitCycle:
     """Initial cycle guess from fixed-step integration of the transient.
 
-    Marches RK4 over ten estimated periods in 2000 steps, with the memory
-    integral evaluated by trapezoid quadrature over a finite history window
-    (five decay times for exponential envelopes), estimates the period from
-    late upcrossings, and transforms the last period to harmonic form.
+    Marches RK4 over ten estimated periods in 2000 steps, estimates the
+    period from late upcrossings, and transforms the last period to harmonic
+    form.  An exponential memory integral q(t) = int exp(-rate (t - tau))
+    C w(z(tau)) dtau is carried as a state that starts from the zero history:
+    it is held fixed over each RK4 step and then advanced by the exact
+    exponential update q <- exp(-rate h) q + (1 - exp(-rate h))/rate C w(z).
+    Other kernels raise ``ValueError``.
     """
     n_periods, n_steps = 10, 2000
     t_guess = period_estimate or model.period_hint
     if t_guess is None:
         raise ValueError("need a period estimate to seed from time integration")
+    kern = model.kernel
+    if kern is not None and not isinstance(kern, ExponentialDecay):
+        raise ValueError("time-domain seeding needs an exponential memory kernel")
     z0 = np.asarray(z0, dtype=float)
     t_end = n_periods * t_guess
     h = t_end / n_steps
-    kern = model.kernel
-    if kern is None:
-        window_steps = 0
-    elif isinstance(kern, ExponentialDecay):
-        window_steps = int(math.ceil(5.0 / kern.rate / h))
-    elif isinstance(kern, Delay):
-        window_steps = int(math.ceil(kern.delay / h)) + 1
-    elif isinstance(kern, FiniteSupportSampled):
-        window_steps = int(math.ceil(kern.support / h))
-    else:
-        raise ValueError("unsupported kernel for time-domain seeding")
+    if kern is not None:
+        decay = math.exp(-kern.rate * h)
+        gain = (1.0 - decay) / kern.rate * kern.coefficient
+
+    def f(zz, tt):
+        return np.asarray(model.rhs(zz, tt), dtype=float)
 
     times = np.arange(n_steps + 1) * h
     hist_z = np.zeros((model.dim, n_steps + 1))
-    hist_w = np.zeros((model.dim, n_steps + 1))
     hist_z[:, 0] = z0
-    hist_w[:, 0] = model.integrand_values(z0)
-
-    def memory_value(i):
-        if kern is None or i == 0:
-            return np.zeros(model.dim)
-        lo = max(0, i - window_steps)
-        taus = times[lo:i + 1]
-        vals = hist_w[:, lo:i + 1]
-        if isinstance(kern, ExponentialDecay):
-            weights = np.exp(-kern.rate * (times[i] - taus))
-            integ = np.trapezoid(vals * weights, taus, axis=1)
-            return kern.coefficient @ integ
-        if isinstance(kern, Delay):
-            t_past = times[i] - kern.delay
-            if t_past < 0:
-                return np.zeros(model.dim)
-            cols = np.empty(model.dim)
-            for c in range(model.dim):
-                cols[c] = np.interp(t_past, taus, vals[c])
-            return kern.weight @ cols
-        values = kern.values[0]  # time-invariant sampled envelope
-        u_grid = kern.u_grid
-        u = times[i] - taus
-        mask = u <= kern.support
-        acc = np.zeros(model.dim)
-        if mask.any():
-            kmat = np.empty((mask.sum(), model.dim, model.dim))
-            for a in range(model.dim):
-                for b in range(model.dim):
-                    kmat[:, a, b] = np.interp(u[mask], u_grid, values[:, a, b])
-            prod = np.einsum("gab,bg->ag", kmat, vals[:, mask])
-            acc = np.trapezoid(prod, taus[mask], axis=1)
-        return acc
-
     z = z0.copy()
+    q = np.zeros(model.dim)
     for i in range(n_steps):
-        mem = memory_value(i)
         t = times[i]
-
-        def f(zz, tt):
-            return np.asarray(model.rhs(zz, tt), dtype=float) + mem
-
-        k1 = f(z, t)
-        k2 = f(z + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(z + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(z + h * k3, t + h)
+        k1 = f(z, t) + q
+        k2 = f(z + 0.5 * h * k1, t + 0.5 * h) + q
+        k3 = f(z + 0.5 * h * k2, t + 0.5 * h) + q
+        k4 = f(z + h * k3, t + h) + q
         z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         hist_z[:, i + 1] = z
-        hist_w[:, i + 1] = model.integrand_values(z)
+        if kern is not None:
+            q = decay * q + gain @ model.integrand_values(z)
 
     period = _estimate_period(times, hist_z, t_guess) if model.autonomous else t_guess
     sample_t = t_end - period + sample_times(n_harmonics, period)

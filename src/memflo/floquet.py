@@ -238,14 +238,13 @@ def _scalar_constant_coefficient(p: FloquetProblem) -> complex:
     return complex(block[0, 0])
 
 
-def solve_scalar(p: FloquetProblem, rng=None) -> FloquetSpectrum:
+def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
     """All exponents of a scalar constant-coefficient problem.
 
     Roots of the zero-harmonic characteristic equation are found by Newton
     iteration from a 21x21 grid of starting points with Maehly deflation; the
     other harmonics only shift those roots by -i*j*omega0, so the
-    zero-harmonic roots are already the canonical representatives.  ``rng``
-    jitters the starting grid.
+    zero-harmonic roots are already the canonical representatives.
     """
     if p.dim != 1:
         raise ValueError("solve_scalar requires a one-dimensional problem")
@@ -271,9 +270,6 @@ def solve_scalar(p: FloquetProblem, rng=None) -> FloquetSpectrum:
         re_hi = re_lo + 1.0
     res = np.linspace(re_lo, re_hi, 21)
     ims = np.linspace(-omega0 / 2, omega0 / 2, 21)
-    if rng is not None:
-        res = res + rng.uniform(-1, 1, res.shape) * (res[1] - res[0]) * 0.1
-        ims = ims + rng.uniform(-1, 1, ims.shape) * (ims[1] - ims[0]) * 0.1
 
     roots: list[complex] = []
     rejected: list[complex] = []
@@ -456,23 +452,24 @@ def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenp
 
     Bordered Newton iteration on {R(lambda) x = 0, x_pivot = 1}, at most 50
     steps to a residual below 1e-10; on failure the seed is returned flagged
-    unrefined.
+    unrefined.  The seed's residual is measured at the first iterate; a seed
+    at 0.1 or above raises ``ValueError``.
     """
     tol = 1e-10
-    if seed.residual >= 0.1:
-        raise ValueError("refinement expects a seed with residual below 0.1")
     x = np.array(seed.eigenvector.flat, dtype=complex)
     idx = int(np.argmax(np.abs(x)))
     x = x / x[idx]
     lam = complex(seed.exponent)
     size = p.size
-    for _ in range(50):
+    for it in range(50):
         try:
             rmat = assemble_residual_matrix(p, lam)
         except BoundViolation:
             return replace(seed, refined=False)
         r = rmat @ x
         res = np.linalg.norm(r) / np.linalg.norm(x)
+        if it == 0 and res >= 0.1:
+            raise ValueError("refinement expects a seed with residual below 0.1")
         if res < tol:
             return make_eigenpair(p, lam, x, res)
         jac = np.zeros((size + 1, size + 1), dtype=complex)
@@ -627,7 +624,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                  diag["n_bound_filtered"], -kc)
 
     # one representative per strip location before the expensive polish
-    reps: list[FloquetEigenpair] = []
+    reps: list[tuple[complex, np.ndarray]] = []
     seen: list[tuple[complex, int]] = []
     for lam, vec in survivors:
         m = _strip_steps(lam.imag, p.omega0) if strip_reduce else 0
@@ -640,17 +637,19 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
         if match is not None:
             if abs(m) < abs(seen[match][1]):  # prefer the best-centered copy
                 seen[match] = (lam_c, m)
-                reps[match] = _raw_pair(p, lam, vec)
+                reps[match] = (lam, vec)
             continue
         seen.append((lam_c, m))
-        reps.append(_raw_pair(p, lam, vec))
+        reps.append((lam, vec))
 
     polished = []
-    for pair in reps:
-        if pair.residual >= 0.1:
+    for lam, vec in reps:
+        seed = make_eigenpair(p, lam, vec, math.inf, refined=False)
+        try:
+            pair = refine_eigenpair(p, seed)
+        except ValueError:  # seed residual at or above 0.1
             diag["n_seed_rejected"] += 1
             continue
-        pair = refine_eigenpair(p, pair)
         if not pair.refined:
             diag["n_unrefined"] += 1
             continue
@@ -665,7 +664,3 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
     classes = _least_stable_first(_merge_classes(polished))
     return FloquetSpectrum(polished, classes, p.period, diagnostics=diag)
 
-
-def _raw_pair(p: FloquetProblem, lam: complex, vec: np.ndarray) -> FloquetEigenpair:
-    res = eigenpair_residual(p, lam, vec)
-    return make_eigenpair(p, lam, vec, res, refined=False)

@@ -88,9 +88,9 @@ def model1d_problem(m: Memory1DModel, n_harmonics: int = 0,
 
 
 def model1d_exponent(m: Memory1DModel, n_harmonics: int = 0,
-                     period: float = 2 * math.pi, rng=None) -> FloquetSpectrum:
+                     period: float = 2 * math.pi) -> FloquetSpectrum:
     """Exponent classes of the scalar memory model via direct root hunting."""
-    return solve_scalar(model1d_problem(m, n_harmonics, period), rng=rng)
+    return solve_scalar(model1d_problem(m, n_harmonics, period))
 
 
 def model1d_asymptotic_exponent(m: Memory1DModel) -> float:

@@ -15,11 +15,12 @@ from memflo.models import BrownianParticleModel, particle_spectrum, particle_sys
 from memflo.oracles import circular_orbit, orbit_period_amplitude, rk4_trajectory
 
 
-def linear_forced_model(omega0=1.0):
+def linear_forced_model(omega0=1.0, kernel=None):
     return C.SystemModel(
         1,
         lambda z, t: np.array([-z[0] + math.cos(omega0 * t)]),
         lambda z, t: np.array([[-1.0]]),
+        kernel=kernel,
         autonomous=False,
         period_hint=2 * math.pi / omega0,
     )
@@ -253,3 +254,19 @@ def test_seed_from_time_integration_recovers_forced_response():
     assert cyc.harmonics.amplitude(0, 1) == pytest.approx(0.25 - 0.25j, abs=1e-10)
     # the transient-integrated seed is already close
     assert abs(seed.harmonics.amplitude(0, 1) - (0.25 - 0.25j)) < 1e-2
+
+
+def test_seed_from_time_integration_carries_exponential_memory():
+    # dz/dt = -z + q + cos t, dq/dt = -2 q + z: first harmonic 0.5 / (1 + i - 1/(2 + i))
+    model = linear_forced_model(kernel=K.ExponentialDecay([[1.0]], 2.0))
+    exact = 0.5 / (1 + 1j - 1 / (2 + 1j))
+    seed = C.seed_from_time_integration(model, 5, z0=np.array([0.0]))
+    assert abs(seed.harmonics.amplitude(0, 1) - exact) < 2e-4
+    cyc = C.solve_cycle(model, seed)
+    assert abs(cyc.harmonics.amplitude(0, 1) - exact) < 1e-10
+
+
+def test_seed_from_time_integration_rejects_delay_kernel():
+    model = linear_forced_model(kernel=K.Delay([[0.5]], 1.0))
+    with pytest.raises(ValueError, match="exponential"):
+        C.seed_from_time_integration(model, 5, z0=np.array([0.0]))

@@ -249,6 +249,23 @@ def test_particle_spectrum_has_no_infinite_eigenvalues():
     assert len(spec.canonical_strip) == 6
 
 
+def test_particle_spectrum_assembles_once_per_representative(monkeypatch):
+    m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    assemble = F.assemble_residual_matrix
+    calls = []
+
+    def counting(p, lam):
+        calls.append(lam)
+        return assemble(p, lam)
+
+    monkeypatch.setattr(F, "assemble_residual_matrix", counting)
+    _, spec = M.particle_spectrum(m, n_harmonics=12)
+    diag = spec.diagnostics
+    assert diag["n_seed_rejected"] == diag["n_unrefined"] == 0
+    assert diag["n_certificate_failed"] == 0
+    assert len(calls) == len(spec.pairs) > 0  # every seed is already polished
+
+
 # --- resonator --------------------------------------------------------------------
 
 
