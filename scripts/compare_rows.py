@@ -8,11 +8,14 @@ with ``scripts/reproduce_figures.py``).  For every config of PARENT_DIR the
 output it names is read from both directories and held to fixed tolerances:
 
 - memory1d and tl outputs are identical outside the JSON ``metadata`` block;
-- particle rows are identical in every field except ``max_re_lambda``, which
-  may move by at most 1e-9 * (1 + |x|), x the parent value;
+- particle rows hold the same fields; ``max_re_lambda`` and the ``period``
+  and ``cycle_amplitude`` extras may move by at most 1e-9 * (1 + |x|), x the
+  parent value, and ``cycle_residual`` may move while it stays at or below
+  the cycle Newton tolerance 1e-10 on both sides.  Every other field
+  (verdict, ``n_classes``, ``error_code``, ``cycle_exists``, ...) is exact;
 - bisection boundaries are identical; the bisection history entries hold the
   same keys and the same lo/hi/mid trail, and for particle configs their
-  other values may move within the same bound.
+  other values may move within the relative bound.
 
 Prints how many rows are byte-identical and exits 1 on any violation.
 """
@@ -24,6 +27,7 @@ import sys
 from pathlib import Path
 
 REL_TOL = 1e-9
+RESIDUAL_TOL = 1e-10  # cycle Newton tolerance: a converged residual stays below it
 TRAIL = ("lo", "hi", "mid")  # bisection bracket keys, compared exactly
 
 
@@ -48,6 +52,32 @@ def _close(a, b) -> bool:
     return abs(a - b) <= REL_TOL * (1.0 + abs(a))
 
 
+def _converged(a, b) -> bool:
+    """Equal, or two cycle residuals both within the Newton tolerance."""
+    if a == b:
+        return True
+    try:
+        return float(a) <= RESIDUAL_TOL and float(b) <= RESIDUAL_TOL
+    except (TypeError, ValueError):
+        return False
+
+
+# particle fields that may move, and the rule that holds them
+LOOSE = {"max_re_lambda": _close, "period": _close, "cycle_amplitude": _close,
+         "cycle_residual": _converged}
+
+
+def _field_ok(key: str, a, b, loose: bool) -> bool:
+    """One row field (the ``extra`` dict field by field) against its rule."""
+    if a == b:
+        return True
+    if not loose:
+        return False
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_field_ok(k, a[k], b[k], loose) for k in a)
+    return key in LOOSE and LOOSE[key](a, b)
+
+
 def _csv_rows(text: str) -> tuple[str, list[str]]:
     header, *rows = text.rstrip("\n").split("\n")
     return header, rows
@@ -58,15 +88,15 @@ def _compare_csv(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]:
     head_new, rows_new = _csv_rows(new)
     if head_old != head_new or len(rows_old) != len(rows_new):
         return 0, len(rows_old), ["header or row count differs"]
-    col = head_old.split(",").index("max_re_lambda")
+    names = head_old.split(",")
     same, errors = 0, []
     for i, (a, b) in enumerate(zip(rows_old, rows_new)):
         if a == b:
             same += 1
             continue
         fa, fb = a.split(","), b.split(",")
-        if not loose or len(fa) != len(fb) or not _close(fa[col], fb[col]) \
-                or fa[:col] + fa[col + 1:] != fb[:col] + fb[col + 1:]:
+        if len(fa) != len(fb) or not all(
+                _field_ok(k, x, y, loose) for k, x, y in zip(names, fa, fb)):
             errors.append(f"row {i}: {a!r} != {b!r}")
     return same, len(rows_old), errors
 
@@ -81,9 +111,7 @@ def _compare_json(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]
         if json.dumps(a) == json.dumps(b):
             same += 1
             continue
-        rest_a = {k: v for k, v in a.items() if k != "max_re_lambda"}
-        rest_b = {k: v for k, v in b.items() if k != "max_re_lambda"}
-        if not loose or rest_a != rest_b or not _close(a["max_re_lambda"], b["max_re_lambda"]):
+        if not _field_ok("row", a, b, loose):
             errors.append(f"row {i}: {json.dumps(a)} != {json.dumps(b)}")
     bis_old = doc_old["metadata"].get("bisect")
     bis_new = doc_new["metadata"].get("bisect")
@@ -127,7 +155,7 @@ def main(argv: list[str]) -> int:
             print(f"{output}: missing in {'PARENT_DIR' if not old_path.exists() else 'CHANGE_DIR'}")
             n_errors += 1
             continue
-        loose = cfg.get("model") == "particle"  # only particle exponents may move
+        loose = cfg.get("model") == "particle"  # only particle rows may move
         compare = _compare_json if output.endswith(".json") else _compare_csv
         same, rows, errors = compare(old_path.read_text(), new_path.read_text(), loose)
         total_same += same

@@ -52,7 +52,6 @@ from .kernels import (
     FiniteSupportSampled,
     KernelSpec,
     MemoryTransfer,
-    ModulatedExponential,
     critical_exponent,
     transfer_at,
     truncation_error_bound,

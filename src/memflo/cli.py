@@ -41,7 +41,7 @@ CSV_HEADER = "param1,param2,max_re_lambda,verdict,n_classes,cycle_residual,error
 
 _MODEL_PARAMS = {
     "memory1d": {"a", "k", "s"},
-    "particle": {"alpha", "beta", "g", "k", "omega1", "ratio", "mass"},
+    "particle": {"alpha", "beta", "g", "k", "omega1", "ratio"},
     "tl": {"R", "Ra", "Z0", "tau_f", "n_roots"},
 }
 _MODES = {"spectrum", "sweep", "boundary_bisect", "convergence"}
@@ -215,7 +215,7 @@ def _particle_row(params: dict, n_harmonics: int, mode: str, warm):
     model = BrownianParticleModel(
         float(params.get("alpha", 1.0)), float(params.get("beta", 1.0)),
         float(params.get("g", 0.0)), float(params.get("k", 1.0)),
-        (omega1, omega1 / float(params.get("ratio", 1.0))), float(params.get("mass", 1.0)))
+        (omega1, omega1 / float(params.get("ratio", 1.0))))
     cycle, spec = particle_spectrum(model, n_harmonics=n_harmonics, seed=warm)
     amp = cycle_amplitude(cycle)
     extra = {"cycle_amplitude": amp, "period": cycle.period,

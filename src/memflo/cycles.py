@@ -1,17 +1,18 @@
-"""Periodic steady states of nonlinear systems with memory.
+"""Periodic steady states of nonlinear systems.
 
-The state equation is dz/dt = f(z, t) + integral K(t - tau) w(z(tau)) dtau
-with a time-invariant kernel envelope and an optional state-dependent
-integrand w (identity by default).  The periodic solution is sought directly
-in the frequency domain: the harmonic residual
+The state equation is the memoryless dz/dt = f(z, t); an exponential memory
+is carried as extra states of z (the linear chain trick), and the rate of
+the slowest such state is recorded as ``SystemModel.memory_rate`` so that
+the variational problem keeps the decay bound of the memory it came from.
+The periodic solution is sought directly in the frequency domain: the
+harmonic residual
 
-    rho = Omega_n z - F(z) - M(z)
+    rho = Omega_n z - F(z)
 
 is driven to zero by damped Newton iteration (to a residual norm of 1e-10,
 halving the step at most 20 times), where F collects the harmonics of f
 sampled on the oversampled grid ``sample_times(2N, T)`` (alias-free in the
-retained band for polynomial nonlinearities) and M applies the kernel
-transfer per harmonic to the integrand harmonics.  Jacobians sampled on the
+retained band for polynomial nonlinearities).  Jacobians sampled on the
 same grid keep the band -2N..2N before they become Toeplitz operators.  For
 autonomous systems the fundamental frequency is an unknown and one
 first-harmonic imaginary part, on the component with the largest
@@ -45,14 +46,6 @@ from .hb import (
     toeplitz_from_periodic,
     unpack_real_coefficients,
 )
-from .kernels import (
-    ExponentialDecay,
-    KernelSpec,
-    MemoryTransfer,
-    ModulatedExponential,
-    transfer_at,
-    transfer_dlambda,
-)
 
 __all__ = [
     "SystemModel",
@@ -68,36 +61,33 @@ log = logging.getLogger(__name__)
 
 RESOLUTION_WARN_RATIO = 1e-8
 NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
+SEED_STEPS = 2000  # RK4 steps of the time-domain seed over ten periods
+SEED_MAX_STEPS = 40000  # step budget of the seed for fast memory
 
 
 @dataclass
 class SystemModel:
-    """Right-hand side, Jacobian, and memory structure of the state equation.
+    """Right-hand side and Jacobian of a memoryless state equation.
 
-    ``rhs(z, t)`` and ``rhs_jacobian(z, t)`` describe the memoryless part;
-    ``kernel`` (optional) the memory envelope, applied to
-    ``memory_integrand(z)`` which defaults to the state itself.  Autonomous
-    systems must ignore ``t`` and may leave the period to be solved for.
-    With ``validate=True`` the Jacobian is checked against finite differences
-    of the right-hand side on a few random states at construction.
+    ``rhs(z, t)`` and ``rhs_jacobian(z, t)`` describe dz/dt = f(z, t).  A
+    model that carries exponential memory as states sets ``memory_rate`` to
+    the decay rate of those states: exponents at or below -memory_rate belong
+    to no admissible mode of the memory system and are filtered out of its
+    spectra.  Autonomous systems must ignore ``t`` and may leave the period
+    to be solved for.  With ``validate=True`` the Jacobian is checked against
+    finite differences of the right-hand side on a few random states at
+    construction.
     """
 
     dim: int
     rhs: Callable
     rhs_jacobian: Callable
-    kernel: KernelSpec | None = None
-    memory_integrand: Callable | None = None
-    memory_integrand_jacobian: Callable | None = None
     autonomous: bool = False
     period_hint: float | None = None
+    memory_rate: float = math.inf
     validate: bool = False
 
     def __post_init__(self):
-        if (self.memory_integrand is None) != (self.memory_integrand_jacobian is None):
-            raise ValueError("memory integrand and its jacobian must come together")
-        if self.memory_integrand is not None and not isinstance(
-                self.kernel, (ExponentialDecay,)):
-            raise ValueError("state-dependent integrands need an exponential envelope")
         if self.validate:
             self._check_jacobian()
 
@@ -117,16 +107,6 @@ class SystemModel:
             scale = max(1.0, float(np.max(np.abs(jac))))
             if np.max(np.abs(jac - fd)) > tol * scale:
                 raise ValueError("rhs_jacobian disagrees with finite differences of rhs")
-
-    def integrand_values(self, z: np.ndarray) -> np.ndarray:
-        if self.memory_integrand is None:
-            return z
-        return np.asarray(self.memory_integrand(z))
-
-    def integrand_jacobian_values(self, z: np.ndarray) -> np.ndarray:
-        if self.memory_integrand_jacobian is None:
-            return np.eye(self.dim)
-        return np.atleast_2d(np.asarray(self.memory_integrand_jacobian(z)))
 
 
 @dataclass
@@ -159,44 +139,20 @@ def _sampled_band(fn, z_real: np.ndarray, times: np.ndarray, period: float) -> M
     return MatrixHarmonics.from_time_grid(samples, period, (len(times) - 1) // 2)
 
 
-def _memory_factors(model: SystemModel, omegas: np.ndarray):
-    if model.kernel is None:
-        return None
-    mt = MemoryTransfer(model.kernel)
-    return [transfer_at(mt, 0.0, w) for w in omegas]
-
-
 def _residual_complex(model: SystemModel, amps: np.ndarray, omega0: float):
-    """Harmonic residual and the sampled quantities reused by the Jacobian."""
+    """Harmonic residual and the sampled cycle reused by the Jacobian."""
     n = model.dim
     nh = (amps.shape[1] - 1) // 2
     times = sample_times(2 * nh, 2 * np.pi / omega0)
-    g = len(times)
-    basis = _grid_basis(nh, g)
+    basis = _grid_basis(nh, len(times))
     # conjugate-symmetric amplitudes guarantee real samples
     z_real = HarmonicVector(n, nh, amps, omega0).evaluate(times).real
-    f_samples = np.empty((n, g))
+    f_samples = np.empty((n, len(times)))
     for i, t in enumerate(times):
         f_samples[:, i] = np.asarray(model.rhs(z_real[:, i], t), dtype=float)
-    f_tilde = f_samples @ basis.T
-
-    omegas = np.arange(-nh, nh + 1) * omega0
     h = np.arange(-nh, nh + 1)
-    rho = (1j * h * omega0) * amps - f_tilde
-
-    w_tilde = None
-    factors = _memory_factors(model, omegas)
-    if factors is not None:
-        if model.memory_integrand is None:
-            w_tilde = amps
-        else:
-            w_samples = np.empty((n, g))
-            for i in range(g):
-                w_samples[:, i] = model.integrand_values(z_real[:, i])
-            w_tilde = w_samples @ basis.T
-        for j in range(2 * nh + 1):
-            rho[:, j] -= factors[j] @ w_tilde[:, j]
-    return rho, z_real, times, factors, w_tilde
+    rho = (1j * h * omega0) * amps - f_samples @ basis.T
+    return rho, z_real, times
 
 
 def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
@@ -206,44 +162,12 @@ def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
 
 
 def _jacobian_complex(model: SystemModel, amps: np.ndarray, omega0: float,
-                      z_real: np.ndarray, times: np.ndarray, factors) -> np.ndarray:
+                      z_real: np.ndarray, times: np.ndarray) -> np.ndarray:
     n = model.dim
     nh = (amps.shape[1] - 1) // 2
-    period = 2 * np.pi / omega0
-
-    a_mh = _sampled_band(model.rhs_jacobian, z_real, times, period)
-    jac = stacked_diff_matrix(n, nh, omega0) \
+    a_mh = _sampled_band(model.rhs_jacobian, z_real, times, 2 * np.pi / omega0)
+    return stacked_diff_matrix(n, nh, omega0) \
         - toeplitz_from_periodic(a_mh, n_harmonics=nh).matrix()
-
-    if factors is not None:
-        if model.memory_integrand is None:
-            jw_top = np.eye(n * (2 * nh + 1), dtype=complex)
-        else:
-            jw_mh = _sampled_band(lambda z, t: model.integrand_jacobian_values(z),
-                                  z_real, times, period)
-            jw_top = toeplitz_from_periodic(jw_mh, n_harmonics=nh).matrix()
-        m = 2 * nh + 1
-        mem = np.zeros((n * m, n * m), dtype=complex)
-        for j in range(m):
-            rows = np.arange(n) * m + j
-            mem[rows, :] = factors[j] @ jw_top[rows, :]
-        jac = jac - mem
-    return jac
-
-
-def _omega_derivative(model: SystemModel, amps: np.ndarray, omega0: float,
-                      factors, w_tilde) -> np.ndarray:
-    """d(residual)/d(omega0) for autonomous problems (no explicit t in rhs)."""
-    nh = (amps.shape[1] - 1) // 2
-    h = np.arange(-nh, nh + 1)
-    d = (1j * h) * amps
-    if factors is not None:
-        mt = MemoryTransfer(model.kernel)
-        omegas = h * omega0
-        for j in range(2 * nh + 1):
-            dfac = 1j * h[j] * transfer_dlambda(mt, 0.0, omegas[j])
-            d[:, j] -= dfac @ w_tilde[:, j]
-    return d
 
 
 def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
@@ -279,11 +203,11 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
 
     def full_residual(uvec, w0):
         a = unpack_real_coefficients(uvec, n, nh)
-        rho, z_real, times, factors, w_tilde = _residual_complex(model, a, w0)
+        rho, z_real, times = _residual_complex(model, a, w0)
         rr = pack_real_coefficients(rho)
         if model.autonomous:
             rr = np.concatenate([rr, [a[anchor, nh + 1].imag]])
-        return rr, (a, rho, z_real, times, factors, w_tilde)
+        return rr, (a, z_real, times)
 
     trace = []
     rr, ctx = full_residual(u, omega0)
@@ -292,12 +216,12 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     for _ in range(max_iter):
         if norm < NEWTON_TOL:
             break
-        a, rho, z_real, times, factors, w_tilde = ctx
-        jc = _jacobian_complex(model, a, omega0, z_real, times, factors)
+        a, z_real, times = ctx
+        jc = _jacobian_complex(model, a, omega0, z_real, times)
         jr = extract_real_rows(jc @ basis, n, nh)
         if model.autonomous:
-            dw = extract_real_rows(
-                _omega_derivative(model, a, omega0, factors, w_tilde).reshape(-1), n, nh)
+            # d(residual)/d(omega0): only the derivative term depends on omega0
+            dw = extract_real_rows(((1j * np.arange(-nh, nh + 1)) * a).reshape(-1), n, nh)
             jr = np.block([[jr, dw[:, None]],
                            [np.zeros((1, jr.shape[1] + 1))]])
             jr[-1, anchor_slot] = 1.0
@@ -352,30 +276,17 @@ def _warn_if_underresolved(hv: HarmonicVector):
 def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
     """Variational problem about a converged cycle.
 
-    The memoryless Jacobian sampled along the cycle becomes the Toeplitz
-    operator; a state-dependent memory integrand linearizes into a
-    periodically modulated exponential kernel.
+    The Jacobian sampled along the cycle becomes the Toeplitz operator; the
+    model's memory rate becomes the problem's decay bound.
     """
-    n = model.dim
     nh = cycle.harmonics.n_harmonics
     times = sample_times(2 * nh, cycle.period)
     # evaluate at omega0 = 2*pi/period, the frequency of the grid and of the problem
     z_real = replace(cycle.harmonics, omega0=cycle.omega0).evaluate(times).real
-
     a_mh = _sampled_band(model.rhs_jacobian, z_real, times, cycle.period)
     jac = toeplitz_from_periodic(a_mh, n_harmonics=nh)
-
-    transfer = None
-    if model.kernel is not None:
-        if model.memory_integrand is None:
-            transfer = MemoryTransfer(model.kernel)
-        else:
-            env = model.kernel
-            profile = _sampled_band(
-                lambda z, t: env.coefficient @ model.integrand_jacobian_values(z),
-                z_real, times, cycle.period)
-            transfer = MemoryTransfer(ModulatedExponential(profile, env.rate))
-    return FloquetProblem(jac, transfer, cycle.period, nh, n)
+    return FloquetProblem(jac, None, cycle.period, nh, model.dim,
+                          memory_rate=model.memory_rate)
 
 
 # --- coarse time-domain seeding ----------------------------------------------
@@ -385,46 +296,41 @@ def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
                                period_estimate: float | None = None) -> LimitCycle:
     """Initial cycle guess from fixed-step integration of the transient.
 
-    Marches RK4 over ten estimated periods in 2000 steps, estimates the
-    period from late upcrossings, and transforms the last period to harmonic
-    form.  An exponential memory integral q(t) = int exp(-rate (t - tau))
-    C w(z(tau)) dtau is carried as a state that starts from the zero history:
-    it is held fixed over each RK4 step and then advanced by the exact
-    exponential update q <- exp(-rate h) q + (1 - exp(-rate h))/rate C w(z).
-    Other kernels raise ``ValueError``.
+    Marches RK4 over ten estimated periods, estimates the period from late
+    upcrossings, and transforms the last period to harmonic form.  The march
+    takes 2000 steps, or more when the memory rate needs them: RK4 stays
+    stable on a state decaying at that rate only while step * rate is below
+    about 2.8, so the step is held at 2 / rate.  A memory too fast for
+    ``SEED_MAX_STEPS`` raises ``ValueError``.  Memory states start where
+    ``z0`` puts them (zero for a zero history).
     """
-    n_periods, n_steps = 10, 2000
+    n_periods = 10
     t_guess = period_estimate or model.period_hint
     if t_guess is None:
         raise ValueError("need a period estimate to seed from time integration")
-    kern = model.kernel
-    if kern is not None and not isinstance(kern, ExponentialDecay):
-        raise ValueError("time-domain seeding needs an exponential memory kernel")
-    z0 = np.asarray(z0, dtype=float)
+    z = np.asarray(z0, dtype=float).copy()
     t_end = n_periods * t_guess
+    n_steps = SEED_STEPS
+    if math.isfinite(model.memory_rate):
+        n_steps = max(n_steps, math.ceil(t_end * model.memory_rate / 2.0))
+    if n_steps > SEED_MAX_STEPS:
+        raise ValueError("memory rate too fast for the time-domain seed")
     h = t_end / n_steps
-    if kern is not None:
-        decay = math.exp(-kern.rate * h)
-        gain = (1.0 - decay) / kern.rate * kern.coefficient
 
     def f(zz, tt):
         return np.asarray(model.rhs(zz, tt), dtype=float)
 
     times = np.arange(n_steps + 1) * h
     hist_z = np.zeros((model.dim, n_steps + 1))
-    hist_z[:, 0] = z0
-    z = z0.copy()
-    q = np.zeros(model.dim)
+    hist_z[:, 0] = z
     for i in range(n_steps):
         t = times[i]
-        k1 = f(z, t) + q
-        k2 = f(z + 0.5 * h * k1, t + 0.5 * h) + q
-        k3 = f(z + 0.5 * h * k2, t + 0.5 * h) + q
-        k4 = f(z + h * k3, t + h) + q
+        k1 = f(z, t)
+        k2 = f(z + 0.5 * h * k1, t + 0.5 * h)
+        k3 = f(z + 0.5 * h * k2, t + 0.5 * h)
+        k4 = f(z + h * k3, t + h)
         z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         hist_z[:, i + 1] = z
-        if kern is not None:
-            q = decay * q + gain @ model.integrand_values(z)
 
     period = _estimate_period(times, hist_z, t_guess) if model.autonomous else t_guess
     sample_t = t_end - period + sample_times(n_harmonics, period)

@@ -5,13 +5,15 @@ The characteristic operator on the harmonic layout is
     R(lambda) = Omega_n + lambda*I - A_toeplitz - Q(lambda),
 
 whose null pairs (lambda, r) are the Floquet exponents and eigenvector
-harmonics.  Q(lambda) is the memory coupling of :mod:`memflo.kernels`.  Three
-solution routes are provided: direct scalar root hunting (1-D problems), the
-standard Floquet-Fourier-Hill eigenproblem for memoryless problems and
-untruncated exponential-family kernels, whose memory integral is carried as
-extra states (the linear chain trick), and a companion-linearized Taylor
+harmonics.  Q(lambda) is the memory coupling of :mod:`memflo.kernels`; a
+problem whose exponential memory already sits in its state (the linear chain
+trick, as in the particle model) has no Q and carries the memory's decay
+rate instead.  Three solution routes are provided: direct scalar root
+hunting (1-D problems), the standard Floquet-Fourier-Hill eigenproblem for
+memoryless problems and untruncated exponential kernels, whose memory
+integral is carried as extra states, and a companion-linearized Taylor
 polynomial of degree four for delay, sampled and truncated kernels.  Raw
-eigenvalues are filtered against the kernel decay bound, polished by
+eigenvalues are filtered against the decay bound, polished by
 bordered Newton iteration on the exact transcendental operator, and collapsed
 into splitting classes (each exponent class is invariant under shifts by
 i*omega0; multipliers exp(lambda*T) label the classes uniquely).  The
@@ -25,22 +27,16 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import BoundViolation, NoConvergence
-from .hb import (
-    HarmonicVector,
-    MatrixHarmonics,
-    ToeplitzMatrix,
-    stacked_diff_matrix,
-    toeplitz_from_periodic,
-)
+from .hb import HarmonicVector, ToeplitzMatrix, stacked_diff_matrix
 from .kernels import (
     ExponentialDecay,
     MemoryTransfer,
-    ModulatedExponential,
     critical_exponent,
     memory_matrix,
     memory_matrix_dlambda,
@@ -79,13 +75,19 @@ BOUND_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class FloquetProblem:
-    """Assembled ingredients of the harmonic eigenproblem."""
+    """Assembled ingredients of the harmonic eigenproblem.
+
+    ``memory_rate`` is the decay rate of exponential memory that the state
+    already carries (the Jacobian holds its states); it bounds the
+    admissible exponents like the critical exponent of ``transfer`` does.
+    """
 
     jacobian: ToeplitzMatrix
     transfer: MemoryTransfer | None
     period: float
     n_harmonics: int
     dim: int
+    memory_rate: float = math.inf
 
     def __post_init__(self):
         if self.jacobian.dim != self.dim or self.jacobian.n_harmonics != self.n_harmonics:
@@ -110,8 +112,16 @@ class FloquetProblem:
     @property
     def critical_exponent(self) -> float:
         if self.transfer is None:
-            return math.inf
-        return critical_exponent(self.transfer.kernel)
+            return self.memory_rate
+        return min(self.memory_rate, critical_exponent(self.transfer.kernel))
+
+    @cached_property
+    def linear_operator(self) -> np.ndarray:
+        """A - D: the lambda-independent part of -R(lambda), built once, read-only."""
+        out = self.jacobian.matrix() - stacked_diff_matrix(self.dim, self.n_harmonics,
+                                                           self.omega0)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -181,8 +191,8 @@ def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarra
 
 def assemble_residual_matrix(p: FloquetProblem, lam: complex) -> np.ndarray:
     """R(lambda) on the component-major layout; eigenpairs satisfy R r = 0."""
-    r = stacked_diff_matrix(p.dim, p.n_harmonics, p.omega0)
-    r = r + complex(lam) * np.eye(p.size) - p.jacobian.matrix()
+    r = -p.linear_operator
+    r[np.diag_indices(p.size)] += complex(lam)
     if p.transfer is not None:
         r = r - memory_matrix(p.transfer, lam, p.omegas)
     return r
@@ -338,7 +348,7 @@ def taylor_pep(p: FloquetProblem, degree: int) -> list[np.ndarray]:
     """Coefficient matrices P_0..P_degree with sum_k P_k lambda^k ~ R(lambda)."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    base = stacked_diff_matrix(p.dim, p.n_harmonics, p.omega0) - p.jacobian.matrix()
+    base = -p.linear_operator
     eye = np.eye(p.size, dtype=complex)
     coeffs = [base] + [eye.copy()] + [np.zeros_like(base) for _ in range(degree - 1)]
     if p.transfer is not None:
@@ -351,37 +361,34 @@ def taylor_pep(p: FloquetProblem, degree: int) -> list[np.ndarray]:
 def _hill_applies(p: FloquetProblem) -> bool:
     """Memoryless, or memory that an exact exponential state can carry."""
     return p.transfer is None or (p.transfer.truncation is None and isinstance(
-        p.transfer.kernel, (ExponentialDecay, ModulatedExponential)))
+        p.transfer.kernel, ExponentialDecay))
 
 
 def hill_matrix(p: FloquetProblem) -> np.ndarray:
     """Hill matrix of the state and its exponential-memory states.
 
-    For the exponential family the memory integral q is itself a state,
-    dq/dt = -rate*q + B(t) z with B the kernel profile, so the harmonics of
+    For an exponential kernel the memory integral q is itself a state,
+    dq/dt = -rate*q + C z with C the kernel coefficient, so the harmonics of
     (z, q) satisfy lambda [z; q] = H [z; q] with
 
-        H = [[A - D, E], [B, -(rate + D)]],
+        H = [[A - D, E], [C, -(rate + D)]],
 
     A the Toeplitz Jacobian, D = diag(i*omega_j) and E the injection of q
-    into the rows it drives.  Memory states sit only on rows where the
-    profile coupling is nonzero; a memoryless problem has none and H = A - D.
-    The Schur complement of H - lambda*I over the memory block is -R(lambda),
-    so no approximation is made.
+    into the rows it drives.  Memory states sit only on rows where C is
+    nonzero; a memoryless problem has none and H = A - D.  The Schur
+    complement of H - lambda*I over the memory block is -R(lambda), so no
+    approximation is made.
     """
     if not _hill_applies(p):
-        raise ValueError("memory states need an untruncated exponential-family kernel")
-    linear = p.jacobian.matrix() - stacked_diff_matrix(p.dim, p.n_harmonics, p.omega0)
+        raise ValueError("memory states need an untruncated exponential kernel")
     if p.transfer is None:
-        return linear
+        return p.linear_operator
     k = p.transfer.kernel
-    profile = MatrixHarmonics.constant(k.coefficient, p.omega0) \
-        if isinstance(k, ExponentialDecay) else k.profile
-    coupling = toeplitz_from_periodic(profile, n_harmonics=p.n_harmonics).matrix()
+    coupling = np.kron(k.coefficient, np.eye(2 * p.n_harmonics + 1))
     rows = np.flatnonzero(np.any(coupling != 0.0, axis=1))
     size, n_mem = p.size, len(rows)
     h = np.zeros((size + n_mem, size + n_mem), dtype=complex)
-    h[:size, :size] = linear
+    h[:size, :size] = p.linear_operator
     h[rows, size + np.arange(n_mem)] = 1.0
     h[size:, :size] = coupling[rows]
     h[size:, size:] = np.diag(-(k.rate + 1j * np.tile(p.omegas, p.dim)[rows]))
@@ -585,7 +592,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                      strip_reduce: bool = True) -> FloquetSpectrum:
     """Full pipeline: eigenproblem, filters, polish, classes.
 
-    Memoryless problems and untruncated exponential-family kernels go through
+    Memoryless problems and untruncated exponential kernels go through
     the exact standard eigenproblem of :func:`hill_matrix`; delay, sampled
     and truncated kernels through a degree-4 Taylor polynomial.  Every
     surviving candidate's state part is polished against the exact R(lambda)

@@ -29,13 +29,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
 from .errors import BoundViolation, QuadratureError
-from .hb import MatrixHarmonics, toeplitz_from_periodic
 
 __all__ = [
     "ExponentialDecay",
     "Delay",
     "FiniteSupportSampled",
-    "ModulatedExponential",
     "KernelSpec",
     "MemoryTransfer",
     "critical_exponent",
@@ -139,39 +137,16 @@ class FiniteSupportSampled:
         return np.tensordot(phases, self.values.astype(complex), axes=(0, 0))
 
 
-@dataclass(frozen=True)
-class ModulatedExponential:
-    """K(t, tau) = exp(-rate * (t - tau)) * B(tau) with B periodic.
-
-    This is the linearized form of an exponential-envelope memory term whose
-    integrand depends on the state; ``profile`` holds the Fourier coefficients
-    of B.
-    """
-
-    profile: MatrixHarmonics
-    rate: float
-
-    def __post_init__(self):
-        if self.profile.rows != self.profile.cols:
-            raise ValueError("profile must be square")
-        if self.rate <= 0:
-            raise ValueError("decay rate must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.profile.rows
-
-
-KernelSpec = Union[ExponentialDecay, Delay, FiniteSupportSampled, ModulatedExponential]
+KernelSpec = Union[ExponentialDecay, Delay, FiniteSupportSampled]
 
 
 def critical_exponent(kernel: KernelSpec) -> float:
     """Asymptotic decay rate of the kernel tail, minimized over t.
 
-    Exponential families decay at their rate; compactly supported kernels
+    Exponential kernels decay at their rate; compactly supported kernels
     (pure delays and sampled kernels) have no tail, so the limit is +inf.
     """
-    if isinstance(kernel, (ExponentialDecay, ModulatedExponential)):
+    if isinstance(kernel, ExponentialDecay):
         return float(kernel.rate)
     return math.inf
 
@@ -305,8 +280,6 @@ def transfer_at(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
     k = mt.kernel
     if isinstance(k, ExponentialDecay):
         return k.coefficient * _window_factor(k.rate + zeta, mt.truncation)
-    if isinstance(k, ModulatedExponential):
-        return k.profile.coefficient(0) * _window_factor(k.rate + zeta, mt.truncation)
     if isinstance(k, Delay):
         if mt.truncation is not None and mt.truncation < k.delay:
             return np.zeros_like(k.weight, dtype=complex)
@@ -331,8 +304,6 @@ def transfer_dlambda(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.nda
     k = mt.kernel
     if isinstance(k, ExponentialDecay):
         return k.coefficient * _window_factor_dc(k.rate + zeta, mt.truncation)
-    if isinstance(k, ModulatedExponential):
-        return k.profile.coefficient(0) * _window_factor_dc(k.rate + zeta, mt.truncation)
     if isinstance(k, Delay):
         if mt.truncation is not None and mt.truncation < k.delay:
             return np.zeros_like(k.weight, dtype=complex)
@@ -348,10 +319,10 @@ def transfer_taylor(mt: MemoryTransfer, omega_j: float, degree: int) -> list[np.
     _check_domain(mt, 0.0)
     k = mt.kernel
     zeta0 = 1j * omega_j
-    if isinstance(k, (ExponentialDecay, ModulatedExponential)):
-        base = k.coefficient if isinstance(k, ExponentialDecay) else k.profile.coefficient(0)
+    if isinstance(k, ExponentialDecay):
         moments = _window_moments(k.rate + zeta0, mt.truncation, degree)
-        return [base * ((-1) ** m * moments[m] / math.factorial(m)) for m in range(degree + 1)]
+        return [k.coefficient * ((-1) ** m * moments[m] / math.factorial(m))
+                for m in range(degree + 1)]
     if isinstance(k, Delay):
         if mt.truncation is not None and mt.truncation < k.delay:
             return [np.zeros_like(k.weight, dtype=complex) for _ in range(degree + 1)]
@@ -384,11 +355,6 @@ def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
         norm = float(np.linalg.norm(k.coefficient, 2))
         hi = 0.0 if math.isinf(s) else math.exp(-k.rate * s)
         return norm * (math.exp(-k.rate * s_bar) - hi) / k.rate
-    if isinstance(k, ModulatedExponential):
-        grid = np.linspace(0.0, 2 * np.pi / k.profile.omega0, 64, endpoint=False)
-        norm = max(float(np.linalg.norm(k.profile.evaluate(t), 2)) for t in grid)
-        hi = 0.0 if math.isinf(s) else math.exp(-k.rate * s)
-        return norm * (math.exp(-k.rate * s_bar) - hi) / k.rate
     if isinstance(k, Delay):
         if s_bar < k.delay <= s:
             return float(np.linalg.norm(k.weight, 2))
@@ -419,15 +385,6 @@ def _blockdiag_over_harmonics(blocks: list[np.ndarray], dim: int) -> np.ndarray:
     return out
 
 
-def _row_scaled_toeplitz(profile: MatrixHarmonics, factors: np.ndarray,
-                         n_harmonics: int) -> np.ndarray:
-    """Toeplitz coupling of the profile, row harmonic j scaled by factors[j]."""
-    top = toeplitz_from_periodic(profile, n_harmonics=n_harmonics).matrix()
-    dim = profile.rows
-    scale = np.tile(factors, dim)
-    return scale[:, None] * top
-
-
 def memory_matrix(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.ndarray:
     """Full memory coupling on the component-major layout for given lambda.
 
@@ -436,27 +393,16 @@ def memory_matrix(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.nd
     _check_domain(mt, lam)
     lam = complex(lam)
     k = mt.kernel
-    dim = k.dim
-    if isinstance(k, ModulatedExponential):
-        factors = np.array([_window_factor(k.rate + lam + 1j * w, mt.truncation)
-                            for w in omegas])
-        n = (len(omegas) - 1) // 2
-        return _row_scaled_toeplitz(k.profile, factors, n)
     if isinstance(k, FiniteSupportSampled) and not k.time_invariant:
         return _sampled_coupling(mt, k, omegas, lam=lam)
     blocks = [transfer_at(mt, lam, w) for w in omegas]
-    return _blockdiag_over_harmonics(blocks, dim)
+    return _blockdiag_over_harmonics(blocks, k.dim)
 
 
 def memory_matrix_dlambda(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.ndarray:
     _check_domain(mt, lam)
     lam = complex(lam)
     k = mt.kernel
-    if isinstance(k, ModulatedExponential):
-        factors = np.array([_window_factor_dc(k.rate + lam + 1j * w, mt.truncation)
-                            for w in omegas])
-        n = (len(omegas) - 1) // 2
-        return _row_scaled_toeplitz(k.profile, factors, n)
     if isinstance(k, FiniteSupportSampled) and not k.time_invariant:
         return _sampled_coupling(mt, k, omegas, lam=lam, power=1, sign=-1.0)
     blocks = [transfer_dlambda(mt, lam, w) for w in omegas]
@@ -468,15 +414,6 @@ def memory_taylor_matrices(mt: MemoryTransfer, omegas: np.ndarray,
     """Taylor coefficients in lambda of :func:`memory_matrix` about 0."""
     _check_domain(mt, 0.0)
     k = mt.kernel
-    if isinstance(k, ModulatedExponential):
-        n = (len(omegas) - 1) // 2
-        out = []
-        moments = [_window_moments(k.rate + 1j * w, mt.truncation, degree) for w in omegas]
-        for m_ord in range(degree + 1):
-            factors = np.array([(-1) ** m_ord * mom[m_ord] / math.factorial(m_ord)
-                                for mom in moments])
-            out.append(_row_scaled_toeplitz(k.profile, factors, n))
-        return out
     if isinstance(k, FiniteSupportSampled) and not k.time_invariant:
         return [_sampled_coupling(mt, k, omegas, lam=0.0, power=m,
                                   sign=(-1.0) ** m / math.factorial(m))

@@ -2,9 +2,9 @@
 
 Three systems exercise the machinery end to end: a scalar linear rate
 equation with an exponentially fading memory, a planar self-propelled
-particle whose friction retardation is an exponential kernel of the velocity,
-and a resonator closed by an ideal delay line whose spectrum is available in
-closed form.
+particle whose exponentially retarded friction is carried as two extra
+memory states, and a resonator closed by an ideal delay line whose spectrum
+is available in closed form.
 """
 
 from __future__ import annotations
@@ -131,15 +131,12 @@ class BrownianParticleModel:
     g: float
     k: float
     omega_bar: tuple[float, float] = (2.0, 2.0)
-    mass: float = 1.0
 
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("inverse correlation time k must be positive")
         if self.omega_bar[0] <= 0 or self.omega_bar[1] <= 0:
             raise ValueError("well frequencies must be positive")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
 
     def friction(self, v: np.ndarray) -> float:
         return -self.alpha + self.beta * float(v @ v) + self.g / self.k
@@ -149,8 +146,18 @@ class BrownianParticleModel:
 
 
 def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> SystemModel:
-    """State-space form of the particle equations (4-D: position then velocity)."""
+    """State-space form of the particle equations.
+
+    Memoryless: z = (x, v), 4 states.  With memory the integral
+    s(t) = integral exp(-k (t - tau)) gamma(v) v dtau joins the state,
+    z = (x, v, s) with 6 states, dv/dt = -omega^2 x - k s and
+    ds/dt = -k s + gamma(v) v; its rate k bounds the admissible exponents.
+    The retarded friction force is -k s; carrying s rather than the force
+    keeps every equation of order one when k is large, so the damped cycle
+    Newton does not stall on rows that scale with k.
+    """
     w2 = np.array([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
+    period_hint = 2 * math.pi / m.omega_bar[0]
 
     if memoryless:
         def rhs(z, t):
@@ -167,33 +174,29 @@ def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> Syste
             out[2:, 2:] = -(gam * np.eye(2) + 2 * m.beta * np.outer(v, v))
             return out
 
-        return SystemModel(4, rhs, jac, autonomous=True,
-                           period_hint=2 * math.pi / m.omega_bar[0])
+        return SystemModel(4, rhs, jac, autonomous=True, period_hint=period_hint)
+
+    wx2, wy2 = w2.tolist()
+    k = m.k
 
     def rhs(z, t):
-        x, v = z[:2], z[2:]
-        return np.concatenate([v, -w2 * x])
+        # scalar arithmetic: the time-domain seed makes 8000 of these calls
+        x0, x1, v0, v1, s0, s1 = z.tolist()
+        gam = m.friction(z[2:4])
+        return np.array([v0, v1, -wx2 * x0 - k * s0, -wy2 * x1 - k * s1,
+                         gam * v0 - k * s0, gam * v1 - k * s1])
 
     def jac(z, t):
-        out = np.zeros((4, 4))
+        v = z[2:4]
+        out = np.zeros((6, 6))
         out[0, 2] = out[1, 3] = 1.0
-        out[2:, :2] = -np.diag(w2)
+        out[2:4, :2] = -np.diag(w2)
+        out[2:4, 4:] = out[4:, 4:] = -k * np.eye(2)
+        out[4:, 2:4] = m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v)
         return out
 
-    def integrand(z):
-        v = z[2:]
-        return np.concatenate([np.zeros(2), -m.k * m.friction(v) * v])
-
-    def integrand_jac(z):
-        v = z[2:]
-        out = np.zeros((4, 4))
-        out[2:, 2:] = -m.k * (m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v))
-        return out
-
-    kernel = ExponentialDecay(np.eye(4), m.k)
-    return SystemModel(4, rhs, jac, kernel=kernel, memory_integrand=integrand,
-                       memory_integrand_jacobian=integrand_jac, autonomous=True,
-                       period_hint=2 * math.pi / m.omega_bar[0])
+    return SystemModel(6, rhs, jac, autonomous=True, period_hint=period_hint,
+                       memory_rate=k)
 
 
 def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
@@ -202,7 +205,8 @@ def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
 
     On a circular orbit the speed is constant, so the friction coefficient
     vanishes on radius R = sqrt((alpha - g/k)/beta)/omega and the orbit closes
-    at the well frequency regardless of the retardation.
+    at the well frequency regardless of the retardation; the memory states
+    are zero on it.
     """
     shift = 0.0 if memoryless else m.g / m.k
     r2 = (m.alpha - shift) / m.beta if m.beta != 0 else -1.0
@@ -211,15 +215,16 @@ def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
     omega = m.omega_bar[0]
     radius = math.sqrt(r2) / omega
     nh = n_harmonics
-    amps = np.zeros((4, 2 * nh + 1), dtype=complex)
+    dim = 4 if memoryless else 6
+    amps = np.zeros((dim, 2 * nh + 1), dtype=complex)
     amps[0, nh + 1] = radius / 2
     amps[0, nh - 1] = radius / 2
     amps[1, nh + 1] = radius / (2j)
     amps[1, nh - 1] = (radius / (2j)).conjugate()
     pos = HarmonicVector(2, nh, amps[:2], omega, real_signal=True)
     vel = differentiate(pos)
-    amps[2:] = vel.amplitudes
-    hv = HarmonicVector(4, nh, amps, omega, real_signal=True)
+    amps[2:4] = vel.amplitudes
+    hv = HarmonicVector(dim, nh, amps, omega, real_signal=True)
     return LimitCycle(2 * math.pi / omega, hv, math.inf)
 
 
@@ -228,45 +233,36 @@ def particle_effective_friction(m: BrownianParticleModel, c: LimitCycle) -> Matr
 
     The friction force density gamma(|v|) v linearizes to
     gamma(|v|) I + 2 beta v v^T evaluated on the cycle velocity; the
-    harmonics of that 2x2 matrix drive the velocity-velocity coupling of the
-    variational problem.
+    harmonics of that 2x2 matrix drive the memory states of the variational
+    problem.
     """
     nh = c.harmonics.n_harmonics
     times = sample_times(2 * nh, c.period)
     z = c.harmonics.evaluate(times).real
     samples = np.empty((2, 2, len(times)))
     for i in range(len(times)):
-        v = z[2:, i]
+        v = z[2:4, i]
         samples[:, :, i] = m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v)
     return MatrixHarmonics.from_time_grid(samples, c.period, 2 * nh)
 
 
-def _equilibrium_spectrum(m: BrownianParticleModel, memoryless: bool) -> FloquetSpectrum:
+def _rest_spectrum(system: SystemModel, omega0: float) -> FloquetSpectrum:
     """Exponents of the resting state at the origin.
 
-    The linearization is time invariant, so the eigenproblem reduces to its
-    zero-harmonic block and the exponents are plain constants (no splitting
-    classes, no strip folding).  Without memory the friction at rest enters
-    the Jacobian; with memory it is the coefficient of the decay kernel.
+    The linearization is the system Jacobian at z = 0, time invariant, so
+    the eigenproblem is its zero-harmonic block and the exponents are plain
+    constants (no splitting classes, no strip folding).
     """
-    period = 2 * math.pi / m.omega_bar[0]
-    a = np.zeros((4, 4))
-    a[0, 2] = a[1, 3] = 1.0
-    a[2:, :2] = -np.diag([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
-    transfer = None
-    if memoryless:
-        a[2:, 2:] = -m.friction_memoryless(np.zeros(2)) * np.eye(2)
-    else:
-        c = np.zeros((4, 4))
-        c[2:, 2:] = -m.k * m.friction(np.zeros(2)) * np.eye(2)
-        transfer = MemoryTransfer(ExponentialDecay(c, m.k))
-    jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, m.omega_bar[0]), n_harmonics=0)
-    return floquet_spectrum(FloquetProblem(jac, transfer, period, 0, 4), strip_reduce=False)
+    a = system.rhs_jacobian(np.zeros(system.dim), 0.0)
+    jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, omega0), n_harmonics=0)
+    problem = FloquetProblem(jac, None, 2 * math.pi / omega0, 0, system.dim,
+                             memory_rate=system.memory_rate)
+    return floquet_spectrum(problem, strip_reduce=False)
 
 
 def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
     """Exponents of the resting state at the origin, with friction memory."""
-    return _equilibrium_spectrum(m, memoryless=False)
+    return _rest_spectrum(particle_system(m), m.omega_bar[0])
 
 
 def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
@@ -297,10 +293,11 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
             break
         cycle = None
     if cycle is None:
+        z0 = np.zeros(system.dim)  # memory states start from the zero history
+        z0[[0, 3]] = 0.3, 0.5
         try:
             late = seed_from_time_integration(
-                system, n_harmonics, z0=np.array([0.3, 0.0, 0.0, 0.5]),
-                period_estimate=2 * math.pi / m.omega_bar[0])
+                system, n_harmonics, z0=z0, period_estimate=2 * math.pi / m.omega_bar[0])
             attempt = solve_cycle(system, late)
             if cycle_amplitude(attempt) > CYCLE_AMPLITUDE_TOL:
                 cycle = attempt
@@ -308,12 +305,12 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
             cycle = None
 
     if cycle is None:
-        eq = _equilibrium_spectrum(m, memoryless=True) if memoryless \
+        eq = _rest_spectrum(system, m.omega_bar[0]) if memoryless \
             else particle_equilibrium_spectrum(m)
         if eq.stability != "Unstable":
             zero = LimitCycle(2 * math.pi / m.omega_bar[0],
-                              HarmonicVector(4, n_harmonics,
-                                             np.zeros((4, 2 * n_harmonics + 1)),
+                              HarmonicVector(system.dim, n_harmonics,
+                                             np.zeros((system.dim, 2 * n_harmonics + 1)),
                                              m.omega_bar[0], real_signal=True),
                               0.0)
             return zero, eq
@@ -325,8 +322,11 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
 
 
 def cycle_amplitude(cycle: LimitCycle) -> float:
-    """Largest oscillating amplitude (the constant offset does not count)."""
-    a = np.abs(cycle.harmonics.amplitudes).copy()
+    """Largest oscillating amplitude of position and velocity.
+
+    Neither the constant offset nor the particle's memory states count.
+    """
+    a = np.abs(cycle.harmonics.amplitudes[:4])
     a[:, cycle.harmonics.n_harmonics] = 0.0
     return float(a.max())
 

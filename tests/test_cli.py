@@ -66,6 +66,13 @@ def test_parse_json_range(tmp_path):
     assert math.isinf(cfg.parameters["s"])
 
 
+def test_particle_mass_is_not_a_parameter(tmp_path):
+    # no particle equation reads a mass, so a config that sets one is rejected
+    text = "model = particle\nmode = spectrum\nalpha = 1.0\nmass = 2\n"
+    with pytest.raises(ConfigError, match="mass"):
+        cli.parse_config(write(tmp_path, "p.cfg", text))
+
+
 @pytest.mark.parametrize("bad, message", [
     ("model = nosuch\nmode = spectrum\n", "unknown model"),
     ("model = tl\nmode = warp\n", "unknown mode"),

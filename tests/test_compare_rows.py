@@ -14,14 +14,30 @@ ROW = {"param1": 1.0, "param2": 0.5, "max_re_lambda": -0.1, "verdict": "Stable",
        "n_classes": 6, "cycle_residual": 1e-12, "error_code": ""}
 
 
-def _checkout(root: Path, history: list) -> Path:
+CYCLE = {"cycle_amplitude": 0.45, "period": 3.14, "cycle_exists": True}
+
+
+def _checkout(root: Path, history: list, row: dict = ROW) -> Path:
     (root / "figs").mkdir(parents=True)
     (root / "out").mkdir()
     (root / "figs" / "b.cfg").write_text(CONFIG)
-    doc = {"header": list(ROW), "rows": [ROW],
+    doc = {"header": list(ROW), "rows": [row],
            "metadata": {"bisect": {"boundary": 0.5, "history": history}}}
     (root / "out" / "b.json").write_text(json.dumps(doc))
     return root
+
+
+def _csv_checkout(root: Path, model: str, line: str) -> Path:
+    (root / "figs").mkdir(parents=True)
+    (root / "out").mkdir()
+    (root / "figs" / "c.cfg").write_text(f"model = {model}\nmode = sweep\noutput = out/c.csv\n")
+    (root / "out" / "c.csv").write_text(",".join(ROW) + "\n" + line + "\n")
+    return root
+
+
+def _row(**changes) -> dict:
+    extra = dict(CYCLE, **changes.pop("extra", {}))
+    return dict(ROW, extra=extra, **changes)
 
 
 def test_history_without_scalar_key_compares_equal(tmp_path):
@@ -46,3 +62,38 @@ def test_history_trail_must_match_exactly(tmp_path):
     c = _checkout(tmp_path / "c", [dict(entry, mid=0.5 + 1e-12)])
     assert compare_rows.main([str(a), str(b)]) == 0
     assert compare_rows.main([str(a), str(c)]) == 1
+
+
+def test_particle_cycle_fields_move_within_pinned_tolerances(tmp_path):
+    a = _checkout(tmp_path / "a", [], _row())
+    b = _checkout(tmp_path / "b", [], _row(
+        max_re_lambda=-0.1 * (1 + 1e-12), cycle_residual=8e-11,
+        extra={"period": 3.14 * (1 + 1e-12), "cycle_amplitude": 0.45 * (1 - 1e-12)}))
+    assert compare_rows.main([str(a), str(b)]) == 0
+
+
+def test_particle_cycle_fields_out_of_tolerance_are_violations(tmp_path):
+    a = _checkout(tmp_path / "a", [], _row())
+    changed = {
+        "period": _row(extra={"period": 3.14 * (1 + 1e-8)}),
+        "amplitude": _row(extra={"cycle_amplitude": 0.45 + 1e-8}),
+        "residual": _row(cycle_residual=2e-10),
+        "classes": _row(n_classes=5),
+        "verdict": _row(verdict="Marginal"),
+        "exists": _row(extra={"cycle_exists": False}),
+        "extra key": _row(extra={"branch": "rotating"}),
+    }
+    for name, row in changed.items():
+        b = _checkout(tmp_path / name, [], row)
+        assert compare_rows.main([str(a), str(b)]) == 1, name
+
+
+def test_csv_residual_loose_for_particle_only(tmp_path):
+    old = "1,0.5,-0.1,Stable,6,1e-12,"
+    new = "1,0.5,-0.10000000000001,Stable,6,5e-11,"
+    a = _csv_checkout(tmp_path / "a", "particle", old)
+    b = _csv_checkout(tmp_path / "b", "particle", new)
+    assert compare_rows.main([str(a), str(b)]) == 0
+    c = _csv_checkout(tmp_path / "c", "memory1d", old)
+    d = _csv_checkout(tmp_path / "d", "memory1d", new)
+    assert compare_rows.main([str(c), str(d)]) == 1

@@ -1,5 +1,6 @@
 """Cycle-solver tests: residual correctness, Newton behavior, linearization."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,20 +10,30 @@ import pytest
 from memflo import cycles as C
 from memflo import floquet as F
 from memflo import hb
-from memflo import kernels as K
 from memflo.errors import NoConvergence, SpectralResolutionWarning
 from memflo.models import BrownianParticleModel, particle_spectrum, particle_system
 from memflo.oracles import circular_orbit, orbit_period_amplitude, rk4_trajectory
 
 
-def linear_forced_model(omega0=1.0, kernel=None):
+def linear_forced_model(omega0=1.0):
     return C.SystemModel(
         1,
         lambda z, t: np.array([-z[0] + math.cos(omega0 * t)]),
         lambda z, t: np.array([[-1.0]]),
-        kernel=kernel,
         autonomous=False,
         period_hint=2 * math.pi / omega0,
+    )
+
+
+def forced_memory_model(k):
+    """dz/dt = -z + q + cos t with the memory q = int exp(-k (t - tau)) z dtau as a state."""
+    return C.SystemModel(
+        2,
+        lambda z, t: np.array([-z[0] + z[1] + math.cos(t), -k * z[1] + z[0]]),
+        lambda z, t: np.array([[-1.0, 1.0], [1.0, -k]]),
+        autonomous=False,
+        period_hint=2 * math.pi,
+        memory_rate=k,
     )
 
 
@@ -47,10 +58,12 @@ def test_residual_linear_steady_state_is_zero():
 
 
 def test_residual_zero_state_of_unforced_system():
-    model = C.SystemModel(2, lambda z, t: -z, lambda z, t: -np.eye(2),
-                          kernel=K.ExponentialDecay(0.3 * np.eye(2), 1.0),
-                          autonomous=False, period_hint=2 * math.pi)
-    assert np.linalg.norm(C.hb_residual(model, zero_guess(2, 4, 2 * math.pi))) == 0.0
+    # dz/dt = -z + q, dq/dt = -q + 0.3 z: a memory of z carried as two states
+    model = C.SystemModel(4, lambda z, t: np.concatenate([-z[:2] + z[2:], -z[2:] + 0.3 * z[:2]]),
+                          lambda z, t: np.block([[-np.eye(2), np.eye(2)],
+                                                 [0.3 * np.eye(2), -np.eye(2)]]),
+                          autonomous=False, period_hint=2 * math.pi, memory_rate=1.0)
+    assert np.linalg.norm(C.hb_residual(model, zero_guess(4, 4, 2 * math.pi))) == 0.0
 
 
 def test_residual_detects_imbalance():
@@ -61,18 +74,19 @@ def test_residual_detects_imbalance():
 
 
 def test_residual_memory_term_uses_zero_frequency_transfer():
-    # steady state of dz/dt = -z + c + (memory of z): DC balance includes 1/k
+    # steady state of dz/dt = -z + 1 + q with the memory state dq/dt = -k q + z:
+    # the DC balance holds q at z/k, the zero-frequency transfer of the kernel
     k = 2.0
-    model = C.SystemModel(1, lambda z, t: np.array([-z[0] + 1.0]),
-                          lambda z, t: np.array([[-1.0]]),
-                          kernel=K.ExponentialDecay([[1.0]], k),
-                          autonomous=False, period_hint=2 * math.pi)
+    model = C.SystemModel(2, lambda z, t: np.array([-z[0] + 1.0 + z[1], -k * z[1] + z[0]]),
+                          lambda z, t: np.array([[-1.0, 1.0], [1.0, -k]]),
+                          autonomous=False, period_hint=2 * math.pi, memory_rate=k)
     # fixed point: -z + 1 + z/k = 0  ->  z = k/(k-1)
     zstar = k / (k - 1.0)
     n = 3
-    amps = np.zeros((1, 2 * n + 1))
+    amps = np.zeros((2, 2 * n + 1))
     amps[0, n] = zstar
-    cand = C.LimitCycle(2 * math.pi, hb.HarmonicVector(1, n, amps, 1.0, real_signal=True),
+    amps[1, n] = zstar / k
+    cand = C.LimitCycle(2 * math.pi, hb.HarmonicVector(2, n, amps, 1.0, real_signal=True),
                         0.0)
     assert np.linalg.norm(C.hb_residual(model, cand)) < 1e-12
 
@@ -197,12 +211,16 @@ def test_linearize_constant_jacobian():
 
 
 def test_linearize_zero_cycle_memory_kernel_is_plain():
-    kern = K.ExponentialDecay(0.5 * np.eye(2), 2.0)
-    model = C.SystemModel(2, lambda z, t: -z, lambda z, t: -np.eye(2), kernel=kern,
-                          autonomous=False, period_hint=2 * math.pi)
-    prob = C.linearize(model, zero_guess(2, 2, 2 * math.pi))
-    assert isinstance(prob.transfer.kernel, K.ExponentialDecay)
-    assert prob.transfer.kernel.rate == 2.0
+    # memory carried as states: a constant Jacobian, no transfer, and the
+    # memory rate as the decay bound of the problem
+    jac = np.array([[-1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0],
+                    [0.5, 0.0, -2.0, 0.0], [0.0, 0.5, 0.0, -2.0]])
+    model = C.SystemModel(4, lambda z, t: jac @ z, lambda z, t: jac,
+                          autonomous=False, period_hint=2 * math.pi, memory_rate=2.0)
+    prob = C.linearize(model, zero_guess(4, 2, 2 * math.pi))
+    assert prob.transfer is None
+    assert np.max(np.abs(prob.jacobian.matrix() - np.kron(jac, np.eye(5)))) < 1e-14
+    assert prob.critical_exponent == 2.0
 
 
 def test_linearize_particle_effective_friction_blocks():
@@ -210,19 +228,31 @@ def test_linearize_particle_effective_friction_blocks():
     cyc, _ = particle_spectrum(m, n_harmonics=12)
     system = particle_system(m)
     prob = C.linearize(system, cyc)
-    assert isinstance(prob.transfer.kernel, K.ModulatedExponential)
-    prof = prob.transfer.kernel.profile
-    # position rows carry no kernel
-    assert np.max(np.abs(prof.coeffs[:2])) < 1e-14
-    # velocity block equals -k * (friction Jacobian harmonics)
+    assert prob.transfer is None and prob.critical_exponent == m.k
+    blocks = prob.jacobian.blocks  # (row state, column state, harmonic, harmonic)
+    # the memory rows see no position; the memory decays at the constant rate
+    # k and feeds the velocity with the constant weight -k
+    assert np.max(np.abs(blocks[4:, :2])) < 1e-14
+    want = -m.k * np.eye(2)[:, :, None, None] * np.eye(25)
+    assert np.max(np.abs(blocks[4:, 4:] - want)) < 1e-14
+    assert np.max(np.abs(blocks[2:4, 4:] - want)) < 1e-14
+    # the memory-velocity block equals the friction Jacobian harmonics
     from memflo.models import particle_effective_friction
 
     gamma_h = particle_effective_friction(m, cyc)
-    nh = min(prof.n_harmonics, gamma_h.n_harmonics)
+    nh = cyc.harmonics.n_harmonics
     for h in (-2, 0, 2):
-        got = prof.coefficient(h)[2:, 2:]
-        want = -m.k * gamma_h.coefficient(h)
-        assert np.max(np.abs(got - want)) < 1e-10
+        got = blocks[4:, 2:4, nh + h, nh]  # coefficient h sits on diagonal h of each block
+        assert np.max(np.abs(got - gamma_h.coefficient(h))) < 1e-10
+
+
+@pytest.mark.parametrize("memoryless", [False, True])
+def test_particle_system_jacobian_passes_validation(memoryless):
+    m = BrownianParticleModel(alpha=0.7, beta=1.3, g=0.2, k=1.5, omega_bar=(2.0, 1.7))
+    system = particle_system(m, memoryless=memoryless)
+    assert system.dim == (4 if memoryless else 6)
+    assert system.memory_rate == (math.inf if memoryless else m.k)
+    dataclasses.replace(system, validate=True)  # raises on a finite-difference mismatch
 
 
 def test_trivial_exponent_from_cycle_derivative():
@@ -258,15 +288,22 @@ def test_seed_from_time_integration_recovers_forced_response():
 
 def test_seed_from_time_integration_carries_exponential_memory():
     # dz/dt = -z + q + cos t, dq/dt = -2 q + z: first harmonic 0.5 / (1 + i - 1/(2 + i))
-    model = linear_forced_model(kernel=K.ExponentialDecay([[1.0]], 2.0))
+    model = forced_memory_model(2.0)
     exact = 0.5 / (1 + 1j - 1 / (2 + 1j))
-    seed = C.seed_from_time_integration(model, 5, z0=np.array([0.0]))
+    seed = C.seed_from_time_integration(model, 5, z0=np.zeros(2))
     assert abs(seed.harmonics.amplitude(0, 1) - exact) < 2e-4
+    assert abs(seed.harmonics.amplitude(1, 1) - exact / (2 + 1j)) < 2e-4
     cyc = C.solve_cycle(model, seed)
     assert abs(cyc.harmonics.amplitude(0, 1) - exact) < 1e-10
+    assert abs(cyc.harmonics.amplitude(1, 1) - exact / (2 + 1j)) < 1e-10
 
 
-def test_seed_from_time_integration_rejects_delay_kernel():
-    model = linear_forced_model(kernel=K.Delay([[0.5]], 1.0))
-    with pytest.raises(ValueError, match="exponential"):
-        C.seed_from_time_integration(model, 5, z0=np.array([0.0]))
+def test_seed_from_time_integration_resolves_fast_memory():
+    # at rate 500 the default 2000 steps would put the memory outside RK4's
+    # stability interval; the step follows the rate instead
+    k = 500.0
+    exact = 0.5 / (1 + 1j - 1 / (k + 1j))
+    seed = C.seed_from_time_integration(forced_memory_model(k), 5, z0=np.zeros(2))
+    assert abs(seed.harmonics.amplitude(0, 1) - exact) < 2e-4
+    with pytest.raises(ValueError, match="too fast"):
+        C.seed_from_time_integration(forced_memory_model(1e6), 5, z0=np.zeros(2))

@@ -158,6 +158,52 @@ def test_hill_matrix_memoryless_is_plain_hill_operator():
     assert np.array_equal(F.hill_matrix(p), want)
 
 
+def test_hill_matrix_modulated_memory_row_structure():
+    # memory state with a modulated input, dz/dt = q, dq/dt = -2 q + B(t) z with
+    # B = 1 + 0.5 cos t: eliminating q couples harmonic neighbors with row-indexed poles
+    n = 2
+    coeffs = np.zeros((2, 2, 3), dtype=complex)
+    coeffs[0, 1, 1] = 1.0
+    coeffs[1, 1, 1] = -2.0
+    coeffs[1, 0, 1] = 1.0   # constant part of B
+    coeffs[1, 0, 2] = 0.25  # e^{+i w0 t}
+    coeffs[1, 0, 0] = 0.25
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics(2, 2, 1, coeffs, omega0=1.0),
+                                    n_harmonics=n)
+    p = F.FloquetProblem(jac, None, 2 * math.pi, n, 2, memory_rate=2.0)
+    h = F.hill_matrix(p)
+    m = 2 * n + 1
+    omegas = np.arange(-n, n + 1) * 1.0
+    lam = 0.3
+    shifted = h - lam * np.eye(2 * m)
+    schur = shifted[:m, :m] - shifted[:m, m:] @ np.linalg.solve(shifted[m:, m:],
+                                                               shifted[m:, :m])
+    mat = schur + np.diag(lam + 1j * omegas)  # the memory coupling Q(lambda)
+    for j in range(m):
+        pole = 2.0 + lam + 1j * omegas[j]
+        assert mat[j, j] == pytest.approx(1.0 / pole, abs=1e-14)
+        if j + 1 < m:
+            assert mat[j + 1, j] == pytest.approx(0.25 / (2.0 + lam + 1j * omegas[j + 1]),
+                                                  abs=1e-14)
+    assert p.critical_exponent == 2.0
+
+
+def test_linear_operator_is_built_once_per_problem(monkeypatch):
+    p, _ = periodic_2d_problem(n_harmonics=6)
+    builds = []
+    real = F.stacked_diff_matrix
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(F, "stacked_diff_matrix", counting)
+    spec = F.floquet_spectrum(p)  # Hill matrix, then one assembly per polished pair
+    F.splitting_shift(p, spec.canonical_strip[0])
+    assert len(builds) == 1
+    assert not p.linear_operator.flags.writeable
+
+
 def test_hill_matrix_rejects_truncated_memory():
     with pytest.raises(ValueError, match="untruncated"):
         F.hill_matrix(scalar_problem(0.0, 3.0, s=2.0, n_harmonics=1))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from memflo import kernels as K
 from memflo.errors import BoundViolation
-from memflo.hb import MatrixHarmonics
 
 
 def exp_transfer(k, truncation=None, c=1.0):
@@ -30,11 +29,6 @@ def test_critical_exponent_delay_is_infinite():
 def test_critical_exponent_sampled_is_infinite():
     kern = K.FiniteSupportSampled(np.ones((1, 8, 1, 1)), support=5.0)
     assert K.critical_exponent(kern) == math.inf
-
-
-def test_critical_exponent_modulated_is_rate():
-    prof = MatrixHarmonics.constant([[2.0]], omega0=1.0)
-    assert K.critical_exponent(K.ModulatedExponential(prof, 1.5)) == 1.5
 
 
 def test_exponential_rejects_nonpositive_rate():
@@ -88,15 +82,6 @@ def test_transfer_sampled_matches_exponential():
     got = K.transfer_at(mt, lam, om)[0, 0]
     want = K.transfer_at(exp_transfer(k, truncation=support), lam, om)[0, 0]
     assert got == pytest.approx(want, abs=1e-8)
-
-
-def test_transfer_modulated_constant_profile_reduces_to_plain():
-    prof = MatrixHarmonics.constant([[1.5]], omega0=1.0)
-    mt_mod = K.MemoryTransfer(K.ModulatedExponential(prof, 2.0))
-    mt_exp = exp_transfer(2.0, c=1.5)
-    for lam, om in ((0.0, 0.0), (0.5, 2.0), (-1.0, -3.0)):
-        assert K.transfer_at(mt_mod, lam, om)[0, 0] == pytest.approx(
-            K.transfer_at(mt_exp, lam, om)[0, 0], abs=1e-14)
 
 
 # --- derivative and analyticity --------------------------------------------------
@@ -205,24 +190,3 @@ def test_sampled_time_invariant_memory_matrix_is_blockdiagonal():
     assert np.max(np.abs(off)) == 0.0
     for j, w in enumerate(omegas):
         assert mat[j, j] == pytest.approx(K.transfer_at(mt, 0.1, w)[0, 0], abs=1e-12)
-
-
-def test_modulated_memory_matrix_row_structure():
-    # profile with a single +-1 harmonic couples neighbors with row-indexed poles
-    n = 2
-    coeffs = np.zeros((1, 1, 3), dtype=complex)
-    coeffs[0, 0, 1] = 1.0   # constant part
-    coeffs[0, 0, 2] = 0.25  # e^{+i w0 t}
-    coeffs[0, 0, 0] = 0.25
-    prof = MatrixHarmonics(1, 1, 1, coeffs, omega0=1.0)
-    mt = K.MemoryTransfer(K.ModulatedExponential(prof, 2.0))
-    omegas = np.arange(-n, n + 1) * 1.0
-    lam = 0.3
-    mat = K.memory_matrix(mt, lam, omegas)
-    m = 2 * n + 1
-    for j in range(m):
-        pole = 2.0 + lam + 1j * omegas[j]
-        assert mat[j, j] == pytest.approx(1.0 / pole, abs=1e-14)
-        if j + 1 < m:
-            assert mat[j + 1, j] == pytest.approx(0.25 / (2.0 + lam + 1j * omegas[j + 1]),
-                                                  abs=1e-14)

@@ -208,7 +208,7 @@ def test_effective_friction_matches_finite_differences():
     prof = M.particle_effective_friction(m, cyc)
     h = 1e-6
     for t in (0.3, 1.1, 2.9):
-        v = cyc.harmonics.evaluate(t).real[2:, 0]
+        v = cyc.harmonics.evaluate(t).real[2:4, 0]
         fd = np.empty((2, 2))
         for j in range(2):
             dv = np.zeros(2)
@@ -221,7 +221,10 @@ def test_effective_friction_matches_finite_differences():
 
 
 def test_particle_hill_matrix_schur_complement_is_minus_residual():
-    # velocity rows carry the memory: eliminating those states recovers R(lambda)
+    # the memory states sit on the velocity rows: eliminating them recovers the
+    # memory operator R(lambda) = D + lambda - A - Q(lambda) of position and
+    # velocity, with Q(lambda)[j, l] = -k Gamma_{j-l} / (k + lambda + i omega_j)
+    import memflo.hb as hb
     from memflo.cycles import linearize
 
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
@@ -229,16 +232,32 @@ def test_particle_hill_matrix_schur_complement_is_minus_residual():
     prob = linearize(M.particle_system(m), cyc)
     h = F.hill_matrix(prob)
     mm = 2 * prob.n_harmonics + 1
-    size = prob.size
+    size = 4 * mm  # position and velocity
     assert h.shape == (size + 2 * mm, size + 2 * mm)
+    gamma = hb.toeplitz_from_periodic(M.particle_effective_friction(m, cyc),
+                                      n_harmonics=prob.n_harmonics).matrix()
+    a_zz = prob.jacobian.matrix()[:size, :size]
+    d = hb.stacked_diff_matrix(4, prob.n_harmonics, prob.omega0)
     rng = np.random.default_rng(1)
     for lam in (0.2 + 0.4j, -0.3 - 0.9j):
         shifted = h - lam * np.eye(len(h))
         schur = shifted[:size, :size] - shifted[:size, size:] @ np.linalg.solve(
             shifted[size:, size:], shifted[size:, :size])
-        r = F.assemble_residual_matrix(prob, lam)
+        poles = np.tile(m.k + lam + 1j * prob.omegas, 2)
+        r = d + lam * np.eye(size) - a_zz
+        r[2 * mm:, 2 * mm:] -= -m.k * gamma / poles[:, None]
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         assert np.linalg.norm(schur @ vec + r @ vec) < 1e-10 * np.linalg.norm(vec)
+
+
+def test_polarized_cycle_keeps_decay_bound_filter():
+    # polarized branch: one class below -k is dropped, as 2N+1 filtered copies
+    m = M.BrownianParticleModel(alpha=0.55, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0 / 0.8))
+    _, spec = M.particle_spectrum(m, n_harmonics=12)
+    assert len(spec.canonical_strip) == 5
+    assert spec.diagnostics["n_bound_filtered"] == 25
+    assert all(re <= -m.k + 1e-6 for re, _ in spec.diagnostics["bound_filtered"])
+    assert all(c.bound_ok and c.exponent.real > -m.k for c in spec.canonical_strip)
 
 
 def test_particle_spectrum_has_no_infinite_eigenvalues():
