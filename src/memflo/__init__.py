@@ -5,15 +5,17 @@ limit cycles governed by integro-differential equations with linear memory
 kernels.  Everything runs in the frequency domain: periodic signals are
 truncated Fourier series and the variational problem becomes a transcendental
 eigenproblem in the exponent.  Exponential memory is carried as extra states,
-which makes that problem a standard Hill eigenproblem; other kernels go
-through a companion-linearized Taylor polynomial.  Every candidate is polished
-by Newton iteration on the exact operator.
+which makes that problem a standard Hill eigenproblem; for other kernels,
+contour integrals of the exact operator find the exponents and count them, so
+a missed exponent raises instead of going unnoticed.  Every candidate is
+polished by Newton iteration on the exact operator.
 """
 
 from .cycles import LimitCycle, SystemModel, hb_residual, linearize, solve_cycle
 from .errors import (
     BoundViolation,
     ConfigError,
+    IncompleteSpectrum,
     MatchedLine,
     MemfloError,
     NoConvergence,
@@ -34,7 +36,6 @@ from .floquet import (
     solve_pep,
     solve_scalar,
     splitting_shift,
-    taylor_pep,
 )
 from .hb import (
     HarmonicVector,

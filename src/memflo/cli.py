@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, MatchedLine, MemfloError, NoConvergence, NoCycle
+from .errors import (
+    ConfigError,
+    IncompleteSpectrum,
+    MatchedLine,
+    MemfloError,
+    NoConvergence,
+    NoCycle,
+)
 from .models import (
     CYCLE_AMPLITUDE_TOL,
     BrownianParticleModel,
@@ -248,6 +255,7 @@ def _code(exc) -> str:
         NoCycle: "no_cycle",
         NoConvergence: "no_convergence",
         MatchedLine: "matched_line",
+        IncompleteSpectrum: "incomplete_spectrum",
     }.get(type(exc), type(exc).__name__.lower())
 
 

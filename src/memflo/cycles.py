@@ -116,7 +116,6 @@ class LimitCycle:
     period: float
     harmonics: HarmonicVector
     residual: float
-    phase_anchor: int | None = None
 
     @property
     def omega0(self) -> float:
@@ -254,7 +253,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     amps = unpack_real_coefficients(u, n, nh)
     result = HarmonicVector(n, nh, amps, omega0, real_signal=True)
     _warn_if_underresolved(result)
-    return LimitCycle(2 * np.pi / omega0, result, norm, phase_anchor=anchor)
+    return LimitCycle(2 * np.pi / omega0, result, norm)
 
 
 def _warn_if_underresolved(hv: HarmonicVector):
@@ -338,7 +337,7 @@ def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
     for c in range(model.dim):
         amps_samples[c] = np.interp(sample_t, times, hist_z[c])
     hv = dft(TimeSamples(model.dim, amps_samples, period))
-    return LimitCycle(period, hv, math.inf, phase_anchor=None)
+    return LimitCycle(period, hv, math.inf)
 
 
 def _estimate_period(times: np.ndarray, hist: np.ndarray, fallback: float) -> float:

@@ -24,6 +24,10 @@ class NoConvergence(MemfloError):
         self.trace = list(trace) if trace is not None else []
 
 
+class IncompleteSpectrum(MemfloError):
+    """The contour root count disagrees with the exponents accounted for."""
+
+
 class SingularJacobian(MemfloError):
     """Newton linear system is singular (typically near a fold point)."""
 

@@ -11,8 +11,9 @@ trick, as in the particle model) has no Q and carries the memory's decay
 rate instead.  Three solution routes are provided: direct scalar root
 hunting (1-D problems), the standard Floquet-Fourier-Hill eigenproblem for
 memoryless problems and untruncated exponential kernels, whose memory
-integral is carried as extra states, and a companion-linearized Taylor
-polynomial of degree four for delay, sampled and truncated kernels.  Raw
+integral is carried as extra states, and contour integrals of the exact
+R(lambda) for delay, sampled and truncated kernels, whose integer root count
+certifies that no exponent in the enclosed rectangle was missed.  Raw
 eigenvalues are filtered against the decay bound, polished by
 bordered Newton iteration on the exact transcendental operator, and collapsed
 into splitting classes (each exponent class is invariant under shifts by
@@ -31,18 +32,20 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial.legendre import leggauss
 
-from .errors import BoundViolation, NoConvergence
+from .errors import BoundViolation, IncompleteSpectrum, NoConvergence
 from .hb import HarmonicVector, ToeplitzMatrix, stacked_diff_matrix
 from .kernels import (
     ExponentialDecay,
+    FiniteSupportSampled,
     MemoryTransfer,
     critical_exponent,
     memory_matrix,
     memory_matrix_dlambda,
-    memory_taylor_matrices,
     transfer_at,
     transfer_dlambda,
+    truncation_error_bound,
 )
 
 __all__ = [
@@ -54,9 +57,9 @@ __all__ = [
     "residual_matrix_dlambda",
     "eigenpair_residual",
     "solve_scalar",
-    "taylor_pep",
     "hill_matrix",
     "solve_pep",
+    "contour_eigenvalues",
     "refine_eigenpair",
     "canonicalize_spectrum",
     "floquet_spectrum",
@@ -71,6 +74,13 @@ MERGE_TOL = 1e-8
 TRIVIAL_FACTOR = 1e-3
 CERTIFICATE_TOL = 1e-8
 BOUND_MARGIN = 1e-9
+CONTOUR_NODES = 32          # Gauss-Legendre nodes per rectangle side, first pass
+CONTOUR_DOUBLINGS = 4       # node doublings before an unmatched count is an incomplete spectrum
+CONTOUR_MARGIN = 1.0        # rectangle clearance beyond the root and decay bounds
+CONTOUR_DEPTH = 5.0         # rectangle left edge at Re = -CONTOUR_DEPTH without a decay bound
+CONTOUR_SHIFT = 0.125       # edges at Im = (+-1/2 + CONTOUR_SHIFT) * omega0
+COUNT_TOL = 0.05            # distance of the contour count from its integer
+RANK_TOL = 1e-8             # relative singular value that still counts in the Hankel rank
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,10 @@ class FloquetProblem:
             raise ValueError("kernel dimension does not match the problem")
         if self.period <= 0:
             raise ValueError("period must be positive")
+        k = self.transfer.kernel if self.transfer is not None else None
+        if isinstance(k, FiniteSupportSampled) and not k.time_invariant \
+                and not math.isclose(k.period, self.period):
+            raise ValueError("time-varying sampled kernel period does not match the problem")
 
     @property
     def omega0(self) -> float:
@@ -341,21 +355,7 @@ def _scalar_pair(p: FloquetProblem, a: complex, lam: complex,
     return make_eigenpair(p, lam, vec, residual)
 
 
-# --- polynomial eigenproblem routes ----------------------------------------
-
-
-def taylor_pep(p: FloquetProblem, degree: int) -> list[np.ndarray]:
-    """Coefficient matrices P_0..P_degree with sum_k P_k lambda^k ~ R(lambda)."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    base = -p.linear_operator
-    eye = np.eye(p.size, dtype=complex)
-    coeffs = [base] + [eye.copy()] + [np.zeros_like(base) for _ in range(degree - 1)]
-    if p.transfer is not None:
-        mem = memory_taylor_matrices(p.transfer, p.omegas, degree)
-        for k in range(degree + 1):
-            coeffs[k] = coeffs[k] - mem[k]
-    return coeffs
+# --- eigenproblem routes ---------------------------------------------------
 
 
 def _hill_applies(p: FloquetProblem) -> bool:
@@ -449,6 +449,64 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     pairs = [(complex(lam), x[i], float(resid[i])) for i, lam in enumerate(lams)]
     pairs.sort(key=lambda t: (t[0].real, t[0].imag))
     return PepResult(pairs, n_inf)
+
+
+def _contour_rectangle(p: FloquetProblem) -> tuple[float, float, float, float]:
+    """(Re lo, Re hi, Im lo, Im hi): one strip tall, its edges off Im = +-omega0/2.
+
+    R is nonsingular right of mu_2(A) + integral ||K|| (mu_2 the top eigenvalue
+    of the Hermitian part of the Jacobian, as ||Q|| <= integral ||K|| for
+    Re(lambda) >= 0 and D is skew-Hermitian), so every exponent right of the
+    left edge, below the decay bound or at -CONTOUR_DEPTH, is enclosed.
+    """
+    window = math.inf if p.transfer.truncation is None else p.transfer.truncation
+    a = p.linear_operator
+    mu2 = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[-1]
+    hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
+    kc = p.critical_exponent
+    lo = -kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH
+    shift = CONTOUR_SHIFT * p.omega0
+    return lo, hi, shift - p.omega0 / 2, shift + p.omega0 / 2
+
+
+def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, float],
+                        nodes: int) -> tuple[complex, np.ndarray]:
+    """Unrounded root count of det R in ``rect`` and the enclosed eigenvalues.
+
+    ``nodes`` Gauss-Legendre points on each side give the argument-principle
+    count (1/2 pi i) contour-integral tr(R^-1 R') (Delves & Lyness, Math. Comp.
+    1967), then, if it is within COUNT_TOL of a positive integer, the moments of
+    R^-1, ``CONTOUR_NODES`` inverses at a time, whose block Hankel pencil cut
+    to that rank has the eigenvalues (Beyn, LAA 2012).  R must be analytic on
+    and inside the rectangle.
+    """
+    corners = [complex(rect[i], rect[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))]
+    t, w = leggauss(nodes)
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    z = np.concatenate([a + 0.5 * (b - a) * (t + 1) for a, b in sides])
+    dz = np.concatenate([0.5 * (b - a) * w for a, b in sides]) / (2j * np.pi)
+    count = sum(c * np.trace(np.linalg.solve(assemble_residual_matrix(p, zj),
+                                              residual_matrix_dlambda(p, zj)))
+                for c, zj in zip(dz, z))
+    k = max(0, round(count.real))
+    if k == 0 or abs(count - k) >= COUNT_TOL:  # nothing enclosed, or the count is unresolved
+        return count, np.empty(0, dtype=complex)
+    center = sum(corners) / 4
+    scale = abs(corners[2] - center)
+    # moments as deep as the rank loop can reach, summed over CONTOUR_NODES nodes at a time
+    weights = dz * ((z - center) / scale) ** np.arange(2 * k + 2)[:, None]
+    mom = 0
+    for j in range(0, len(z), CONTOUR_NODES):
+        inv = [np.linalg.inv(assemble_residual_matrix(p, zj)) for zj in z[j:j + CONTOUR_NODES]]
+        mom += np.tensordot(weights[:, j:j + CONTOUR_NODES], inv, axes=(1, 0))
+    for depth in range(-(-k // p.size), k + 2):  # deepen until the Hankel has rank k
+        h0 = np.block([[mom[i + j] for j in range(depth)] for i in range(depth)])
+        u, s, vh = np.linalg.svd(h0)
+        if s[k - 1] > RANK_TOL * s[0]:
+            break
+    h1 = np.block([[mom[i + j + 1] for j in range(depth)] for i in range(depth)])
+    b = (u[:, :k].conj().T @ h1 @ vh[:k].conj().T) / s[:k]
+    return count, center + scale * np.linalg.eigvals(b)
 
 
 # --- Newton polish ----------------------------------------------------------
@@ -592,30 +650,53 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                      strip_reduce: bool = True) -> FloquetSpectrum:
     """Full pipeline: eigenproblem, filters, polish, classes.
 
-    Memoryless problems and untruncated exponential kernels go through
-    the exact standard eigenproblem of :func:`hill_matrix`; delay, sampled
-    and truncated kernels through a degree-4 Taylor polynomial.  Every
-    surviving candidate's state part is polished against the exact R(lambda)
-    and must meet ``CERTIFICATE_TOL``.  ``autonomous`` marks the
+    Memoryless problems and untruncated exponential kernels go through the
+    exact standard eigenproblem of :func:`hill_matrix`; delay, sampled and
+    truncated kernels through :func:`contour_eigenvalues` on the exact
+    R(lambda).  Every surviving candidate's state part is polished against
+    the exact R(lambda) and must meet ``CERTIFICATE_TOL``.  The contour root
+    count must equal the certified plus the filtered candidates, or the nodes
+    double, at most ``CONTOUR_DOUBLINGS`` times, before
+    :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
     time-translation class as trivial; ``strip_reduce=False`` treats the
     problem as time invariant, so exponents are merged as plain eigenvalues
-    without strip folding.  Diagnostics count every discarded candidate
-    (decay-bound violations, truncation-edge pollution, failed polishes).
+    without strip folding.  Diagnostics name the ``route`` and count every
+    discarded candidate (decay-bound violations, truncation-edge pollution,
+    failed polishes); the contour route adds ``n_enclosed`` and ``contour``.
     """
     if _hill_applies(p):
         hill = hill_matrix(p)
         pep = solve_pep([-hill, np.eye(len(hill))])
-    else:
-        pep = solve_pep(taylor_pep(p, 4))
-    diag = {"n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite,
-            "n_bound_filtered": 0, "bound_filtered": [],
-            "n_edge_filtered": 0, "n_unrefined": 0, "n_certificate_failed": 0,
-            "n_seed_rejected": 0}
+        diag = {"route": "hill", "n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite}
+        cands = [(lam, vec[:p.size]) for lam, vec, _ in pep.eigenpairs]
+        return _polished_spectrum(p, cands, diag, autonomous, strip_reduce)
+    rect = _contour_rectangle(p)
+    for doubling in range(CONTOUR_DOUBLINGS + 1):
+        nodes = CONTOUR_NODES << doubling
+        count, lams = contour_eigenvalues(p, rect, nodes)
+        n_enclosed = round(count.real)
+        if abs(count - n_enclosed) >= COUNT_TOL:
+            continue
+        diag = {"route": "contour", "n_raw": len(lams), "n_enclosed": n_enclosed,
+                "contour": {"re": list(rect[:2]), "im": list(rect[2:]), "nodes_per_side": nodes}}
+        cands = [(lam, np.linalg.svd(assemble_residual_matrix(p, lam))[2][-1].conj())
+                 for lam in lams]
+        spec = _polished_spectrum(p, cands, diag, autonomous, strip_reduce)
+        d = spec.diagnostics
+        if n_enclosed == d["n_certified"] + d["n_bound_filtered"] + d["n_edge_filtered"]:
+            return spec
+    raise IncompleteSpectrum(f"contour count {count:.6g} unmatched at {nodes} nodes per side")
 
+
+def _polished_spectrum(p: FloquetProblem, candidates, diag: dict, autonomous: bool,
+                       strip_reduce: bool) -> FloquetSpectrum:
+    """Filters, strip dedupe, polish and classes; ``n_certified`` counts strip duplicates too."""
+    diag.update({"n_bound_filtered": 0, "bound_filtered": [], "n_edge_filtered": 0,
+                 "n_unrefined": 0, "n_certificate_failed": 0, "n_seed_rejected": 0,
+                 "n_certified": 0})
     kc = p.critical_exponent
     survivors = []
-    for lam, vec, _pep_res in pep.eigenpairs:
-        vec = vec[:p.size]
+    for lam, vec in candidates:
         if math.isfinite(kc) and lam.real <= -kc + BOUND_MARGIN:
             diag["n_bound_filtered"] += 1
             diag["bound_filtered"].append([lam.real, lam.imag])
@@ -633,6 +714,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
     # one representative per strip location before the expensive polish
     reps: list[tuple[complex, np.ndarray]] = []
     seen: list[tuple[complex, int]] = []
+    copies: list[int] = []
     for lam, vec in survivors:
         m = _strip_steps(lam.imag, p.omega0) if strip_reduce else 0
         lam_c = lam - 1j * m * p.omega0
@@ -642,15 +724,17 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                 match = i
                 break
         if match is not None:
+            copies[match] += 1
             if abs(m) < abs(seen[match][1]):  # prefer the best-centered copy
                 seen[match] = (lam_c, m)
                 reps[match] = (lam, vec)
             continue
         seen.append((lam_c, m))
         reps.append((lam, vec))
+        copies.append(1)
 
     polished = []
-    for lam, vec in reps:
+    for (lam, vec), n_copies in zip(reps, copies):
         seed = make_eigenpair(p, lam, vec, math.inf, refined=False)
         try:
             pair = refine_eigenpair(p, seed)
@@ -664,6 +748,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
             diag["n_certificate_failed"] += 1
             continue
         polished.append(pair)
+        diag["n_certified"] += n_copies
 
     if strip_reduce:
         return canonicalize_spectrum(polished, p.omega0, autonomous=autonomous,

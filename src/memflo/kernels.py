@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -39,11 +40,9 @@ __all__ = [
     "critical_exponent",
     "transfer_at",
     "transfer_dlambda",
-    "transfer_taylor",
     "truncation_error_bound",
     "memory_matrix",
     "memory_matrix_dlambda",
-    "memory_taylor_matrices",
 ]
 
 DOMAIN_MARGIN = 1e-9
@@ -136,6 +135,13 @@ class FiniteSupportSampled:
         phases = np.exp(-2j * np.pi * m * k / n_t) / n_t
         return np.tensordot(phases, self.values.astype(complex), axes=(0, 0))
 
+    @cached_property
+    def splines(self) -> dict:
+        """Cubic-spline interpolants in u of the t-coefficients, by m, built once."""
+        band = (self.values.shape[0] - 1) // 2
+        return {m: CubicSpline(self.u_grid, self.t_coefficient(m), axis=0)
+                for m in range(-band, band + 1)}
+
 
 KernelSpec = Union[ExponentialDecay, Delay, FiniteSupportSampled]
 
@@ -206,19 +212,6 @@ def _window_factor_dc(c: complex, sbar: float | None) -> complex:
     return (sbar * e * c - (1.0 - e)) / (c * c)
 
 
-def _window_moments(c: complex, sbar: float | None, order: int) -> list[complex]:
-    """I_m = integral_0^sbar u^m e^{-c u} du for m = 0..order (needs Re c > 0 if open)."""
-    out = [_window_factor(c, sbar)]
-    if sbar is None:
-        for m in range(1, order + 1):
-            out.append(out[-1] * m / c)
-    else:
-        e = np.exp(-c * sbar)
-        for m in range(1, order + 1):
-            out.append((m * out[-1] - sbar**m * e) / c)
-    return out
-
-
 # --- adaptive quadrature for sampled kernels -------------------------------
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
@@ -252,12 +245,6 @@ def _adaptive_quadrature(spline, upper: float, zeta: complex, power: int = 0) ->
     raise QuadratureError("sampled-kernel quadrature did not stabilize to 1e-10")
 
 
-def _sampled_spline(kernel: FiniteSupportSampled, m: int = 0):
-    g = kernel.t_coefficient(m) if not kernel.time_invariant or m != 0 else \
-        kernel.values[0].astype(complex)
-    return CubicSpline(kernel.u_grid, g, axis=0)
-
-
 def _sampled_upper(kernel: FiniteSupportSampled, truncation: float | None) -> float:
     if truncation is None:
         return kernel.support
@@ -274,19 +261,29 @@ def transfer_at(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
     coupling; the full harmonic-coupled operator is produced by
     :func:`memory_matrix`.
     """
+    return _transfer(mt, lam, omega_j, 0)
+
+
+def transfer_dlambda(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
+    """d(transfer)/d(lambda); analytic for closed-form kernels."""
+    return _transfer(mt, lam, omega_j, 1)
+
+
+def _transfer(mt: MemoryTransfer, lam: complex, omega_j: float, power: int) -> np.ndarray:
+    """integral (-u)^power K(u) e^{-(lam + i omega_j) u} du: the transfer or its derivative."""
     _check_domain(mt, lam)
-    lam = complex(lam)
-    zeta = lam + 1j * omega_j
+    zeta = complex(lam) + 1j * omega_j
     k = mt.kernel
     if isinstance(k, ExponentialDecay):
-        return k.coefficient * _window_factor(k.rate + zeta, mt.truncation)
+        factor = _window_factor_dc if power else _window_factor
+        return k.coefficient * factor(k.rate + zeta, mt.truncation)
     if isinstance(k, Delay):
         if mt.truncation is not None and mt.truncation < k.delay:
             return np.zeros_like(k.weight, dtype=complex)
-        return k.weight * _bounded_exp(-zeta * k.delay)
+        return (-k.delay) ** power * k.weight * _bounded_exp(-zeta * k.delay)
     if isinstance(k, FiniteSupportSampled):
-        spline = _sampled_spline(k, 0)
-        return _adaptive_quadrature(spline, _sampled_upper(k, mt.truncation), zeta)
+        upper = _sampled_upper(k, mt.truncation)
+        return (-1) ** power * _adaptive_quadrature(k.splines[0], upper, zeta, power=power)
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
@@ -295,48 +292,6 @@ def _bounded_exp(x: complex) -> complex:
     if x.real > 600.0:
         return complex(1e280, 0.0)
     return complex(np.exp(x))
-
-
-def transfer_dlambda(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
-    """d(transfer)/d(lambda); analytic for closed-form kernels."""
-    _check_domain(mt, lam)
-    zeta = complex(lam) + 1j * omega_j
-    k = mt.kernel
-    if isinstance(k, ExponentialDecay):
-        return k.coefficient * _window_factor_dc(k.rate + zeta, mt.truncation)
-    if isinstance(k, Delay):
-        if mt.truncation is not None and mt.truncation < k.delay:
-            return np.zeros_like(k.weight, dtype=complex)
-        return -k.delay * k.weight * _bounded_exp(-zeta * k.delay)
-    if isinstance(k, FiniteSupportSampled):
-        spline = _sampled_spline(k, 0)
-        return -_adaptive_quadrature(spline, _sampled_upper(k, mt.truncation), zeta, power=1)
-    raise TypeError(f"unsupported kernel {type(k).__name__}")
-
-
-def transfer_taylor(mt: MemoryTransfer, omega_j: float, degree: int) -> list[np.ndarray]:
-    """Taylor coefficients of the transfer in lambda about 0, orders 0..degree."""
-    _check_domain(mt, 0.0)
-    k = mt.kernel
-    zeta0 = 1j * omega_j
-    if isinstance(k, ExponentialDecay):
-        moments = _window_moments(k.rate + zeta0, mt.truncation, degree)
-        return [k.coefficient * ((-1) ** m * moments[m] / math.factorial(m))
-                for m in range(degree + 1)]
-    if isinstance(k, Delay):
-        if mt.truncation is not None and mt.truncation < k.delay:
-            return [np.zeros_like(k.weight, dtype=complex) for _ in range(degree + 1)]
-        phase = np.exp(-zeta0 * k.delay)
-        return [k.weight * phase * (-k.delay) ** m / math.factorial(m) for m in range(degree + 1)]
-    if isinstance(k, FiniteSupportSampled):
-        spline = _sampled_spline(k, 0)
-        upper = _sampled_upper(k, mt.truncation)
-        return [
-            (-1) ** m / math.factorial(m)
-            * _adaptive_quadrature(spline, upper, zeta0, power=m)
-            for m in range(degree + 1)
-        ]
-    raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
 def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
@@ -374,76 +329,34 @@ def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
 # --- assembly onto the component-major harmonic layout ----------------------
 
 
-def _blockdiag_over_harmonics(blocks: list[np.ndarray], dim: int) -> np.ndarray:
-    """Scatter per-harmonic (n, n) couplings onto the component-major layout."""
-    m = len(blocks)
-    out = np.zeros((dim * m, dim * m), dtype=complex)
-    for j, b in enumerate(blocks):
-        for r in range(dim):
-            for c in range(dim):
-                out[r * m + j, c * m + j] = b[r, c]
-    return out
-
-
 def memory_matrix(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.ndarray:
     """Full memory coupling on the component-major layout for given lambda.
 
     ``omegas`` lists the harmonic frequencies in ascending order.
     """
-    _check_domain(mt, lam)
-    lam = complex(lam)
-    k = mt.kernel
-    if isinstance(k, FiniteSupportSampled) and not k.time_invariant:
-        return _sampled_coupling(mt, k, omegas, lam=lam)
-    blocks = [transfer_at(mt, lam, w) for w in omegas]
-    return _blockdiag_over_harmonics(blocks, k.dim)
+    return _memory_coupling(mt, lam, omegas, 0)
 
 
 def memory_matrix_dlambda(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.ndarray:
-    _check_domain(mt, lam)
-    lam = complex(lam)
-    k = mt.kernel
-    if isinstance(k, FiniteSupportSampled) and not k.time_invariant:
-        return _sampled_coupling(mt, k, omegas, lam=lam, power=1, sign=-1.0)
-    blocks = [transfer_dlambda(mt, lam, w) for w in omegas]
-    return _blockdiag_over_harmonics(blocks, k.dim)
+    return _memory_coupling(mt, lam, omegas, 1)
 
 
-def memory_taylor_matrices(mt: MemoryTransfer, omegas: np.ndarray,
-                           degree: int) -> list[np.ndarray]:
-    """Taylor coefficients in lambda of :func:`memory_matrix` about 0."""
-    _check_domain(mt, 0.0)
-    k = mt.kernel
-    if isinstance(k, FiniteSupportSampled) and not k.time_invariant:
-        return [_sampled_coupling(mt, k, omegas, lam=0.0, power=m,
-                                  sign=(-1.0) ** m / math.factorial(m))
-                for m in range(degree + 1)]
-    per_harmonic = [transfer_taylor(mt, w, degree) for w in omegas]
-    return [_blockdiag_over_harmonics([ph[m] for ph in per_harmonic], k.dim)
-            for m in range(degree + 1)]
+def _memory_coupling(mt: MemoryTransfer, lam: complex, omegas: np.ndarray,
+                     power: int) -> np.ndarray:
+    """:func:`memory_matrix` (power 0) or its lambda-derivative (power 1).
 
-
-def _sampled_coupling(mt: MemoryTransfer, k: FiniteSupportSampled, omegas: np.ndarray,
-                      lam: complex, power: int = 0, sign: float = 1.0) -> np.ndarray:
-    """Harmonic-coupled operator for time-varying sampled kernels.
-
-    Entry (row j, col h) is sign * integral u^power Gm(u) e^{-(lam+i w_h) u} du
-    with m = j - h, band-limited by the available t samples.
+    Column h couples to row j = h + m through integral (-u)^power Gm(u)
+    e^{-(lam+i w_h) u} du; only sampled kernels have t-coefficients m != 0.
     """
-    m_count = len(omegas)
-    dim = k.dim
-    band = (k.values.shape[0] - 1) // 2
-    upper = _sampled_upper(k, mt.truncation)
-    out = np.zeros((dim * m_count, dim * m_count), dtype=complex)
-    splines = {m: _sampled_spline(k, m) for m in range(-band, band + 1)}
-    for h in range(m_count):
-        zeta = complex(lam) + 1j * omegas[h]
-        for m in range(-band, band + 1):
-            j = h + m
-            if not 0 <= j < m_count:
-                continue
-            block = sign * _adaptive_quadrature(splines[m], upper, zeta, power=power)
-            for r in range(dim):
-                for c in range(dim):
-                    out[r * m_count + j, c * m_count + h] = block[r, c]
+    k, size = mt.kernel, len(omegas)
+    out = np.zeros((k.dim * size, k.dim * size), dtype=complex)
+    for h, w in enumerate(omegas):
+        if isinstance(k, FiniteSupportSampled):
+            upper = _sampled_upper(k, mt.truncation)
+            for m, spline in k.splines.items():
+                if 0 <= h + m < size:
+                    out[h + m::size, h::size] = (-1) ** power * _adaptive_quadrature(
+                        spline, upper, complex(lam) + 1j * w, power=power)
+        else:
+            out[h::size, h::size] = _transfer(mt, lam, w, power)
     return out

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import lambertw
 
 __all__ = [
     "fourier_coefficients_direct",
@@ -158,7 +159,7 @@ def circular_orbit(alpha: float, beta: float, g: float, k: float, omega: float):
 
 def selfcheck() -> list[tuple[str, bool, str]]:
     """Fast oracle-backed sanity checks; returns (name, passed, detail) rows."""
-    from . import floquet, hb, models
+    from . import floquet, hb, kernels, models
 
     checks = []
 
@@ -187,6 +188,14 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     worst = max(abs(pep_determinant([p0, p1, p2], lam)) for lam, _, _ in res.eigenpairs)
     checks.append(("polynomial eigenvalues against determinant scan",
                    res.total == 4 and worst < 1e-8, f"max |det| = {worst:.2e}"))
+
+    # y' = -y + y(t-1)/2 on the contour route: lam = -1 + W_0(e/2)
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[-1.0]], 1.0), n_harmonics=2)
+    delay = kernels.MemoryTransfer(kernels.Delay([[0.5]], 1.0))
+    spec = floquet.floquet_spectrum(floquet.FloquetProblem(jac, delay, 2 * math.pi, 2, 1))
+    err = abs(spec.max_nontrivial_re() - (-1.0 + lambertw(math.e / 2).real))
+    checks.append(("delay exponent on the contour route vs Lambert W", err < 1e-10,
+                   f"|lambda - ref| = {err:.2e}"))
 
     tl = models.tl_spectrum(models.TlResonatorModel(R=1.0, Ra=-0.5, Z0=1.0, tau_f=1.0),
                             n_roots=3)

@@ -1,15 +1,18 @@
-"""Eigenproblem tests: assembly, scalar roots, PEP routes, polish, classes."""
+"""Eigenproblem tests: assembly, scalar roots, Hill and contour routes, polish, classes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from memflo import floquet as F
 from memflo import hb
 from memflo import kernels as K
+from memflo.errors import IncompleteSpectrum
 from memflo.oracles import (
     monodromy_multipliers,
     pep_determinant,
@@ -98,28 +101,7 @@ def test_solve_scalar_matches_quadratic_oracle_across_rates():
         assert lam == pytest.approx(quadratic_memory_exponent(a, 3.0), abs=1e-10)
 
 
-# --- taylor PEP and Hill matrix -----------------------------------------------------
-
-
-def test_taylor_pep_memoryless_is_linear():
-    p = memoryless_problem(0.5, n_harmonics=1)
-    coeffs = F.taylor_pep(p, 3)
-    omega = hb.stacked_diff_matrix(1, 1, 1.0)
-    assert np.allclose(coeffs[0], omega - 0.5 * np.eye(3), atol=1e-14)
-    assert np.allclose(coeffs[1], np.eye(3), atol=1e-14)
-    assert np.max(np.abs(coeffs[2])) == 0.0
-    assert np.max(np.abs(coeffs[3])) == 0.0
-
-
-def test_taylor_pep_exponential_blocks_are_geometric():
-    k = 3.0
-    p = scalar_problem(0.0, k, n_harmonics=1)
-    coeffs = F.taylor_pep(p, 3)
-    for idx, h in enumerate(range(-1, 2)):
-        c0 = k + 1j * h
-        for m in range(2, 4):
-            assert coeffs[m][idx, idx] == pytest.approx(-(-1) ** m / c0 ** (m + 1),
-                                                        abs=1e-14)
+# --- Hill matrix ---------------------------------------------------------------------
 
 
 def test_hill_matrix_schur_complement_is_minus_residual():
@@ -441,7 +423,7 @@ def test_solve_scalar_rejects_periodic_coefficient():
         F.solve_scalar(p)
 
 
-# --- taylor-route spectra for non-rational kernels ----------------------------------
+# --- contour-route spectra for delay, sampled and truncated kernels -----------------
 
 
 def test_taylor_route_matches_scalar_route_for_finite_window():
@@ -496,6 +478,118 @@ def test_delay_kernel_characteristic_root():
     spec_m = F.floquet_spectrum(p)
     lam_m = max(q.exponent.real for q in spec_m.canonical_strip)
     assert lam_m == pytest.approx(lam, abs=1e-9)
+
+
+def delay_problem(n_harmonics, period, a=-1.0, b=0.5, dim=1):
+    # y' = a y + b y(t-1) in each of dim uncoupled components
+    jac = hb.toeplitz_from_periodic(
+        hb.MatrixHarmonics.constant(a * np.eye(dim), 2 * math.pi / period),
+        n_harmonics=n_harmonics)
+    return F.FloquetProblem(jac, K.MemoryTransfer(K.Delay(b * np.eye(dim), 1.0)), period,
+                            n_harmonics, dim)
+
+
+def test_contour_route_finds_every_lambert_w_class_in_the_rectangle():
+    # y' = -y + y(t-1)/2: lam = -1 + W_k(e/2); the rectangle [-5, 1] x strip holds the
+    # branches 0, +-1, ..., +-4, and the two branch +-4 roots sit on edge harmonics
+    p = delay_problem(8, 2.0)
+    spec = F.floquet_spectrum(p)
+    diag = spec.diagnostics
+    assert diag["route"] == "contour"
+    assert diag["contour"]["re"] == pytest.approx([-5.0, 1.0], abs=1e-12)
+    assert diag["n_enclosed"] == 9
+    assert diag["n_edge_filtered"] == 2
+    want = [-1.0 + complex(lambertw(math.e / 2, k)) for k in range(-3, 4)]
+    want = [w - 1j * p.omega0 * F._strip_steps(w.imag, p.omega0) for w in want]
+    assert len(spec.canonical_strip) == 7
+    assert max(min(abs(got - w) for got in spec.exponents) for w in want) < 1e-9
+    assert all(q.residual < 1e-8 for q in spec.canonical_strip)
+
+
+def test_contour_route_encloses_a_dominant_root_far_below_its_upper_edge():
+    # y' = 8y - 7y(t-1): mu_2 + integral ||K|| = 15 overestimates the root 8 + W_0(-7/e^8)
+    p = delay_problem(2, 2.0, a=8.0, b=-7.0)
+    spec = F.floquet_spectrum(p)
+    assert spec.diagnostics["contour"]["re"] == pytest.approx([-5.0, 16.0], abs=1e-12)
+    lam = 8.0 + complex(lambertw(-7.0 * math.exp(-8.0), 0))
+    assert spec.canonical_strip[0].exponent == pytest.approx(lam, abs=1e-9)
+    assert spec.stability == "Unstable"
+
+
+def test_contour_route_counts_a_repeated_exponent_with_its_multiplicity():
+    # two identical uncoupled components double every root of the scalar problem
+    single = F.floquet_spectrum(delay_problem(3, 2.0))
+    double = F.floquet_spectrum(delay_problem(3, 2.0, dim=2))
+    assert double.diagnostics["n_enclosed"] == 2 * single.diagnostics["n_enclosed"] > 0
+    assert double.diagnostics["n_certified"] == 2 * single.diagnostics["n_certified"]
+    assert np.allclose(double.exponents, single.exponents, atol=1e-9)
+
+
+def test_contour_route_raises_on_a_lost_candidate(monkeypatch):
+    # a candidate whose polish fails leaves the count unmatched at every node count
+    p = delay_problem(8, 2.0)
+    refine = F.refine_eigenpair
+
+    def failing(problem, seed):
+        if abs(seed.exponent - (-1.0 + lambertw(math.e / 2).real)) < 1e-6:
+            return replace(seed, refined=False)
+        return refine(problem, seed)
+
+    monkeypatch.setattr(F, "refine_eigenpair", failing)
+    monkeypatch.setattr(F, "CONTOUR_DOUBLINGS", 1)
+    with pytest.raises(IncompleteSpectrum, match="64 nodes"):
+        F.floquet_spectrum(p)
+
+
+def modulated_sampled_kernel(period, n_t=5, n_u=200, support=1.5):
+    # G(t, u) = (1 + cos(omega0 t) / 2) exp(-2 u) sampled on one period of t
+    t = period * np.arange(n_t) / n_t
+    u = np.linspace(0.0, support, n_u)
+    g = (1 + 0.5 * np.cos(2 * math.pi * t / period))[:, None] * np.exp(-2.0 * u)[None, :]
+    return K.FiniteSupportSampled(g[:, :, None, None], support, period=period)
+
+
+def test_sampled_time_varying_memory_matrix_matches_closed_form():
+    # G_0 = exp(-2u) and G_{+-1} = exp(-2u)/4 on [0, 1.5]: the diagonal is the truncated
+    # exponential transfer and each first off-diagonal a quarter of its column's diagonal
+    period = 2 * math.pi
+    kern = modulated_sampled_kernel(period)
+    assert np.max(np.abs(kern.t_coefficient(2))) < 1e-15
+    assert np.array_equal(kern.t_coefficient(3), np.zeros((200, 1, 1)))  # beyond the samples
+    mt = K.MemoryTransfer(kern)
+    omegas = np.arange(-3, 4) * 1.0
+    lam = 0.3 + 0.2j
+    mat = K.memory_matrix(mt, lam, omegas)
+    window = K.MemoryTransfer(K.ExponentialDecay([[1.0]], 2.0), truncation=1.5)
+    diag = np.array([K.transfer_at(window, lam, w)[0, 0] for w in omegas])
+    assert np.max(np.abs(np.diag(mat) - diag)) < 1e-9
+    assert np.max(np.abs(np.diag(mat, -1) - diag[:-1] / 4)) < 1e-9
+    assert np.max(np.abs(np.diag(mat, 1) - diag[1:] / 4)) < 1e-9
+    assert np.max(np.abs(np.triu(mat, 2)) + np.abs(np.tril(mat, -2))) < 1e-15
+    assert np.max(np.abs(np.triu(mat, 3)) + np.abs(np.tril(mat, -3))) == 0.0
+
+
+def test_contour_route_certifies_time_varying_sampled_kernel():
+    # the only non-Hill problem with harmonic coupling: G = (1 + cos(t)/2) exp(-2u)
+    n, period = 3, 2 * math.pi
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[0.0]], 1.0),
+                                    n_harmonics=n)
+    mt = K.MemoryTransfer(modulated_sampled_kernel(period))
+    p = F.FloquetProblem(jac, mt, period, n, 1)
+    spec = F.floquet_spectrum(p)
+    diag = spec.diagnostics
+    assert diag["route"] == "contour"
+    assert diag["n_enclosed"] == len(spec.canonical_strip) + diag["n_bound_filtered"] \
+        + diag["n_edge_filtered"] > 0
+    assert all(q.residual < F.CERTIFICATE_TOL for q in spec.canonical_strip)
+
+
+def test_problem_rejects_sampled_kernel_of_another_period():
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[0.0]], 1.0),
+                                    n_harmonics=2)
+    mt = K.MemoryTransfer(modulated_sampled_kernel(3.0))
+    with pytest.raises(ValueError, match="period"):
+        F.FloquetProblem(jac, mt, 2 * math.pi, 2, 1)
 
 
 def test_canonicalize_merges_copies_split_across_strip_edge():

@@ -106,31 +106,6 @@ def test_transfer_dlambda_untruncated_closed_form():
     assert got == pytest.approx(-1.0 / (2.0 + lam + 1j * om) ** 2, abs=1e-14)
 
 
-def test_transfer_taylor_geometric_series():
-    # 1/(k + lam + i w) has Taylor coefficients (-1)^m / (k + i w)^(m+1)
-    mt = exp_transfer(3.0)
-    om = 2.0
-    coeffs = K.transfer_taylor(mt, om, 4)
-    c0 = 3.0 + 1j * om
-    for m, c in enumerate(coeffs):
-        assert c[0, 0] == pytest.approx((-1) ** m / c0 ** (m + 1), abs=1e-14)
-    # partial sums converge to the transfer inside the disc
-    lam = 0.2
-    series = sum(c[0, 0] * lam**m for m, c in enumerate(coeffs))
-    exact = K.transfer_at(mt, lam, om)[0, 0]
-    assert abs(series - exact) < abs(lam / abs(c0)) ** 5 * 2
-
-
-def test_transfer_taylor_truncated_window_matches_numerical():
-    mt = exp_transfer(1.0, truncation=2.5)
-    om = 0.7
-    coeffs = K.transfer_taylor(mt, om, 3)
-    lam = 0.02
-    series = sum(c[0, 0] * lam**m for m, c in enumerate(coeffs))
-    exact = K.transfer_at(mt, lam, om)[0, 0]
-    assert abs(series - exact) < 1e-7  # degree-4 remainder at this radius
-
-
 # --- truncation error bound ------------------------------------------------------
 
 
