@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .errors import NoConvergence, SingularJacobian, SpectralResolutionWarning
 from .floquet import FloquetProblem
@@ -38,9 +39,7 @@ from .hb import (
     TimeSamples,
     _grid_basis,
     dft,
-    extract_real_rows,
     pack_real_coefficients,
-    real_coefficient_basis,
     sample_times,
     stacked_diff_matrix,
     toeplitz_from_periodic,
@@ -61,8 +60,6 @@ log = logging.getLogger(__name__)
 
 RESOLUTION_WARN_RATIO = 1e-8
 NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
-SEED_STEPS = 2000  # RK4 steps of the time-domain seed over ten periods
-SEED_MAX_STEPS = 40000  # step budget of the seed for fast memory
 
 
 @dataclass
@@ -73,10 +70,11 @@ class SystemModel:
     model that carries exponential memory as states sets ``memory_rate`` to
     the decay rate of those states: exponents at or below -memory_rate belong
     to no admissible mode of the memory system and are filtered out of its
-    spectra.  Autonomous systems must ignore ``t`` and may leave the period
-    to be solved for.  With ``validate=True`` the Jacobian is checked against
-    finite differences of the right-hand side on a few random states at
-    construction.
+    spectra.  It is a spectral bound only: neither the cycle solve nor the
+    time-domain seed reads it.  Autonomous systems must ignore ``t`` and
+    may leave the period to be solved for.  With ``validate=True`` the
+    Jacobian is checked against finite differences of the right-hand side on
+    a few random states at construction.
     """
 
     dim: int
@@ -196,8 +194,8 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
 
     amps = np.array(hv.amplitudes)
     u = pack_real_coefficients(amps)
-    basis = real_coefficient_basis(n, nh)
     m = 2 * nh + 1
+    basis = unpack_real_coefficients(np.eye(n * m), n, nh).reshape(n * m, n * m)
     anchor_slot = anchor * m + 2  # packed index of Im a_{anchor,1}
 
     def full_residual(uvec, w0):
@@ -217,10 +215,10 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
             break
         a, z_real, times = ctx
         jc = _jacobian_complex(model, a, omega0, z_real, times)
-        jr = extract_real_rows(jc @ basis, n, nh)
+        jr = pack_real_coefficients((jc @ basis).reshape(n, m, n * m))
         if model.autonomous:
             # d(residual)/d(omega0): only the derivative term depends on omega0
-            dw = extract_real_rows(((1j * np.arange(-nh, nh + 1)) * a).reshape(-1), n, nh)
+            dw = pack_real_coefficients((1j * np.arange(-nh, nh + 1)) * a)
             jr = np.block([[jr, dw[:, None]],
                            [np.zeros((1, jr.shape[1] + 1))]])
             jr[-1, anchor_slot] = 1.0
@@ -293,50 +291,36 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
 
 def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
                                period_estimate: float | None = None) -> LimitCycle:
-    """Initial cycle guess from fixed-step integration of the transient.
+    """Initial cycle guess from integration of the transient.
 
-    Marches RK4 over ten estimated periods, estimates the period from late
-    upcrossings, and transforms the last period to harmonic form.  The march
-    takes 2000 steps, or more when the memory rate needs them: RK4 stays
-    stable on a state decaying at that rate only while step * rate is below
-    about 2.8, so the step is held at 2 / rate.  A memory too fast for
-    ``SEED_MAX_STEPS`` raises ``ValueError``.  Memory states start where
-    ``z0`` puts them (zero for a zero history).
+    Integrates over ten estimated periods with LSODA, which switches to a
+    stiff method by itself when fast memory states need one, estimates the
+    period from late upcrossings, and transforms the last period to harmonic
+    form.  A state that leaves the finite numbers or an integrator failure
+    raises :class:`NoConvergence`.  Memory states start where ``z0`` puts
+    them (zero for a zero history).
     """
-    n_periods = 10
     t_guess = period_estimate or model.period_hint
     if t_guess is None:
         raise ValueError("need a period estimate to seed from time integration")
-    z = np.asarray(z0, dtype=float).copy()
-    t_end = n_periods * t_guess
-    n_steps = SEED_STEPS
-    if math.isfinite(model.memory_rate):
-        n_steps = max(n_steps, math.ceil(t_end * model.memory_rate / 2.0))
-    if n_steps > SEED_MAX_STEPS:
-        raise ValueError("memory rate too fast for the time-domain seed")
-    h = t_end / n_steps
+    t_end = 10 * t_guess
 
-    def f(zz, tt):
-        return np.asarray(model.rhs(zz, tt), dtype=float)
+    def f(t, z):
+        # LSODA keeps stepping on an overflowed state instead of failing
+        if not np.isfinite(z).all():
+            raise NoConvergence(f"time-domain seed diverged at t = {t:.6g}")
+        return model.rhs(z, t)
 
-    times = np.arange(n_steps + 1) * h
-    hist_z = np.zeros((model.dim, n_steps + 1))
-    hist_z[:, 0] = z
-    for i in range(n_steps):
-        t = times[i]
-        k1 = f(z, t)
-        k2 = f(z + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(z + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(z + h * k3, t + h)
-        z = z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        hist_z[:, i + 1] = z
-
-    period = _estimate_period(times, hist_z, t_guess) if model.autonomous else t_guess
+    sol = solve_ivp(f, (0.0, t_end), np.asarray(z0, dtype=float), method="LSODA",
+                    rtol=1e-6, atol=1e-9, dense_output=True)
+    if not sol.success:
+        raise NoConvergence(f"time-domain seed failed: {sol.message}")
+    period = t_guess
+    if model.autonomous:
+        tail = np.linspace(t_end - 4 * t_guess, t_end, 801)  # 200 samples a period
+        period = _estimate_period(tail, sol.sol(tail), t_guess)
     sample_t = t_end - period + sample_times(n_harmonics, period)
-    amps_samples = np.empty((model.dim, len(sample_t)))
-    for c in range(model.dim):
-        amps_samples[c] = np.interp(sample_t, times, hist_z[c])
-    hv = dft(TimeSamples(model.dim, amps_samples, period))
+    hv = dft(TimeSamples(model.dim, sol.sol(sample_t), period))
     return LimitCycle(period, hv, math.inf)
 
 

@@ -25,7 +25,8 @@ class NoConvergence(MemfloError):
 
 
 class IncompleteSpectrum(MemfloError):
-    """The contour root count disagrees with the exponents accounted for."""
+    """Exponents are missing: the contour root count disagrees with the exponents
+    accounted for, or an autonomous cycle's spectrum lacks its trivial class."""
 
 
 class SingularJacobian(MemfloError):

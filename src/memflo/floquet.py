@@ -658,7 +658,8 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
     count must equal the certified plus the filtered candidates, or the nodes
     double, at most ``CONTOUR_DOUBLINGS`` times, before
     :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
-    time-translation class as trivial; ``strip_reduce=False`` treats the
+    time-translation class as trivial, and a spectrum without one raises
+    :class:`~memflo.errors.IncompleteSpectrum`; ``strip_reduce=False`` treats the
     problem as time invariant, so exponents are merged as plain eigenvalues
     without strip folding.  Diagnostics name the ``route`` and count every
     discarded candidate (decay-bound violations, truncation-edge pollution,
@@ -751,8 +752,12 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict, autonomous: bo
         diag["n_certified"] += n_copies
 
     if strip_reduce:
-        return canonicalize_spectrum(polished, p.omega0, autonomous=autonomous,
+        spec = canonicalize_spectrum(polished, p.omega0, autonomous=autonomous,
                                      period=p.period, diagnostics=diag)
+        # an oscillating autonomous cycle always has its time-translation exponent
+        if autonomous and not any(q.trivial for q in spec.canonical_strip):
+            raise IncompleteSpectrum("autonomous spectrum lacks its time-translation class")
+        return spec
     classes = _least_stable_first(_merge_classes(polished))
     return FloquetSpectrum(polished, classes, p.period, diagnostics=diag)
 

@@ -36,8 +36,6 @@ __all__ = [
     "stacked_diff_matrix",
     "pack_real_coefficients",
     "unpack_real_coefficients",
-    "real_coefficient_basis",
-    "extract_real_rows",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -328,67 +326,33 @@ def stacked_diff_matrix(dim: int, n_harmonics: int, omega0: float) -> np.ndarray
 
 
 def pack_real_coefficients(amps: np.ndarray) -> np.ndarray:
-    """Flatten conjugate-symmetric (dim, 2N+1) amplitudes to dim*(2N+1) reals."""
+    """Flatten conjugate-symmetric (dim, 2N+1, ...) amplitudes to dim*(2N+1) reals.
+
+    Trailing axes are carried along, so complex rows in the flat layout,
+    reshaped to (dim, 2N+1, cols), project onto the packed row layout; for a
+    conjugate-symmetric residual this loses no information.
+    """
     amps = np.atleast_2d(amps)
-    dim, m = amps.shape
+    dim, m = amps.shape[:2]
     n = (m - 1) // 2
-    out = np.empty(dim * m)
-    for c in range(dim):
-        base = c * m
-        out[base] = amps[c, n].real
-        for h in range(1, n + 1):
-            out[base + 2 * h - 1] = amps[c, n + h].real
-            out[base + 2 * h] = amps[c, n + h].imag
-    return out
+    out = np.empty(amps.shape)
+    out[:, 0] = amps[:, n].real
+    out[:, 1::2] = amps[:, n + 1:].real
+    out[:, 2::2] = amps[:, n + 1:].imag
+    return out.reshape((dim * m,) + amps.shape[2:])
 
 
 def unpack_real_coefficients(u: np.ndarray, dim: int, n_harmonics: int) -> np.ndarray:
-    """Inverse of :func:`pack_real_coefficients`; restores conjugate symmetry."""
-    m = 2 * n_harmonics + 1
-    amps = np.zeros((dim, m), dtype=complex)
-    for c in range(dim):
-        base = c * m
-        amps[c, n_harmonics] = u[base]
-        for h in range(1, n_harmonics + 1):
-            val = u[base + 2 * h - 1] + 1j * u[base + 2 * h]
-            amps[c, n_harmonics + h] = val
-            amps[c, n_harmonics - h] = val.conjugate()
-    return amps
+    """Inverse of :func:`pack_real_coefficients`; restores conjugate symmetry.
 
-
-@functools.lru_cache(maxsize=None)
-def real_coefficient_basis(dim: int, n_harmonics: int) -> np.ndarray:
-    """Columns are d(flat amplitudes)/d(packed real unknowns)."""
-    m = 2 * n_harmonics + 1
-    e = np.zeros((dim * m, dim * m), dtype=complex)
-    for c in range(dim):
-        base = c * m
-        e[base + n_harmonics, base] = 1.0
-        for h in range(1, n_harmonics + 1):
-            col = base + 2 * h - 1
-            e[base + n_harmonics + h, col] = 1.0
-            e[base + n_harmonics - h, col] = 1.0
-            e[base + n_harmonics + h, col + 1] = 1j
-            e[base + n_harmonics - h, col + 1] = -1j
-    e.setflags(write=False)
-    return e
-
-
-def extract_real_rows(w: np.ndarray, dim: int, n_harmonics: int) -> np.ndarray:
-    """Project complex flat rows onto the packed real row layout.
-
-    For a conjugate-symmetric residual this loses no information.
+    Trailing axes of ``u`` are carried along: unpacking the identity gives
+    the columns d(amplitudes)/d(packed real unknowns).
     """
-    w = np.asarray(w)
-    m = 2 * n_harmonics + 1
-    vector = w.ndim == 1
-    if vector:
-        w = w[:, None]
-    out = np.empty((dim * m, w.shape[1]))
-    for c in range(dim):
-        base = c * m
-        out[base] = w[base + n_harmonics].real
-        for h in range(1, n_harmonics + 1):
-            out[base + 2 * h - 1] = w[base + n_harmonics + h].real
-            out[base + 2 * h] = w[base + n_harmonics + h].imag
-    return out[:, 0] if vector else out
+    u = np.asarray(u)
+    u = u.reshape((dim, 2 * n_harmonics + 1) + u.shape[1:])
+    half = u[:, 1::2] + 1j * u[:, 2::2]
+    amps = np.empty(u.shape, dtype=complex)
+    amps[:, n_harmonics] = u[:, 0]
+    amps[:, n_harmonics + 1:] = half
+    amps[:, :n_harmonics] = half[:, ::-1].conj()
+    return amps

@@ -180,7 +180,7 @@ def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> Syste
     k = m.k
 
     def rhs(z, t):
-        # scalar arithmetic: the time-domain seed makes 8000 of these calls
+        # scalar arithmetic: the time-domain seed makes thousands of these calls
         x0, x1, v0, v1, s0, s1 = z.tolist()
         gam = m.friction(z[2:4])
         return np.array([v0, v1, -wx2 * x0 - k * s0, -wy2 * x1 - k * s1,
@@ -301,7 +301,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
             attempt = solve_cycle(system, late)
             if cycle_amplitude(attempt) > CYCLE_AMPLITUDE_TOL:
                 cycle = attempt
-        except (NoConvergence, SingularJacobian, ValueError):
+        except (NoConvergence, SingularJacobian):
             cycle = None
 
     if cycle is None:

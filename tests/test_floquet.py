@@ -411,6 +411,13 @@ def test_floquet_spectrum_bound_filter_diagnostics():
     assert spec.canonical_strip[0].exponent == pytest.approx(LAM_A0_K3, abs=1e-10)
 
 
+def test_floquet_spectrum_autonomous_needs_trivial_class():
+    # y' = -y has no exponent near zero, so it is no autonomous cycle's spectrum
+    with pytest.raises(IncompleteSpectrum):
+        F.floquet_spectrum(memoryless_problem(-1.0), autonomous=True)
+    assert F.floquet_spectrum(memoryless_problem(0.0), autonomous=True).stability == "Marginal"
+
+
 def test_solve_scalar_rejects_periodic_coefficient():
     coeffs = np.zeros((1, 1, 3), dtype=complex)
     coeffs[0, 0, 1] = 0.5

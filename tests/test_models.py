@@ -8,7 +8,7 @@ import pytest
 
 from memflo import floquet as F
 from memflo import models as M
-from memflo.errors import MatchedLine, NoCycle
+from memflo.errors import IncompleteSpectrum, MatchedLine, NoCycle
 from memflo.oracles import monodromy_multipliers, quadratic_memory_exponent
 
 
@@ -146,6 +146,28 @@ def test_particle_no_cycle_in_chaotic_regime():
     except NoCycle:
         return
     assert spec.stability != "Stable"
+
+
+def fast_memory_particle():
+    # off the isotropic well the circular seed fails, so the time-domain seed
+    # must integrate a memory state 5000 times faster than the orbit
+    return M.BrownianParticleModel(alpha=0.8, beta=1.0, g=0.1, k=5000.0,
+                                   omega_bar=(2.0, 2.0 / 1.1))
+
+
+def test_particle_fast_memory_seeds_a_cycle():
+    cyc, spec = M.particle_spectrum(fast_memory_particle(), n_harmonics=20)
+    assert M.cycle_amplitude(cyc) > M.CYCLE_AMPLITUDE_TOL
+    assert sum(p.trivial for p in spec.canonical_strip) == 1
+    assert len(spec.canonical_strip) == 5
+    assert spec.stability == "Unstable"
+
+
+def test_particle_spectrum_without_trivial_class_is_incomplete():
+    # at N = 12 the edge filter drops the time-translation class of the same
+    # cycle; reporting the remaining classes would read Stable
+    with pytest.raises(IncompleteSpectrum):
+        M.particle_spectrum(fast_memory_particle(), n_harmonics=12)
 
 
 def test_particle_equilibrium_regime_returns_zero_cycle():
