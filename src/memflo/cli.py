@@ -85,10 +85,15 @@ class SweepConfig:
             raise ConfigError("n_harmonics must be at least 1")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
+        if not (math.isfinite(self.bisect_tol) and self.bisect_tol > 0):
+            raise ConfigError("bisect_tol must be positive and finite")
         unknown = set(self.parameters) - _MODEL_PARAMS[self.model]
         if unknown:
             raise ConfigError(f"parameters {sorted(unknown)} not valid for {self.model}")
         ranged = self.ranged_names()
+        for name in ranged:
+            if self.parameters[name].count < 1:
+                raise ConfigError(f"range of {name} needs a count of at least 1")
         if self.mode == "sweep" and not 1 <= len(ranged) <= 2:
             raise ConfigError("sweep mode needs one or two ranged parameters")
         if self.mode == "boundary_bisect" and len(ranged) != 1:
@@ -185,10 +190,13 @@ def _config_from_entries(entries: dict) -> SweepConfig:
         mode = str(entries.pop("mode"))
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc}") from exc
-    n_harmonics = int(entries.pop("n_harmonics", 30))
+    try:
+        n_harmonics = int(entries.pop("n_harmonics", 30))
+        bisect_tol = float(entries.pop("bisect_tol", 1e-4))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("n_harmonics and bisect_tol must be numbers") from exc
     output_path = entries.pop("output", None)
     output_format = str(entries.pop("format", "csv"))
-    bisect_tol = float(entries.pop("bisect_tol", 1e-4))
     return SweepConfig(model, mode, entries, n_harmonics=n_harmonics,
                        output_path=output_path, output_format=output_format,
                        bisect_tol=bisect_tol)
@@ -329,6 +337,8 @@ def _bisect_scalar(point_eval, values: np.ndarray, tol: float):
     sign_lo = math.copysign(1.0, scalars[bracket])  # the scan already solved lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is down to adjacent floats
+            break
         row = point_eval(mid)
         rows.append(row)
         val = _bisect_value(row)

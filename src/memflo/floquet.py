@@ -78,7 +78,9 @@ CONTOUR_NODES = 32          # Gauss-Legendre nodes per rectangle side, first pas
 CONTOUR_DOUBLINGS = 4       # node doublings before an unmatched count is an incomplete spectrum
 CONTOUR_MARGIN = 1.0        # rectangle clearance beyond the root and decay bounds
 CONTOUR_DEPTH = 5.0         # rectangle left edge at Re = -CONTOUR_DEPTH without a decay bound
-CONTOUR_SHIFT = 0.125       # edges at Im = (+-1/2 + CONTOUR_SHIFT) * omega0
+# contour attempt j has its edges at Im = (+-1/2 + CONTOUR_SHIFTS[j]) * omega0; never a
+# shift of 0 or 1/2 mod 1, where real multipliers put exponents
+CONTOUR_SHIFTS = (0.125, 0.375, 0.25, 0.0625, 0.3125)
 COUNT_TOL = 0.05            # distance of the contour count from its integer
 RANK_TOL = 1e-8             # relative singular value that still counts in the Hankel rank
 
@@ -191,12 +193,20 @@ def _gauge_normalize(vec: np.ndarray) -> np.ndarray:
     return vec / pivot
 
 
+def floquet_multiplier(exponent: complex, period: float) -> complex:
+    """exp(exponent * period); a modulus beyond the float range reads infinite."""
+    try:
+        return cmath.exp(exponent * period)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
 def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarray,
                    residual: float, refined: bool = True) -> FloquetEigenpair:
     """Package an eigenpair: gauge-normalized vector, multiplier, bound flag."""
     vec = _gauge_normalize(np.asarray(vector, dtype=complex))
     hv = HarmonicVector.from_flat(vec, problem.dim, problem.n_harmonics, problem.omega0)
-    mult = cmath.exp(exponent * problem.period)
+    mult = floquet_multiplier(exponent, problem.period)
     kc = problem.critical_exponent
     ok = (not math.isfinite(kc)) or exponent.real > -kc + BOUND_MARGIN
     return FloquetEigenpair(complex(exponent), mult, hv, float(residual),
@@ -451,8 +461,8 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     return PepResult(pairs, n_inf)
 
 
-def _contour_rectangle(p: FloquetProblem) -> tuple[float, float, float, float]:
-    """(Re lo, Re hi, Im lo, Im hi): one strip tall, its edges off Im = +-omega0/2.
+def _contour_rectangle(p: FloquetProblem, shift: float) -> tuple[float, float, float, float]:
+    """(Re lo, Re hi, Im lo, Im hi): one strip tall, its edges at Im = (+-1/2 + shift) omega0.
 
     R is nonsingular right of mu_2(A) + integral ||K|| (mu_2 the top eigenvalue
     of the Hermitian part of the Jacobian, as ||Q|| <= integral ||K|| for
@@ -465,8 +475,8 @@ def _contour_rectangle(p: FloquetProblem) -> tuple[float, float, float, float]:
     hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
     kc = p.critical_exponent
     lo = -kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH
-    shift = CONTOUR_SHIFT * p.omega0
-    return lo, hi, shift - p.omega0 / 2, shift + p.omega0 / 2
+    mid = shift * p.omega0
+    return lo, hi, mid - p.omega0 / 2, mid + p.omega0 / 2
 
 
 def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, float],
@@ -568,67 +578,64 @@ def _strip_steps(im: float, omega0: float) -> int:
     return int(math.ceil(im / omega0 - 0.5))
 
 
-def _merge_classes(pairs) -> list[FloquetEigenpair]:
-    """Exponents closer than MERGE_TOL form one class, kept at its lowest residual.
+def _exponent_classes(items, exponent, omega0: float | None) -> list[tuple[object, int]]:
+    """Group ``items``, given best first, into exponent classes.
 
-    Returns the classes in ascending (Re, Im) order of their first member.
+    Two exponents share a class when they differ by i*m*omega0, m an integer,
+    to within ``MERGE_TOL``; with ``omega0=None`` nothing is folded (m = 0).
+    Returns each class's first member and the class size.
     """
-    classes: list[FloquetEigenpair] = []
-    for cand in sorted(pairs, key=lambda q: (q.exponent.real, q.exponent.imag)):
-        for i, rep in enumerate(classes):
-            if abs(cand.exponent - rep.exponent) < MERGE_TOL:
-                if cand.residual < rep.residual:
-                    classes[i] = cand
+    firsts, keys, sizes = [], [], []
+    for item in items:
+        lam = exponent(item)
+        for i, key in enumerate(keys):
+            gap = lam - key
+            if omega0 is not None:
+                gap -= 1j * round(gap.imag / omega0) * omega0
+            if abs(gap) < MERGE_TOL:
+                sizes[i] += 1
                 break
         else:
-            classes.append(cand)
-    return classes
+            firsts.append(item)
+            keys.append(lam)
+            sizes.append(1)
+    return list(zip(firsts, sizes))
 
 
 def _least_stable_first(classes) -> list[FloquetEigenpair]:
     return sorted(classes, key=lambda q: (-q.exponent.real, q.exponent.imag))
 
 
-def canonicalize_spectrum(pairs, omega0: float, autonomous: bool = False,
+def canonicalize_spectrum(pairs, omega0: float | None, autonomous: bool = False,
                           period: float | None = None,
                           diagnostics: dict | None = None) -> FloquetSpectrum:
     """Collapse splitting copies into classes.
 
-    Each exponent is shifted into the strip Im in (-omega0/2, omega0/2] (the
-    upper edge is kept), classes closer than ``MERGE_TOL`` keep their
-    lowest-residual representative, and for autonomous problems the class
-    nearest zero (within ``TRIVIAL_FACTOR * omega0``) is labeled as the
-    time-translation mode and excluded from the verdict.
+    Exponents that differ by i*m*omega0, m an integer, form one class (the
+    rule of :func:`_exponent_classes`), represented by its lowest-residual
+    member shifted into the strip Im in (-omega0/2, omega0/2] (the upper
+    edge is kept).  ``omega0=None`` marks a time-invariant problem, whose
+    exponents are neither folded nor shifted; ``period`` is then required.
+    For autonomous problems the class nearest zero (within
+    ``TRIVIAL_FACTOR * 2*pi/period``) is labeled as the time-translation
+    mode and excluded from the verdict.
     """
     period = period if period is not None else 2 * np.pi / omega0
-    mapped = []
-    for pair in pairs:
-        m = _strip_steps(pair.exponent.imag, omega0)
-        lam = pair.exponent - 1j * m * omega0
-        vec = shift_harmonics(pair.eigenvector, m) if (m and pair.eigenvector is not None) \
-            else pair.eigenvector
-        mult = cmath.exp(lam * period)
-        mapped.append(FloquetEigenpair(lam, mult, vec, pair.residual,
-                                       bound_ok=pair.bound_ok, refined=pair.refined))
-
-    # copies split across the strip boundary by rounding still belong together
-    classes: list[FloquetEigenpair] = []
-    for cand in _merge_classes(mapped):
-        merged = False
-        for i, rep in enumerate(classes):
-            gap = cand.exponent - rep.exponent
-            steps = round(gap.imag / omega0)
-            if steps != 0 and abs(gap - 1j * steps * omega0) < MERGE_TOL:
-                if cand.residual < rep.residual:
-                    classes[i] = cand
-                merged = True
-                break
-        if not merged:
-            classes.append(cand)
+    classes = []
+    for pair, _ in _exponent_classes(sorted(pairs, key=lambda q: q.residual),
+                                     lambda q: q.exponent, omega0):
+        lam, vec = pair.exponent, pair.eigenvector
+        m = _strip_steps(lam.imag, omega0) if omega0 is not None else 0
+        if m:
+            lam = lam - 1j * m * omega0
+            vec = shift_harmonics(vec, m) if vec is not None else None
+        classes.append(FloquetEigenpair(lam, floquet_multiplier(lam, period), vec,
+                                        pair.residual, bound_ok=pair.bound_ok,
+                                        refined=pair.refined))
 
     if autonomous and classes:
         nearest = min(range(len(classes)), key=lambda i: abs(classes[i].exponent))
-        if abs(classes[nearest].exponent) < TRIVIAL_FACTOR * omega0:
+        if abs(classes[nearest].exponent) < TRIVIAL_FACTOR * (2 * np.pi / period):
             classes[nearest] = replace(classes[nearest], trivial=True)
 
     return FloquetSpectrum(list(pairs), _least_stable_first(classes), period,
@@ -646,34 +653,35 @@ def _edge_energy_fraction(vec: np.ndarray, dim: int, n_harmonics: int, band: int
     return float(np.linalg.norm(outer) / total) if total > 0 else 1.0
 
 
-def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
-                     strip_reduce: bool = True) -> FloquetSpectrum:
-    """Full pipeline: eigenproblem, filters, polish, classes.
+def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpectrum:
+    """Full pipeline: eigenproblem, filters, classes, polish, canonical strip.
 
     Memoryless problems and untruncated exponential kernels go through the
     exact standard eigenproblem of :func:`hill_matrix`; delay, sampled and
     truncated kernels through :func:`contour_eigenvalues` on the exact
-    R(lambda).  Every surviving candidate's state part is polished against
-    the exact R(lambda) and must meet ``CERTIFICATE_TOL``.  The contour root
-    count must equal the certified plus the filtered candidates, or the nodes
-    double, at most ``CONTOUR_DOUBLINGS`` times, before
-    :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
-    time-translation class as trivial, and a spectrum without one raises
-    :class:`~memflo.errors.IncompleteSpectrum`; ``strip_reduce=False`` treats the
-    problem as time invariant, so exponents are merged as plain eigenvalues
-    without strip folding.  Diagnostics name the ``route`` and count every
-    discarded candidate (decay-bound violations, truncation-edge pollution,
-    failed polishes); the contour route adds ``n_enclosed`` and ``contour``.
+    R(lambda).  Candidates are grouped into classes modulo i*omega0 before
+    the polish, except for a time-invariant problem (``n_harmonics == 0``),
+    whose exponents are not folded.  One member of each class is polished
+    against the exact R(lambda) and must meet ``CERTIFICATE_TOL``.  The
+    contour root count must equal the certified plus the filtered
+    candidates; otherwise the rectangle moves to the next of
+    ``CONTOUR_SHIFTS`` with twice the nodes, at most ``CONTOUR_DOUBLINGS``
+    times, before :class:`~memflo.errors.IncompleteSpectrum`.
+    ``autonomous`` marks the time-translation class as trivial, and a
+    spectrum without one raises :class:`~memflo.errors.IncompleteSpectrum`.
+    Diagnostics name the ``route`` and count every discarded candidate
+    (decay-bound violations, truncation-edge pollution, failed polishes);
+    the contour route adds ``n_enclosed`` and ``contour``.
     """
     if _hill_applies(p):
         hill = hill_matrix(p)
         pep = solve_pep([-hill, np.eye(len(hill))])
         diag = {"route": "hill", "n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite}
         cands = [(lam, vec[:p.size]) for lam, vec, _ in pep.eigenpairs]
-        return _polished_spectrum(p, cands, diag, autonomous, strip_reduce)
-    rect = _contour_rectangle(p)
+        return _polished_spectrum(p, cands, diag, autonomous)
     for doubling in range(CONTOUR_DOUBLINGS + 1):
         nodes = CONTOUR_NODES << doubling
+        rect = _contour_rectangle(p, CONTOUR_SHIFTS[doubling])
         count, lams = contour_eigenvalues(p, rect, nodes)
         n_enclosed = round(count.real)
         if abs(count - n_enclosed) >= COUNT_TOL:
@@ -682,16 +690,16 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False,
                 "contour": {"re": list(rect[:2]), "im": list(rect[2:]), "nodes_per_side": nodes}}
         cands = [(lam, np.linalg.svd(assemble_residual_matrix(p, lam))[2][-1].conj())
                  for lam in lams]
-        spec = _polished_spectrum(p, cands, diag, autonomous, strip_reduce)
+        spec = _polished_spectrum(p, cands, diag, autonomous)
         d = spec.diagnostics
         if n_enclosed == d["n_certified"] + d["n_bound_filtered"] + d["n_edge_filtered"]:
             return spec
     raise IncompleteSpectrum(f"contour count {count:.6g} unmatched at {nodes} nodes per side")
 
 
-def _polished_spectrum(p: FloquetProblem, candidates, diag: dict, autonomous: bool,
-                       strip_reduce: bool) -> FloquetSpectrum:
-    """Filters, strip dedupe, polish and classes; ``n_certified`` counts strip duplicates too."""
+def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
+                       autonomous: bool) -> FloquetSpectrum:
+    """Filters, classes, one polish per class; ``n_certified`` counts every copy."""
     diag.update({"n_bound_filtered": 0, "bound_filtered": [], "n_edge_filtered": 0,
                  "n_unrefined": 0, "n_certificate_failed": 0, "n_seed_rejected": 0,
                  "n_certified": 0})
@@ -712,30 +720,11 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict, autonomous: bo
         log.info("discarded %d eigenvalue candidates below the decay bound %.6g",
                  diag["n_bound_filtered"], -kc)
 
-    # one representative per strip location before the expensive polish
-    reps: list[tuple[complex, np.ndarray]] = []
-    seen: list[tuple[complex, int]] = []
-    copies: list[int] = []
-    for lam, vec in survivors:
-        m = _strip_steps(lam.imag, p.omega0) if strip_reduce else 0
-        lam_c = lam - 1j * m * p.omega0
-        match = None
-        for i, (prev, prev_m) in enumerate(seen):
-            if abs(lam_c - prev) < MERGE_TOL:
-                match = i
-                break
-        if match is not None:
-            copies[match] += 1
-            if abs(m) < abs(seen[match][1]):  # prefer the best-centered copy
-                seen[match] = (lam_c, m)
-                reps[match] = (lam, vec)
-            continue
-        seen.append((lam_c, m))
-        reps.append((lam, vec))
-        copies.append(1)
-
+    omega0 = p.omega0 if p.n_harmonics else None  # a time-invariant problem folds nothing
+    if omega0 is not None:  # each class polishes its best-centred copy
+        survivors.sort(key=lambda c: abs(_strip_steps(c[0].imag, omega0)))
     polished = []
-    for (lam, vec), n_copies in zip(reps, copies):
+    for (lam, vec), n_copies in _exponent_classes(survivors, lambda c: c[0], omega0):
         seed = make_eigenpair(p, lam, vec, math.inf, refined=False)
         try:
             pair = refine_eigenpair(p, seed)
@@ -751,13 +740,9 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict, autonomous: bo
         polished.append(pair)
         diag["n_certified"] += n_copies
 
-    if strip_reduce:
-        spec = canonicalize_spectrum(polished, p.omega0, autonomous=autonomous,
-                                     period=p.period, diagnostics=diag)
-        # an oscillating autonomous cycle always has its time-translation exponent
-        if autonomous and not any(q.trivial for q in spec.canonical_strip):
-            raise IncompleteSpectrum("autonomous spectrum lacks its time-translation class")
-        return spec
-    classes = _least_stable_first(_merge_classes(polished))
-    return FloquetSpectrum(polished, classes, p.period, diagnostics=diag)
-
+    spec = canonicalize_spectrum(polished, omega0, autonomous=autonomous,
+                                 period=p.period, diagnostics=diag)
+    # an oscillating autonomous cycle always has its time-translation exponent
+    if autonomous and not any(q.trivial for q in spec.canonical_strip):
+        raise IncompleteSpectrum("autonomous spectrum lacks its time-translation class")
+    return spec

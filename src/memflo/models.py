@@ -28,6 +28,7 @@ from .floquet import (
     FloquetProblem,
     FloquetSpectrum,
     canonicalize_spectrum,
+    floquet_multiplier,
     floquet_spectrum,
     solve_scalar,
 )
@@ -250,14 +251,14 @@ def _rest_spectrum(system: SystemModel, omega0: float) -> FloquetSpectrum:
     """Exponents of the resting state at the origin.
 
     The linearization is the system Jacobian at z = 0, time invariant, so
-    the eigenproblem is its zero-harmonic block and the exponents are plain
-    constants (no splitting classes, no strip folding).
+    the problem has no harmonics besides the zeroth and its exponents are
+    plain eigenvalues, not folded into a strip.
     """
     a = system.rhs_jacobian(np.zeros(system.dim), 0.0)
     jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, omega0), n_harmonics=0)
     problem = FloquetProblem(jac, None, 2 * math.pi / omega0, 0, system.dim,
                              memory_rate=system.memory_rate)
-    return floquet_spectrum(problem, strip_reduce=False)
+    return floquet_spectrum(problem)
 
 
 def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
@@ -385,7 +386,6 @@ def tl_spectrum(m: TlResonatorModel, n_roots: int = 5) -> FloquetSpectrum:
         lam = (base + 2j * math.pi * k) / (2 * m.tau_f)
         vec = HarmonicVector(1, 0, np.array([[1.0 + 0j]]), omega0)
         residual = abs(cmath.exp(2 * lam * m.tau_f) + gamma0)
-        mult = cmath.exp(lam * period)
-        pairs.append(FloquetEigenpair(lam, mult, vec, residual))
+        pairs.append(FloquetEigenpair(lam, floquet_multiplier(lam, period), vec, residual))
     return canonicalize_spectrum(pairs, omega0, period=period,
                                  diagnostics={"reflection_coefficient": gamma0})

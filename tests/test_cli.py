@@ -7,6 +7,7 @@ import pytest
 
 from memflo import cli
 from memflo.errors import ConfigError
+from memflo.models import Memory1DModel, model1d_asymptotic_exponent
 from memflo.oracles import quadratic_memory_exponent
 
 
@@ -86,6 +87,33 @@ def test_particle_mass_is_not_a_parameter(tmp_path):
 def test_config_validation_errors(tmp_path, bad, message):
     with pytest.raises(ConfigError, match=message):
         cli.parse_config(write(tmp_path, "bad.cfg", bad))
+
+
+TL_SCAN = "model = tl\nmode = boundary_bisect\nR = 1.0\nRa = range(-1.4, -0.45, 3)\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (TL_SCAN + "bisect_tol = 0\n", "bisect_tol"),  # bisects forever
+    (TL_SCAN + "bisect_tol = -1e-3\n", "bisect_tol"),
+    (TL_SCAN + "bisect_tol = nan\n", "bisect_tol"),
+    (TL_SCAN + "bisect_tol = abc\n", "bisect_tol"),  # escaped as a traceback
+    ("model = tl\nmode = sweep\nRa = range(0, 1, -1)\n", "count"),  # escaped from numpy
+    ("model = tl\nmode = sweep\nRa = range(0, 1, 0)\n", "count"),  # an empty sweep
+])
+def test_config_rejects_values_that_hang_or_crash_a_run(tmp_path, capsys, bad, message):
+    path = write(tmp_path, "bad.cfg", bad)
+    with pytest.raises(ConfigError, match=message):
+        cli.parse_config(path)
+    assert cli.main(["run", path]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bisection_stops_at_adjacent_floats(tmp_path):
+    cfg = cli.parse_config(write(tmp_path, "tl.cfg", TL_SCAN + "bisect_tol = 1e-300\n"))
+    result = cli.run(cfg)
+    bisect = result.metadata["bisect"]
+    assert bisect["boundary"] == pytest.approx(-1.0, abs=1e-15)
+    assert len(bisect["history"]) < 64
 
 
 # --- runs ----------------------------------------------------------------------
@@ -256,3 +284,15 @@ def test_memory1d_invalid_points_become_error_rows(tmp_path):
 
 def test_selfcheck_passes():
     assert cli.main(["selfcheck"]) == 0
+
+
+def test_memory1d_row_with_an_overflowing_multiplier(tmp_path):
+    # exp(lambda * 2 pi) overflows from a ~ 113 on; the rows still carry the exponent
+    cfg_text = "model = memory1d\nmode = sweep\na = range(100, 130, 4)\nk = 3\ns = inf\n"
+    result = cli.run(cli.parse_config(write(tmp_path, "m.cfg", cfg_text)))
+    row = result.rows[2]
+    assert row.params[0] == 120.0
+    assert row.error_code is None
+    assert row.verdict == "Unstable"
+    want = model1d_asymptotic_exponent(Memory1DModel(120.0, 3.0, math.inf))
+    assert row.max_re_lambda == pytest.approx(want, abs=1e-9)

@@ -607,3 +607,69 @@ def test_canonicalize_merges_copies_split_across_strip_edge():
     spec = F.canonicalize_spectrum([upper, lower], omega0)
     assert len(spec.canonical_strip) == 1
     assert spec.canonical_strip[0].residual == 1e-12  # best copy kept
+
+
+# --- one class rule -----------------------------------------------------------------
+
+
+def constant_problem(a, n_harmonics, period=2 * math.pi):
+    a = np.asarray(a, dtype=float)
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant(a, 2 * math.pi / period),
+                                    n_harmonics=n_harmonics)
+    return F.FloquetProblem(jac, None, period, n_harmonics, len(a))
+
+
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_copies_split_across_the_strip_edge_are_polished_once(monkeypatch, n):
+    # exponents -0.1 +- i*omega0/2 are one class whose copies round to either strip edge
+    omega0 = 1.0
+    p = constant_problem([[-0.1, omega0 / 2], [-omega0 / 2, -0.1]], n)
+    seeds = []
+    refine = F.refine_eigenpair
+
+    def counted(problem, seed):
+        seeds.append(seed.exponent)
+        return refine(problem, seed)
+
+    monkeypatch.setattr(F, "refine_eigenpair", counted)
+    spec = F.floquet_spectrum(p)
+    assert len(seeds) == 1
+    assert len(spec.canonical_strip) == 1
+    lam = spec.exponents[0]
+    assert (lam.real, abs(lam.imag)) == pytest.approx((-0.1, omega0 / 2), abs=1e-12)
+    assert spec.diagnostics["n_certified"] == 2 * (2 * n + 1) - spec.diagnostics[
+        "n_edge_filtered"]
+
+
+def test_time_invariant_problem_keeps_exponents_a_strip_apart():
+    # with no harmonics nothing is folded: -0.2 +- 3i are two classes, not one at -0.2
+    p = constant_problem([[-0.2, 3.0], [-3.0, -0.2]], 0)
+    spec = F.floquet_spectrum(p)
+    assert len(spec.canonical_strip) == 2
+    assert sorted(spec.exponents, key=lambda z: z.imag) == [
+        pytest.approx(-0.2 - 3j, abs=1e-12), pytest.approx(-0.2 + 3j, abs=1e-12)]
+
+
+def test_overflowing_multiplier_reads_infinite():
+    # y' = 120 y: exp(120 * 2 pi) is beyond the float range
+    spec = F.floquet_spectrum(memoryless_problem(120.0, n_harmonics=2))
+    assert spec.stability == "Unstable"
+    assert spec.exponents[0] == pytest.approx(120.0, abs=1e-12)
+    assert math.isinf(abs(spec.multipliers[0]))
+    assert F.floquet_multiplier(-1000.0 + 0j, 2 * math.pi) == 0
+
+
+def test_contour_retry_moves_the_strip():
+    # the root copy at -4.301 + 0.601i sits 0.024 below the first rectangle's upper
+    # edge; the second attempt's edges at (3/8 +- 1/2) omega0 are far from every root
+    assert all((2 * s) % 1 != 0 for s in F.CONTOUR_SHIFTS)
+    k, support = 3.0, 2.0
+    u = np.linspace(0, support, 240)
+    mt = K.MemoryTransfer(K.FiniteSupportSampled(np.exp(-k * u)[None, :, None, None],
+                                                 support))
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[0.0]], 1.0),
+                                    n_harmonics=2)
+    spec = F.floquet_spectrum(F.FloquetProblem(jac, mt, 2 * math.pi, 2, 1))
+    contour = spec.diagnostics["contour"]
+    assert contour["nodes_per_side"] <= 64
+    assert contour["im"] == pytest.approx([-0.125, 0.875], abs=1e-12)
