@@ -41,7 +41,6 @@ from .hb import (
     HarmonicVector,
     MatrixHarmonics,
     TimeSamples,
-    ToeplitzMatrix,
     dft,
     differentiate,
     idft,

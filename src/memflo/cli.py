@@ -137,16 +137,27 @@ class SweepResult:
         return any(r.error_code for r in self.rows)
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integral number."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _linear_range(start, stop, count) -> LinearRange:
+    try:
+        return LinearRange(float(start), float(stop), _whole(count, "range count"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad range ({start!r}, {stop!r}, {count!r}): {exc}") from exc
+
+
 def _parse_value(text: str):
     text = text.strip()
     if text.startswith("range(") and text.endswith(")"):
         parts = [p.strip() for p in text[6:-1].split(",")]
         if len(parts) != 3:
             raise ConfigError(f"range needs (start, stop, count): {text!r}")
-        try:
-            return LinearRange(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError as exc:
-            raise ConfigError(f"bad range {text!r}") from exc
+        return _linear_range(*map(_parse_value, parts))
     if text.lower() in ("inf", "+inf", "infinity"):
         return math.inf
     try:
@@ -165,8 +176,7 @@ def parse_config(path: str) -> SweepConfig:
         data = json.loads(raw)
         for key, val in data.items():
             if isinstance(val, dict) and set(val) == {"range"}:
-                start, stop, count = val["range"]
-                entries[key] = LinearRange(float(start), float(stop), int(count))
+                entries[key] = _linear_range(*val["range"])
             elif isinstance(val, str):
                 entries[key] = _parse_value(val)
             else:
@@ -191,10 +201,10 @@ def _config_from_entries(entries: dict) -> SweepConfig:
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc}") from exc
     try:
-        n_harmonics = int(entries.pop("n_harmonics", 30))
+        n_harmonics = _whole(entries.pop("n_harmonics", 30), "n_harmonics")
         bisect_tol = float(entries.pop("bisect_tol", 1e-4))
     except (TypeError, ValueError) as exc:
-        raise ConfigError("n_harmonics and bisect_tol must be numbers") from exc
+        raise ConfigError(f"bad n_harmonics or bisect_tol: {exc}") from exc
     output_path = entries.pop("output", None)
     output_format = str(entries.pop("format", "csv"))
     return SweepConfig(model, mode, entries, n_harmonics=n_harmonics,
@@ -220,7 +230,7 @@ def _memory1d_row(params: dict, n_harmonics: int, mode: str, warm):
 def _tl_row(params: dict, n_harmonics: int, mode: str, warm):
     model = TlResonatorModel(float(params.get("R", 1.0)), float(params.get("Ra", 0.0)),
                              float(params.get("Z0", 1.0)), float(params.get("tau_f", 1.0)))
-    spec = tl_spectrum(model, n_roots=int(params.get("n_roots", 5)))
+    spec = tl_spectrum(model, n_roots=_whole(params.get("n_roots", 5), "n_roots"))
     extra = {"reflection_coefficient": spec.diagnostics["reflection_coefficient"]}
     return spec, None, extra, None
 

@@ -163,8 +163,7 @@ def _jacobian_complex(model: SystemModel, amps: np.ndarray, omega0: float,
     n = model.dim
     nh = (amps.shape[1] - 1) // 2
     a_mh = _sampled_band(model.rhs_jacobian, z_real, times, 2 * np.pi / omega0)
-    return stacked_diff_matrix(n, nh, omega0) \
-        - toeplitz_from_periodic(a_mh, n_harmonics=nh).matrix()
+    return stacked_diff_matrix(n, nh, omega0) - toeplitz_from_periodic(a_mh, n_harmonics=nh)
 
 
 def solve_cycle(model: SystemModel, initial_guess: LimitCycle,

@@ -26,7 +26,8 @@ class NoConvergence(MemfloError):
 
 class IncompleteSpectrum(MemfloError):
     """Exponents are missing: the contour root count disagrees with the exponents
-    accounted for, or an autonomous cycle's spectrum lacks its trivial class."""
+    accounted for or encloses none, or an autonomous cycle's spectrum lacks its
+    trivial class."""
 
 
 class SingularJacobian(MemfloError):

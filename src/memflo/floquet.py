@@ -35,7 +35,7 @@ import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundViolation, IncompleteSpectrum, NoConvergence
-from .hb import HarmonicVector, ToeplitzMatrix, stacked_diff_matrix
+from .hb import HarmonicVector, stacked_diff_matrix
 from .kernels import (
     ExponentialDecay,
     FiniteSupportSampled,
@@ -89,12 +89,15 @@ RANK_TOL = 1e-8             # relative singular value that still counts in the H
 class FloquetProblem:
     """Assembled ingredients of the harmonic eigenproblem.
 
-    ``memory_rate`` is the decay rate of exponential memory that the state
-    already carries (the Jacobian holds its states); it bounds the
-    admissible exponents like the critical exponent of ``transfer`` does.
+    ``jacobian`` is the dense (size, size) matrix A of multiplication by the
+    periodic Jacobian on the component-major layout, as
+    :func:`~memflo.hb.toeplitz_from_periodic` builds it.  ``memory_rate`` is
+    the decay rate of exponential memory that the state already carries (the
+    Jacobian holds its states); it bounds the admissible exponents like the
+    critical exponent of ``transfer`` does.
     """
 
-    jacobian: ToeplitzMatrix
+    jacobian: np.ndarray
     transfer: MemoryTransfer | None
     period: float
     n_harmonics: int
@@ -102,7 +105,7 @@ class FloquetProblem:
     memory_rate: float = math.inf
 
     def __post_init__(self):
-        if self.jacobian.dim != self.dim or self.jacobian.n_harmonics != self.n_harmonics:
+        if self.jacobian.shape != (self.size, self.size):
             raise ValueError("jacobian layout does not match the problem")
         if self.transfer is not None and self.transfer.dim != self.dim:
             raise ValueError("kernel dimension does not match the problem")
@@ -134,8 +137,7 @@ class FloquetProblem:
     @cached_property
     def linear_operator(self) -> np.ndarray:
         """A - D: the lambda-independent part of -R(lambda), built once, read-only."""
-        out = self.jacobian.matrix() - stacked_diff_matrix(self.dim, self.n_harmonics,
-                                                           self.omega0)
+        out = self.jacobian - stacked_diff_matrix(self.dim, self.n_harmonics, self.omega0)
         out.flags.writeable = False
         return out
 
@@ -265,11 +267,10 @@ def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair,
 
 
 def _scalar_constant_coefficient(p: FloquetProblem) -> complex:
-    block = p.jacobian.blocks[0, 0]
-    band = block[0, :]
-    if block.shape[0] > 1 and np.max(np.abs(band[1:])) > 1e-12 * (1 + abs(band[0])):
+    row = p.jacobian[0]
+    if len(row) > 1 and np.max(np.abs(row[1:])) > 1e-12 * (1 + abs(row[0])):
         raise ValueError("scalar root hunting expects a constant coefficient")
-    return complex(block[0, 0])
+    return complex(row[0])
 
 
 def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
@@ -666,7 +667,8 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     contour root count must equal the certified plus the filtered
     candidates; otherwise the rectangle moves to the next of
     ``CONTOUR_SHIFTS`` with twice the nodes, at most ``CONTOUR_DOUBLINGS``
-    times, before :class:`~memflo.errors.IncompleteSpectrum`.
+    times, before :class:`~memflo.errors.IncompleteSpectrum`; a matched
+    count with no certified class raises it at once.
     ``autonomous`` marks the time-translation class as trivial, and a
     spectrum without one raises :class:`~memflo.errors.IncompleteSpectrum`.
     Diagnostics name the ``route`` and count every discarded candidate
@@ -693,6 +695,8 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         spec = _polished_spectrum(p, cands, diag, autonomous)
         d = spec.diagnostics
         if n_enclosed == d["n_certified"] + d["n_bound_filtered"] + d["n_edge_filtered"]:
+            if not d["n_certified"]:  # every exponent lies left of the rectangle
+                raise IncompleteSpectrum(f"no exponent right of Re = {rect[0]:.6g}")
             return spec
     raise IncompleteSpectrum(f"contour count {count:.6g} unmatched at {nodes} nodes per side")
 

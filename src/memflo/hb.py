@@ -10,8 +10,9 @@ The forward transform is one explicit dense basis per (band, grid size),
 built once and shared by every module that gathers coefficients from
 samples; FFT acceleration is deliberately out of scope at these sizes.  The
 inverse is plain evaluation of the series on the grid.  Multiplication by a
-periodic matrix becomes a block Toeplitz operator on the amplitudes; products
-are formed from Fourier coefficients gathered on the oversampled grid
+periodic matrix becomes a plain dense matrix on the flat layout, block
+Toeplitz in the harmonics (:func:`toeplitz_from_periodic`); products are
+formed from Fourier coefficients gathered on the oversampled grid
 ``sample_times(2N, T)`` so that quadratic nonlinearities stay alias-free in
 the retained band.
 """
@@ -26,7 +27,6 @@ import numpy as np
 __all__ = [
     "HarmonicVector",
     "TimeSamples",
-    "ToeplitzMatrix",
     "MatrixHarmonics",
     "dft",
     "idft",
@@ -230,84 +230,32 @@ class MatrixHarmonics:
         return (self.coeffs * np.exp(1j * self.omega0 * h * t)).sum(axis=2)
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
-    """Block representation of multiplication by a periodic matrix.
+def toeplitz_from_periodic(mh: MatrixHarmonics, n_harmonics: int | None = None) -> np.ndarray:
+    """Dense operator of multiplication by a periodic matrix signal.
 
-    ``blocks[r, c]`` is the (2N+1)x(2N+1) Toeplitz matrix whose (j, l) entry
-    is the (j-l)-th Fourier coefficient of matrix element (r, c); coefficients
-    beyond the supplied band are zero.
+    On the component-major layout, entry (r*(2n+1) + j, c*(2n+1) + l) is the
+    (j-l)-th Fourier coefficient of matrix element (r, c); coefficients beyond
+    the band of ``mh`` are zero.  ``n_harmonics`` = n sets the operand
+    truncation; by default it matches the coefficient band.  Supplying a wider
+    coefficient band than the operand truncation keeps products exact for
+    polynomial nonlinearities.  The returned array is read-only.
     """
-
-    dim: int
-    n_harmonics: int
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=complex)
-        m = 2 * self.n_harmonics + 1
-        if b.shape != (self.dim, self.dim, m, m):
-            raise ValueError("blocks must have shape (dim, dim, 2N+1, 2N+1)")
-        object.__setattr__(self, "blocks", _readonly(b))
-
-    def matrix(self) -> np.ndarray:
-        """Full dense operator in the component-major flat layout."""
-        m = 2 * self.n_harmonics + 1
-        return self.blocks.transpose(0, 2, 1, 3).reshape(self.dim * m, self.dim * m)
-
-    def apply(self, a: HarmonicVector) -> HarmonicVector:
-        if a.dim != self.dim or a.n_harmonics != self.n_harmonics:
-            raise ValueError("operand layout does not match the Toeplitz operator")
-        out = self.matrix() @ a.flat
-        return HarmonicVector.from_flat(out, self.dim, self.n_harmonics, a.omega0)
-
-
-def _as_matrix_harmonics(elements) -> MatrixHarmonics:
-    if isinstance(elements, MatrixHarmonics):
-        return elements
-    rows = list(elements)
-    n_rows = len(rows)
-    n_cols = len(rows[0])
-    first = rows[0][0]
-    n = first.n_harmonics
-    omega0 = first.omega0
-    coeffs = np.empty((n_rows, n_cols, 2 * n + 1), dtype=complex)
-    for r, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise ValueError("ragged element table")
-        for c, hv in enumerate(row):
-            if hv.n_harmonics != n:
-                raise ValueError("inconsistent n_harmonics across matrix elements")
-            if hv.dim != 1:
-                raise ValueError("matrix elements must be scalar signals")
-            coeffs[r, c] = hv.amplitudes[0]
-    return MatrixHarmonics(n_rows, n_cols, n, coeffs, omega0)
-
-
-def toeplitz_from_periodic(elements, n_harmonics: int | None = None) -> ToeplitzMatrix:
-    """Build the block Toeplitz operator of a periodic matrix signal.
-
-    ``elements`` is a :class:`MatrixHarmonics` or a nested sequence of scalar
-    :class:`HarmonicVector` per matrix entry (all with the same truncation).
-    ``n_harmonics`` sets the operand truncation; by default it matches the
-    coefficient band.  Supplying a wider coefficient band than the operand
-    truncation keeps products exact for polynomial nonlinearities.
-    """
-    mh = _as_matrix_harmonics(elements)
     if mh.rows != mh.cols:
         raise ValueError("Toeplitz assembly needs a square matrix signal")
     n_out = mh.n_harmonics if n_harmonics is None else n_harmonics
     m = 2 * n_out + 1
     # padded lookup over coefficient differences j-l in [-(m-1), m-1]
     table = np.zeros((mh.rows, mh.cols, 2 * m - 1), dtype=complex)
-    lo = max(-(m - 1), -mh.n_harmonics)
-    hi = min(m - 1, mh.n_harmonics)
-    for d in range(lo, hi + 1):
-        table[:, :, d + m - 1] = mh.coeffs[:, :, d + mh.n_harmonics]
+    band = min(m - 1, mh.n_harmonics)
+    table[:, :, m - 1 - band:m + band] = \
+        mh.coeffs[:, :, mh.n_harmonics - band:mh.n_harmonics + band + 1]
     j = np.arange(m)
-    diff = j[:, None] - j[None, :] + m - 1
-    blocks = table[:, :, diff]
-    return ToeplitzMatrix(mh.rows, n_out, blocks)
+    rows = np.arange(mh.rows)[:, None, None, None]
+    cols = np.arange(mh.cols)[None, None, :, None]
+    diff = (j[:, None] - j[None, :] + m - 1)[None, :, None, :]
+    out = table[rows, cols, diff].reshape(mh.rows * m, mh.cols * m)  # (r, j, c, l) order
+    out.setflags(write=False)
+    return out
 
 
 def stacked_diff_matrix(dim: int, n_harmonics: int, omega0: float) -> np.ndarray:

@@ -88,10 +88,9 @@ def model1d_problem(m: Memory1DModel, n_harmonics: int = 0,
     return FloquetProblem(jac, transfer, period, n_harmonics, 1)
 
 
-def model1d_exponent(m: Memory1DModel, n_harmonics: int = 0,
-                     period: float = 2 * math.pi) -> FloquetSpectrum:
+def model1d_exponent(m: Memory1DModel) -> FloquetSpectrum:
     """Exponent classes of the scalar memory model via direct root hunting."""
-    return solve_scalar(model1d_problem(m, n_harmonics, period))
+    return solve_scalar(model1d_problem(m))
 
 
 def model1d_asymptotic_exponent(m: Memory1DModel) -> float:
@@ -124,7 +123,7 @@ class BrownianParticleModel:
 
     The friction coefficient gamma(v) = -alpha + beta*|v|^2 + g/k acts through
     an exponential retardation of rate k (the inverse correlation time);
-    letting k -> inf recovers the instantaneous (memoryless) friction.
+    k = inf is the instantaneous (memoryless) friction, where g/k = 0.
     """
 
     alpha: float
@@ -142,14 +141,11 @@ class BrownianParticleModel:
     def friction(self, v: np.ndarray) -> float:
         return -self.alpha + self.beta * float(v @ v) + self.g / self.k
 
-    def friction_memoryless(self, v: np.ndarray) -> float:
-        return -self.alpha + self.beta * float(v @ v)
 
-
-def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> SystemModel:
+def particle_system(m: BrownianParticleModel) -> SystemModel:
     """State-space form of the particle equations.
 
-    Memoryless: z = (x, v), 4 states.  With memory the integral
+    Memoryless (k = inf): z = (x, v), 4 states.  With memory the integral
     s(t) = integral exp(-k (t - tau)) gamma(v) v dtau joins the state,
     z = (x, v, s) with 6 states, dv/dt = -omega^2 x - k s and
     ds/dt = -k s + gamma(v) v; its rate k bounds the admissible exponents.
@@ -160,15 +156,15 @@ def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> Syste
     w2 = np.array([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
     period_hint = 2 * math.pi / m.omega_bar[0]
 
-    if memoryless:
+    if math.isinf(m.k):
         def rhs(z, t):
             x, v = z[:2], z[2:]
-            gam = m.friction_memoryless(v)
+            gam = m.friction(v)
             return np.concatenate([v, -gam * v - w2 * x])
 
         def jac(z, t):
             v = z[2:]
-            gam = m.friction_memoryless(v)
+            gam = m.friction(v)
             out = np.zeros((4, 4))
             out[0, 2] = out[1, 3] = 1.0
             out[2:, :2] = -np.diag(w2)
@@ -200,8 +196,7 @@ def particle_system(m: BrownianParticleModel, memoryless: bool = False) -> Syste
                        memory_rate=k)
 
 
-def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
-                         memoryless: bool = False) -> LimitCycle | None:
+def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int) -> LimitCycle | None:
     """Rotating-orbit seed; exact when the well is isotropic.
 
     On a circular orbit the speed is constant, so the friction coefficient
@@ -209,14 +204,13 @@ def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
     at the well frequency regardless of the retardation; the memory states
     are zero on it.
     """
-    shift = 0.0 if memoryless else m.g / m.k
-    r2 = (m.alpha - shift) / m.beta if m.beta != 0 else -1.0
+    r2 = (m.alpha - m.g / m.k) / m.beta if m.beta != 0 else -1.0
     if r2 <= 0:
         return None
     omega = m.omega_bar[0]
     radius = math.sqrt(r2) / omega
     nh = n_harmonics
-    dim = 4 if memoryless else 6
+    dim = 4 if math.isinf(m.k) else 6
     amps = np.zeros((dim, 2 * nh + 1), dtype=complex)
     amps[0, nh + 1] = radius / 2
     amps[0, nh - 1] = radius / 2
@@ -262,13 +256,12 @@ def _rest_spectrum(system: SystemModel, omega0: float) -> FloquetSpectrum:
 
 
 def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
-    """Exponents of the resting state at the origin, with friction memory."""
+    """Exponents of the resting state at the origin."""
     return _rest_spectrum(particle_system(m), m.omega_bar[0])
 
 
 def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
-                      seed: LimitCycle | None = None,
-                      memoryless: bool = False) -> tuple[LimitCycle, FloquetSpectrum]:
+                      seed: LimitCycle | None = None) -> tuple[LimitCycle, FloquetSpectrum]:
     """Limit cycle and its exponent classes for the particle model.
 
     Tries the analytic rotating seed first, then a coarse time-integration
@@ -276,11 +269,11 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     degenerate zero cycle is returned with the equilibrium spectrum;
     otherwise :class:`NoCycle` is raised (non-periodic attractor regime).
     """
-    system = particle_system(m, memoryless)
+    system = particle_system(m)
     seeds = []
     if seed is not None:
         seeds.append(seed)
-    guess = circular_cycle_guess(m, n_harmonics, memoryless)
+    guess = circular_cycle_guess(m, n_harmonics)
     if guess is not None:
         seeds.append(guess)
 
@@ -306,8 +299,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
             cycle = None
 
     if cycle is None:
-        eq = _rest_spectrum(system, m.omega_bar[0]) if memoryless \
-            else particle_equilibrium_spectrum(m)
+        eq = particle_equilibrium_spectrum(m)
         if eq.stability != "Unstable":
             zero = LimitCycle(2 * math.pi / m.omega_bar[0],
                               HarmonicVector(system.dim, n_harmonics,

@@ -83,6 +83,8 @@ def test_particle_mass_is_not_a_parameter(tmp_path):
      "s = range(0,1,2)\n", "one or two ranged"),
     ("model = tl\nmode = spectrum\nbogus = 1\n", "not valid"),
     ("model = memory1d\nmode = convergence\na = 0\nk = 3\ns = 2.0\n", "ranged s"),
+    ("model = tl\nmode = spectrum\nn_harmonics = 2.5\n", "n_harmonics"),  # ran at N = 2
+    ('{"model": "tl", "mode": "sweep", "Ra": {"range": [0, 1, 2.5]}}', "count"),
 ])
 def test_config_validation_errors(tmp_path, bad, message):
     with pytest.raises(ConfigError, match=message):
@@ -163,6 +165,22 @@ def test_matched_line_row_is_error_coded(tmp_path):
     assert codes[1] == "matched_line"  # Ra = 0 is the matched termination
     assert codes[0] is None and codes[2] is None
     assert result.failed
+
+
+def test_non_integral_n_roots_is_an_error_row(tmp_path):
+    cfg_text = "model = tl\nmode = spectrum\nR = 1.0\nRa = -0.5\nn_roots = 2.5\n"
+    row = cli.run(cli.parse_config(write(tmp_path, "tl.cfg", cfg_text))).rows[0]
+    assert row.error_code == "valueerror" and row.n_classes is None
+
+
+def test_particle_instantaneous_friction_row(tmp_path):
+    # k = inf is the 4-state memoryless particle; g/k = 0 drops out of the friction
+    cfg_text = ("model = particle\nmode = spectrum\nalpha = 1.0\nbeta = 1.0\n"
+                "g = 0.1\nk = inf\nn_harmonics = 8\n")
+    row = cli.run(cli.parse_config(write(tmp_path, "p.cfg", cfg_text))).rows[0]
+    assert row.error_code is None
+    assert row.verdict == "Stable" and row.n_classes == 4
+    assert row.max_re_lambda == pytest.approx(-0.466823165069082, rel=1e-12)
 
 
 def test_particle_spectrum_mode(tmp_path):

@@ -116,10 +116,11 @@ def test_solve_cycle_linear_forced_converges_fast():
 
 def test_solve_cycle_memoryless_particle_matches_time_integration():
     m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.0, k=1e6, omega_bar=(2.0, 2.0))
-    cyc, _ = particle_spectrum(m, n_harmonics=16, memoryless=True)
+    m = dataclasses.replace(m, k=math.inf)
+    cyc, _ = particle_spectrum(m, n_harmonics=16)
     radius, period = circular_orbit(1.0, 1.0, 0.0, math.inf, 2.0)
 
-    system = particle_system(m, memoryless=True)
+    system = particle_system(m)
     times, traj = rk4_trajectory(lambda z, t: system.rhs(z, t),
                                  np.array([0.3, 0.0, 0.0, 0.7]), 200.0, 40000)
     period_oracle, amp_oracle = orbit_period_amplitude(times, traj, component=0)
@@ -206,7 +207,7 @@ def test_linearize_constant_jacobian():
     cyc = zero_guess(2, 3, 2 * math.pi)
     prob = C.linearize(model, cyc)
     want = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(7))
-    assert np.max(np.abs(prob.jacobian.matrix() - want)) < 1e-12
+    assert np.max(np.abs(prob.jacobian - want)) < 1e-12
     assert prob.transfer is None
 
 
@@ -219,7 +220,7 @@ def test_linearize_zero_cycle_memory_kernel_is_plain():
                           autonomous=False, period_hint=2 * math.pi, memory_rate=2.0)
     prob = C.linearize(model, zero_guess(4, 2, 2 * math.pi))
     assert prob.transfer is None
-    assert np.max(np.abs(prob.jacobian.matrix() - np.kron(jac, np.eye(5)))) < 1e-14
+    assert np.max(np.abs(prob.jacobian - np.kron(jac, np.eye(5)))) < 1e-14
     assert prob.critical_exponent == 2.0
 
 
@@ -229,7 +230,8 @@ def test_linearize_particle_effective_friction_blocks():
     system = particle_system(m)
     prob = C.linearize(system, cyc)
     assert prob.transfer is None and prob.critical_exponent == m.k
-    blocks = prob.jacobian.blocks  # (row state, column state, harmonic, harmonic)
+    # (row state, column state, harmonic, harmonic)
+    blocks = prob.jacobian.reshape(6, 25, 6, 25).transpose(0, 2, 1, 3)
     # the memory rows see no position; the memory decays at the constant rate
     # k and feeds the velocity with the constant weight -k
     assert np.max(np.abs(blocks[4:, :2])) < 1e-14
@@ -246,12 +248,14 @@ def test_linearize_particle_effective_friction_blocks():
         assert np.max(np.abs(got - gamma_h.coefficient(h))) < 1e-10
 
 
-@pytest.mark.parametrize("memoryless", [False, True])
-def test_particle_system_jacobian_passes_validation(memoryless):
+@pytest.mark.parametrize("instantaneous", [False, True])
+def test_particle_system_jacobian_passes_validation(instantaneous):
     m = BrownianParticleModel(alpha=0.7, beta=1.3, g=0.2, k=1.5, omega_bar=(2.0, 1.7))
-    system = particle_system(m, memoryless=memoryless)
-    assert system.dim == (4 if memoryless else 6)
-    assert system.memory_rate == (math.inf if memoryless else m.k)
+    if instantaneous:
+        m = dataclasses.replace(m, k=math.inf)
+    system = particle_system(m)
+    assert system.dim == (4 if instantaneous else 6)
+    assert system.memory_rate == (math.inf if instantaneous else m.k)
     dataclasses.replace(system, validate=True)  # raises on a finite-difference mismatch
 
 

@@ -532,6 +532,12 @@ def test_contour_route_counts_a_repeated_exponent_with_its_multiplicity():
     assert np.allclose(double.exponents, single.exponents, atol=1e-9)
 
 
+def test_contour_route_that_encloses_no_exponent_is_incomplete():
+    # y' = -10y + 1e-6 y(t-1): the root near -9.98 lies left of the edge at Re = -5
+    with pytest.raises(IncompleteSpectrum, match="no exponent"):
+        F.floquet_spectrum(delay_problem(2, 2 * math.pi, a=-10.0, b=1e-6))
+
+
 def test_contour_route_raises_on_a_lost_candidate(monkeypatch):
     # a candidate whose polish fails leaves the count unmatched at every node count
     p = delay_problem(8, 2.0)

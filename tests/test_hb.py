@@ -125,7 +125,7 @@ def test_diff_operator_matrix_is_diagonal():
 def test_toeplitz_constant_multiplier():
     mh = hb.MatrixHarmonics.constant([[2.5]], omega0=1.0)
     top = hb.toeplitz_from_periodic(mh, n_harmonics=3)
-    assert np.max(np.abs(top.matrix() - 2.5 * np.eye(7))) == 0.0
+    assert np.max(np.abs(top - 2.5 * np.eye(7))) == 0.0
 
 
 def test_toeplitz_cosine_times_cosine():
@@ -138,11 +138,11 @@ def test_toeplitz_cosine_times_cosine():
     amps = np.zeros((1, 2 * n + 1), dtype=complex)
     amps[0, n + 1] = amps[0, n - 1] = 0.5
     a = hb.HarmonicVector(1, n, amps, omega0=1.0)
-    out = top.apply(a)
-    assert out.amplitude(0, 0) == pytest.approx(0.5, abs=1e-14)
-    assert out.amplitude(0, 2) == pytest.approx(0.25, abs=1e-14)
-    assert out.amplitude(0, -2) == pytest.approx(0.25, abs=1e-14)
-    assert abs(out.amplitude(0, 1)) < 1e-14
+    out = top @ a.flat
+    assert out[n] == pytest.approx(0.5, abs=1e-14)
+    assert out[n + 2] == pytest.approx(0.25, abs=1e-14)
+    assert out[n - 2] == pytest.approx(0.25, abs=1e-14)
+    assert abs(out[n + 1]) < 1e-14
 
 
 def _oversampled_product_oracle(mh, a):
@@ -168,27 +168,24 @@ def test_toeplitz_random_matrix_against_oversampling_oracle():
     amps = np.concatenate([half[:, ::-1].conj(),
                            rng.normal(size=(2, 1)).astype(complex), half], axis=1)
     a = hb.HarmonicVector(2, n, amps, omega0=2 * np.pi / period)
-    out = hb.toeplitz_from_periodic(mh).apply(a)
+    out = hb.toeplitz_from_periodic(mh) @ a.flat
     oracle = _oversampled_product_oracle(mh, a)
-    assert np.max(np.abs(out.amplitudes - oracle)) < 1e-10
+    assert np.max(np.abs(out.reshape(2, -1) - oracle)) < 1e-10
 
 
-def test_toeplitz_rejects_inconsistent_truncations():
-    e11 = hb.HarmonicVector(1, 2, np.zeros((1, 5)), omega0=1.0)
-    e_bad = hb.HarmonicVector(1, 3, np.zeros((1, 7)), omega0=1.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        hb.toeplitz_from_periodic([[e11, e11], [e11, e_bad]])
-
-
-def test_toeplitz_from_element_table_matches_matrix_harmonics():
+@pytest.mark.parametrize("band, n_out", [(2, 2), (4, 1), (1, 3)])
+def test_toeplitz_is_the_read_only_component_major_matrix(band, n_out):
+    # entry (r, j; c, l) is coefficient j - l of element (r, c), zero out of band
     rng = np.random.default_rng(9)
-    n = 2
-    coeffs = rng.normal(size=(2, 2, 5)) + 1j * rng.normal(size=(2, 2, 5))
-    mh = hb.MatrixHarmonics(2, 2, n, coeffs, omega0=1.0)
-    table = [[hb.HarmonicVector(1, n, coeffs[r, c][None, :], omega0=1.0) for c in range(2)]
-             for r in range(2)]
-    assert np.array_equal(hb.toeplitz_from_periodic(table).matrix(),
-                          hb.toeplitz_from_periodic(mh).matrix())
+    m = 2 * n_out + 1
+    coeffs = rng.normal(size=(2, 2, 2 * band + 1)) + 1j * rng.normal(size=(2, 2, 2 * band + 1))
+    mh = hb.MatrixHarmonics(2, 2, band, coeffs, omega0=1.0)
+    top = hb.toeplitz_from_periodic(mh, n_harmonics=n_out)
+    want = np.zeros((2 * m, 2 * m), dtype=complex)
+    for r, c, j, l in np.ndindex(2, 2, m, m):
+        want[r * m + j, c * m + l] = mh.coefficient(j - l)[r, c]
+    assert np.array_equal(top, want)
+    assert not top.flags.writeable
 
 
 # --- structural invariants ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Case-study tests against analytic oracles and closed forms."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -95,8 +96,9 @@ def test_particle_cycle_is_exact_circle_at_unit_ratio():
 def test_particle_near_memoryless_matches_monodromy():
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.0, k=1e6, omega_bar=(2.0, 2.0))
     cyc, spec = M.particle_spectrum(m, n_harmonics=16)
-    system = M.particle_system(m, memoryless=True)
-    cyc_ml, _ = M.particle_spectrum(m, n_harmonics=16, memoryless=True)
+    memoryless = dataclasses.replace(m, k=math.inf)
+    system = M.particle_system(memoryless)
+    cyc_ml, _ = M.particle_spectrum(memoryless, n_harmonics=16)
 
     def a_of_t(t):
         z = cyc_ml.harmonics.evaluate(t).real[:, 0]
@@ -180,7 +182,7 @@ def test_particle_equilibrium_regime_returns_zero_cycle():
 def test_memoryless_rest_state_counts_each_double_exponent_once():
     # isotropic well: -0.25 +- 1.9843i are double eigenvalues of the rest state
     m = M.BrownianParticleModel(alpha=-0.5, beta=1.0, g=0.0, k=1.0, omega_bar=(2.0, 2.0))
-    cyc, spec = M.particle_spectrum(m, n_harmonics=8, memoryless=True)
+    cyc, spec = M.particle_spectrum(dataclasses.replace(m, k=math.inf), n_harmonics=8)
     assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
     classes = spec.canonical_strip
     assert len(classes) == 2
@@ -257,8 +259,8 @@ def test_particle_hill_matrix_schur_complement_is_minus_residual():
     size = 4 * mm  # position and velocity
     assert h.shape == (size + 2 * mm, size + 2 * mm)
     gamma = hb.toeplitz_from_periodic(M.particle_effective_friction(m, cyc),
-                                      n_harmonics=prob.n_harmonics).matrix()
-    a_zz = prob.jacobian.matrix()[:size, :size]
+                                      n_harmonics=prob.n_harmonics)
+    a_zz = prob.jacobian[:size, :size]
     d = hb.stacked_diff_matrix(4, prob.n_harmonics, prob.omega0)
     rng = np.random.default_rng(1)
     for lam in (0.2 + 0.4j, -0.3 - 0.9j):
@@ -377,6 +379,6 @@ def test_collapsed_cycle_does_not_warn_about_resolution():
     m = M.BrownianParticleModel(alpha=-0.5, beta=1.0, g=0.0, k=1.0, omega_bar=(2.0, 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", SpectralResolutionWarning)
-        cyc, spec = M.particle_spectrum(m, memoryless=True)
+        cyc, spec = M.particle_spectrum(dataclasses.replace(m, k=math.inf))
     assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
     assert spec.stability == "Stable"
