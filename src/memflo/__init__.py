@@ -20,7 +20,6 @@ from .errors import (
     MemfloError,
     NoConvergence,
     NoCycle,
-    QuadratureError,
     SingularJacobian,
     SpectralResolutionWarning,
 )

@@ -6,11 +6,7 @@ class MemfloError(Exception):
 
 
 class BoundViolation(MemfloError):
-    """Memory transfer evaluated at or below its exponential-decay abscissa."""
-
-
-class QuadratureError(MemfloError):
-    """Adaptive quadrature of a sampled kernel did not converge."""
+    """Memory transfer evaluated where the transfer is not finite, as below its decay abscissa."""
 
 
 class NoConvergence(MemfloError):

@@ -462,8 +462,8 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     return PepResult(pairs, n_inf)
 
 
-def _contour_rectangle(p: FloquetProblem, shift: float) -> tuple[float, float, float, float]:
-    """(Re lo, Re hi, Im lo, Im hi): one strip tall, its edges at Im = (+-1/2 + shift) omega0.
+def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
+    """(Re lo, Re hi) of every contour rectangle, whichever strip it spans.
 
     R is nonsingular right of mu_2(A) + integral ||K|| (mu_2 the top eigenvalue
     of the Hermitian part of the Jacobian, as ||Q|| <= integral ||K|| for
@@ -476,8 +476,7 @@ def _contour_rectangle(p: FloquetProblem, shift: float) -> tuple[float, float, f
     hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
     kc = p.critical_exponent
     lo = -kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH
-    mid = shift * p.omega0
-    return lo, hi, mid - p.omega0 / 2, mid + p.omega0 / 2
+    return lo, hi
 
 
 def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, float],
@@ -681,9 +680,11 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         diag = {"route": "hill", "n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite}
         cands = [(lam, vec[:p.size]) for lam, vec, _ in pep.eigenpairs]
         return _polished_spectrum(p, cands, diag, autonomous)
+    re_lo, re_hi = _contour_real_extent(p)
     for doubling in range(CONTOUR_DOUBLINGS + 1):
         nodes = CONTOUR_NODES << doubling
-        rect = _contour_rectangle(p, CONTOUR_SHIFTS[doubling])
+        mid = CONTOUR_SHIFTS[doubling] * p.omega0
+        rect = (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2)
         count, lams = contour_eigenvalues(p, rect, nodes)
         n_enclosed = round(count.real)
         if abs(count - n_enclosed) >= COUNT_TOL:

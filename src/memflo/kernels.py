@@ -26,10 +26,10 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
-from .errors import BoundViolation, QuadratureError
+from .errors import BoundViolation
 
 __all__ = [
     "ExponentialDecay",
@@ -94,8 +94,8 @@ class FiniteSupportSampled:
 
     ``values`` has shape (n_t, n_u, n, n): n_t samples of t over one period
     (n_t = 1 means time-invariant) and n_u uniform samples of u = t - tau over
-    [0, support].  Transfers are evaluated by adaptive Gauss-Legendre
-    quadrature of a cubic-spline interpolant.
+    [0, support].  Transfers are the exact Laplace transforms of the
+    cubic-spline interpolant in u.
     """
 
     values: np.ndarray
@@ -212,43 +212,44 @@ def _window_factor_dc(c: complex, sbar: float | None) -> complex:
     return (sbar * e * c - (1.0 - e)) / (c * c)
 
 
-# --- adaptive quadrature for sampled kernels -------------------------------
-
-_GL_NODES, _GL_WEIGHTS = leggauss(10)
+# --- exact transfers of sampled kernels --------------------------------------
 
 
-def _gl_integral(spline, upper: float, zeta: complex, power: int, panels: int) -> np.ndarray:
-    edges = np.linspace(0.0, upper, panels + 1)
-    total = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        u = mid + half * _GL_NODES
-        vals = spline(u)  # (len(u), n, n)
-        w = _GL_WEIGHTS * half * (u**power if power else 1.0) * np.exp(-zeta * u)
-        contrib = np.tensordot(w, vals, axes=(0, 0))
-        total = contrib if total is None else total + contrib
+def _spline_transfer(spline: CubicSpline, truncation: float | None, zeta: complex,
+                     power: int) -> np.ndarray:
+    """integral_0^U (-u)^power s(u) e^{-zeta u} du, exact for the cubic spline s.
+
+    U is the support, cut to the window.  On the knot panel [x_i, x_i + h] the
+    polynomial part is sum_q a_qi (u - x_i)^q, so the panel adds e^{-zeta x_i}
+    sum_q a_qi I_q(h), with I_q(h) = integral_0^h t^q e^{-zeta t} dt =
+    h^{q+1} q! e^{-zeta h} phi_{q+1}(zeta h).  expm of [[z, 1, 0, ...],
+    [0, 0, 1, ...], ...], z = zeta h, has the first row (e^z, phi_1(z), ...)
+    (Sidje, Expokit, ACM TOMS 1998); shifted by -z I it holds e^{-z} phi_q(z),
+    which a decaying panel cannot overflow.  The knots are uniform, so all full
+    panels share one h; a window ending inside a panel adds it cut short.
+    Raises :class:`~memflo.errors.BoundViolation` where the transfer is not finite.
+    """
+    x, a = spline.x, spline.c[::-1]  # a[q, i] multiplies (u - x_i)^q
+    if power:  # -u = -x_i - (u - x_i) raises the degree by one
+        zero = np.zeros_like(a[:1])
+        a = -np.concatenate([a * x[:-1, None, None], zero]) - np.concatenate([zero, a])
+    n = len(a)
+
+    def moments(h: float) -> np.ndarray:  # I_q(h), q < n
+        aug = np.diag(np.ones(n, dtype=complex), 1) - zeta * h * np.eye(n + 1)
+        aug[0, 0] = 0.0
+        return [h ** (q + 1) * math.factorial(q) for q in range(n)] * expm(aug)[0, 1:]
+
+    upper = x[-1] if truncation is None else min(truncation, x[-1])
+    n_full = int(np.searchsorted(x, upper, side="right")) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = np.exp(-zeta * x[:n_full + 1])
+        total = np.tensordot(shift[:n_full] * moments(x[1] - x[0])[:, None], a[:, :n_full], axes=2)
+        if upper > x[n_full]:
+            total += shift[n_full] * np.tensordot(moments(upper - x[n_full]), a[:, n_full], 1)
+    if not np.all(np.isfinite(total)):
+        raise BoundViolation(f"sampled-kernel transfer is not finite at zeta = {zeta:.6g}")
     return total
-
-
-def _adaptive_quadrature(spline, upper: float, zeta: complex, power: int = 0) -> np.ndarray:
-    if upper <= 0:
-        probe = spline(0.0)
-        return np.zeros_like(np.asarray(probe, dtype=complex))
-    prev = _gl_integral(spline, upper, zeta, power, 1)
-    panels = 2
-    while panels <= 1024:
-        cur = _gl_integral(spline, upper, zeta, power, panels)
-        if np.max(np.abs(cur - prev)) <= 1e-10 * max(1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
-        panels *= 2
-    raise QuadratureError("sampled-kernel quadrature did not stabilize to 1e-10")
-
-
-def _sampled_upper(kernel: FiniteSupportSampled, truncation: float | None) -> float:
-    if truncation is None:
-        return kernel.support
-    return min(kernel.support, truncation)
 
 
 # --- transfer evaluation ----------------------------------------------------
@@ -282,8 +283,7 @@ def _transfer(mt: MemoryTransfer, lam: complex, omega_j: float, power: int) -> n
             return np.zeros_like(k.weight, dtype=complex)
         return (-k.delay) ** power * k.weight * _bounded_exp(-zeta * k.delay)
     if isinstance(k, FiniteSupportSampled):
-        upper = _sampled_upper(k, mt.truncation)
-        return (-1) ** power * _adaptive_quadrature(k.splines[0], upper, zeta, power=power)
+        return _spline_transfer(k.splines[0], mt.truncation, zeta, power)
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
@@ -315,14 +315,9 @@ def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
             return float(np.linalg.norm(k.weight, 2))
         return 0.0
     if isinstance(k, FiniteSupportSampled):
-        lo, hi = s_bar, min(s, k.support)
-        if lo >= hi:
-            return 0.0
+        hi = min(s, k.support)
         norms = np.linalg.norm(k.values, ord=2, axis=(2, 3)).max(axis=0)
-        spline = CubicSpline(k.u_grid, norms[:, None, None])
-        full = _adaptive_quadrature(spline, hi, 0.0)
-        head = _adaptive_quadrature(spline, lo, 0.0)
-        return float((full - head).real[0, 0])
+        return float(CubicSpline(k.u_grid, norms).integrate(s_bar, hi)) if s_bar < hi else 0.0
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
@@ -352,11 +347,10 @@ def _memory_coupling(mt: MemoryTransfer, lam: complex, omegas: np.ndarray,
     out = np.zeros((k.dim * size, k.dim * size), dtype=complex)
     for h, w in enumerate(omegas):
         if isinstance(k, FiniteSupportSampled):
-            upper = _sampled_upper(k, mt.truncation)
             for m, spline in k.splines.items():
                 if 0 <= h + m < size:
-                    out[h + m::size, h::size] = (-1) ** power * _adaptive_quadrature(
-                        spline, upper, complex(lam) + 1j * w, power=power)
+                    out[h + m::size, h::size] = _spline_transfer(
+                        spline, mt.truncation, complex(lam) + 1j * w, power)
         else:
             out[h::size, h::size] = _transfer(mt, lam, w, power)
     return out

@@ -367,6 +367,8 @@ def tl_spectrum(m: TlResonatorModel, n_roots: int = 5) -> FloquetSpectrum:
     are spaced by i*pi/tau_f.  They all present the same round-trip
     multiplier -Gamma0, so they form a single class.
     """
+    if n_roots < 1:
+        raise ValueError(f"n_roots must be positive, got {n_roots}")  # no exponent, no verdict
     gamma0 = m.reflection_coefficient
     if abs(gamma0) < 1e-15:
         raise MatchedLine("matched termination: every reflection vanishes")

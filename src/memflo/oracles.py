@@ -197,6 +197,13 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     checks.append(("delay exponent on the contour route vs Lambert W", err < 1e-10,
                    f"|lambda - ref| = {err:.2e}"))
 
+    samples = np.exp(-2.0 * np.linspace(0.0, 4.0, 200))[None, :, None, None]
+    sampled = kernels.MemoryTransfer(kernels.FiniteSupportSampled(samples, 4.0))
+    closed = kernels.MemoryTransfer(kernels.ExponentialDecay([[1.0]], 2.0), truncation=4.0)
+    err = abs(kernels.transfer_at(sampled, 0.3, 1.7) - kernels.transfer_at(closed, 0.3, 1.7))[0, 0]
+    checks.append(("sampled-kernel transfer vs exponential closed form", err < 1e-8,
+                   f"|G - ref| = {err:.2e}"))
+
     tl = models.tl_spectrum(models.TlResonatorModel(R=1.0, Ra=-0.5, Z0=1.0, tau_f=1.0),
                             n_roots=3)
     expect = math.log(abs(models.TlResonatorModel(1.0, -0.5).reflection_coefficient)) / 2.0

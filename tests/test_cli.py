@@ -167,8 +167,10 @@ def test_matched_line_row_is_error_coded(tmp_path):
     assert result.failed
 
 
-def test_non_integral_n_roots_is_an_error_row(tmp_path):
-    cfg_text = "model = tl\nmode = spectrum\nR = 1.0\nRa = -0.5\nn_roots = 2.5\n"
+@pytest.mark.parametrize("n_roots", ["2.5", "0", "-2"])
+def test_non_integral_n_roots_is_an_error_row(tmp_path, n_roots):
+    # a fractional count, or none at all, is not a spectrum
+    cfg_text = f"model = tl\nmode = spectrum\nR = 1.0\nRa = -0.5\nn_roots = {n_roots}\n"
     row = cli.run(cli.parse_config(write(tmp_path, "tl.cfg", cfg_text))).rows[0]
     assert row.error_code == "valueerror" and row.n_classes is None
 

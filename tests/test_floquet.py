@@ -679,3 +679,19 @@ def test_contour_retry_moves_the_strip():
     contour = spec.diagnostics["contour"]
     assert contour["nodes_per_side"] <= 64
     assert contour["im"] == pytest.approx([-0.125, 0.875], abs=1e-12)
+
+
+def test_contour_retry_reuses_the_real_extent(monkeypatch):
+    # only the Im edges move with the strip, so the Re edges are bounded once per spectrum
+    calls = []
+    bound = F.truncation_error_bound
+    monkeypatch.setattr(F, "truncation_error_bound", lambda *a: calls.append(a) or bound(*a))
+    k, support = 3.0, 2.0
+    u = np.linspace(0, support, 240)
+    mt = K.MemoryTransfer(K.FiniteSupportSampled(np.exp(-k * u)[None, :, None, None],
+                                                 support))
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[0.0]], 1.0),
+                                    n_harmonics=2)
+    spec = F.floquet_spectrum(F.FloquetProblem(jac, mt, 2 * math.pi, 2, 1))
+    assert spec.diagnostics["contour"]["nodes_per_side"] > F.CONTOUR_NODES  # it retried
+    assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""Kernel-family tests: transfers, decay bounds, truncation, quadrature."""
+"""Kernel-family tests: transfers, decay bounds, truncation, exact spline transfers."""
 
 import math
 
@@ -84,6 +84,51 @@ def test_transfer_sampled_matches_exponential():
     assert got == pytest.approx(want, abs=1e-8)
 
 
+# --- exact transfers of sampled kernels -------------------------------------------
+
+CUBIC = np.polynomial.Polynomial([2.0, 0.4, -1.1, 0.7])
+
+
+def cubic_transfer_reference(zeta, upper, power):
+    """integral_0^upper (-u)^power CUBIC(u) e^{-zeta u} du, computed without memflo."""
+    poly = CUBIC * np.polynomial.Polynomial([0.0, -1.0]) ** power
+    if abs(zeta) >= 0.5:  # by parts: the antiderivative is -e^{-zeta u} sum_k p^(k)(u)/zeta^(k+1)
+        def antiderivative(u):
+            terms = (poly.deriv(k)(u) / zeta ** (k + 1) for k in range(poly.degree() + 1))
+            return -np.exp(-zeta * u) * sum(terms)
+    else:  # the Taylor-expanded product is a polynomial
+        taylor = np.polynomial.Polynomial([(-zeta) ** n / math.factorial(n) for n in range(8)])
+        antiderivative = (poly * taylor).integ()
+    return antiderivative(upper) - antiderivative(0.0)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 1e-12, 0.5 - 3j, -4 + 1j, 30j])
+@pytest.mark.parametrize("truncation", [None, 0.77])
+def test_sampled_transfer_is_exact_for_a_cubic(zeta, truncation):
+    # the spline through 200 samples of a cubic is that cubic; 0.77 ends inside a panel
+    support = 1.5
+    u = np.linspace(0.0, support, 200)
+    kern = K.FiniteSupportSampled(CUBIC(u)[None, :, None, None], support)
+    mt = K.MemoryTransfer(kern, truncation)
+    upper = support if truncation is None else truncation
+    for power, transfer in enumerate((K.transfer_at, K.transfer_dlambda)):
+        got = transfer(mt, zeta.real, zeta.imag)[0, 0]
+        want = cubic_transfer_reference(complex(zeta), upper, power)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_sampled_transfer_overflow_is_a_bound_violation():
+    # lambda = -5 + 0.1i is the contour's left edge without a decay bound; over a support
+    # of 200 the transfer grows like e^{1000}, beyond the float range
+    u = np.linspace(0.0, 200.0, 400)
+    mt = K.MemoryTransfer(K.FiniteSupportSampled(np.exp(-u / 50)[None, :, None, None], 200.0))
+    for transfer in (K.transfer_at, K.transfer_dlambda):
+        with pytest.raises(BoundViolation, match="not finite"):
+            transfer(mt, -5 + 0.1j, 0.0)
+    with pytest.raises(BoundViolation, match="not finite"):
+        K.memory_matrix(mt, -5 + 0.1j, np.array([-1.0, 0.0, 1.0]))
+
+
 # --- derivative and analyticity --------------------------------------------------
 
 
@@ -129,6 +174,16 @@ def test_truncation_bound_delay_support_exhausted():
 def test_truncation_bound_rejects_bad_ordering():
     with pytest.raises(ValueError, match="ordering"):
         K.truncation_error_bound(exp_transfer(1.0), 3.0, 2.0)
+
+
+def test_truncation_bound_sampled_kernel_integrates_its_norm():
+    # ||K(u)|| = 1 + 2u on [0, 3]: the tail over (1/2, s] is u + u^2 between the ends
+    u = np.linspace(0.0, 3.0, 40)
+    values = (1 + 2 * u)[None, :, None, None] * np.array([[0.6, 0.0], [0.0, -1.0]])
+    mt = K.MemoryTransfer(K.FiniteSupportSampled(values, 3.0))
+    assert K.truncation_error_bound(mt, 0.5, math.inf) == pytest.approx(11.25, rel=1e-13)
+    assert K.truncation_error_bound(mt, 0.5, 2.0) == pytest.approx(5.25, rel=1e-13)
+    assert K.truncation_error_bound(mt, 3.5, math.inf) == 0.0  # beyond the support
 
 
 @pytest.mark.parametrize("sbar", [1.0, 2.0, 4.0])

@@ -363,6 +363,13 @@ def test_tl_matched_line_raises():
         M.tl_spectrum(M.TlResonatorModel(R=1.0, Ra=0.0, Z0=1.0, tau_f=1.0))
 
 
+@pytest.mark.parametrize("n_roots", [0, -2])
+def test_tl_without_roots_is_an_error(n_roots):
+    # an empty spectrum would read Marginal with no exponent behind the verdict
+    with pytest.raises(ValueError, match="n_roots"):
+        M.tl_spectrum(M.TlResonatorModel(R=1.0, Ra=-0.5, Z0=1.0, tau_f=1.0), n_roots=n_roots)
+
+
 def test_tl_reflection_pole_rejected():
     # (R + Ra) Y0 = -1 puts the reflection on its pole
     with pytest.raises(ValueError, match="pole"):
