@@ -11,7 +11,8 @@ trick, as in the particle model) has no Q and carries the memory's decay
 rate instead.  Three solution routes are provided: direct scalar root
 hunting (1-D problems), the standard Floquet-Fourier-Hill eigenproblem for
 memoryless problems and untruncated exponential kernels, whose memory
-integral is carried as extra states, and contour integrals of the exact
+integral is carried as extra states, solved in real arithmetic in the
+cos/sin basis (the linearization is real), and contour integrals of the exact
 R(lambda) for delay, sampled and truncated kernels, whose integer root count
 certifies that no exponent in the enclosed rectangle was missed.  Raw
 eigenvalues are filtered against the decay bound, polished by
@@ -35,7 +36,7 @@ import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundViolation, IncompleteSpectrum, NoConvergence
-from .hb import HarmonicVector, stacked_diff_matrix
+from .hb import HarmonicVector, real_form, stacked_diff_matrix, unpack_real_coefficients
 from .kernels import (
     ExponentialDecay,
     FiniteSupportSampled,
@@ -388,7 +389,9 @@ def hill_matrix(p: FloquetProblem) -> np.ndarray:
     into the rows it drives.  Memory states sit only on rows where C is
     nonzero; a memoryless problem has none and H = A - D.  The Schur
     complement of H - lambda*I over the memory block is -R(lambda), so no
-    approximation is made.
+    approximation is made.  H is returned on the complex harmonic layout;
+    :func:`floquet_spectrum` solves its real form (:func:`~memflo.hb.real_form`,
+    the cos/sin basis of the state and memory components) in real arithmetic.
     """
     if not _hill_applies(p):
         raise ValueError("memory states need an untruncated exponential kernel")
@@ -424,9 +427,12 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     A degree-r problem of size m yields exactly r*m eigenvalues counting the
     infinite ones that arise from a singular leading coefficient; those are
     counted in ``n_infinite`` rather than dropped.  An identity leading
-    coefficient makes the pencil a standard eigenproblem, solved without QZ.
+    coefficient makes the pencil a standard eigenproblem, solved without QZ,
+    and its residual skips the product with the identity.  Real coefficients
+    are solved in real arithmetic (the Hill route passes the real form of
+    :func:`hill_matrix`); the eigenvalues are complex either way.
     """
-    coeffs = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in coeffs]
+    coeffs = [np.atleast_2d(np.asarray(c)) for c in coeffs]
     degree = len(coeffs) - 1
     if degree < 1:
         raise ValueError("need at least two coefficient matrices")
@@ -436,15 +442,17 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
             raise ValueError("coefficient matrices must be square and same size")
 
     dim = degree * msize
-    a = np.zeros((dim, dim), dtype=complex)
+    dtype = np.result_type(float, *coeffs)
+    a = np.zeros((dim, dim), dtype=dtype)
     for k in range(degree - 1):
         a[k * msize:(k + 1) * msize, (k + 1) * msize:(k + 2) * msize] = np.eye(msize)
     for k in range(degree):
         a[(degree - 1) * msize:, k * msize:(k + 1) * msize] = -coeffs[k]
-    if np.array_equal(coeffs[-1], np.eye(msize)):
+    standard = np.array_equal(coeffs[-1], np.eye(msize))
+    if standard:
         w, vr = scipy.linalg.eig(a)
     else:
-        b = np.eye(dim, dtype=complex)
+        b = np.eye(dim, dtype=dtype)
         b[(degree - 1) * msize:, (degree - 1) * msize:] = coeffs[-1]
         w, vr = scipy.linalg.eig(a, b)
     finite = np.isfinite(w)
@@ -455,7 +463,8 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     best = np.argmax(np.linalg.norm(blocks, axis=1), axis=0)
     x = blocks[best, :, np.arange(len(lams))]
     x /= np.linalg.norm(x, axis=1)[:, None]
-    val = sum((x @ c.T) * lams[:, None]**k for k, c in enumerate(coeffs))
+    val = sum((x if standard and k == degree else x @ c.T) * lams[:, None]**k
+              for k, c in enumerate(coeffs))
     resid = np.linalg.norm(val, axis=1)
     pairs = [(complex(lam), x[i], float(resid[i])) for i, lam in enumerate(lams)]
     pairs.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -657,7 +666,10 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     """Full pipeline: eigenproblem, filters, classes, polish, canonical strip.
 
     Memoryless problems and untruncated exponential kernels go through the
-    exact standard eigenproblem of :func:`hill_matrix`; delay, sampled and
+    exact standard eigenproblem of :func:`hill_matrix`, solved as a real
+    matrix in the cos/sin basis, whose eigenvectors are mapped back to
+    complex harmonics before the filters (a linearization that is not real
+    raises ``ValueError``); delay, sampled and
     truncated kernels through :func:`contour_eigenvalues` on the exact
     R(lambda).  Candidates are grouped into classes modulo i*omega0 before
     the polish, except for a time-invariant problem (``n_harmonics == 0``),
@@ -676,9 +688,13 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     """
     if _hill_applies(p):
         hill = hill_matrix(p)
-        pep = solve_pep([-hill, np.eye(len(hill))])
+        n_states = len(hill) // (2 * p.n_harmonics + 1)  # state and memory components
+        pep = solve_pep([-real_form(hill, n_states, p.n_harmonics), np.eye(len(hill))])
         diag = {"route": "hill", "n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite}
-        cands = [(lam, vec[:p.size]) for lam, vec, _ in pep.eigenpairs]
+        vecs = unpack_real_coefficients(np.array([v for _, v, _ in pep.eigenpairs]).T,
+                                        n_states, p.n_harmonics)
+        vecs = vecs.reshape(len(hill), -1)[:p.size].T  # back to complex harmonics
+        cands = [(lam, vec) for (lam, _, _), vec in zip(pep.eigenpairs, vecs)]
         return _polished_spectrum(p, cands, diag, autonomous)
     re_lo, re_hi = _contour_real_extent(p)
     for doubling in range(CONTOUR_DOUBLINGS + 1):

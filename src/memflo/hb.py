@@ -36,6 +36,7 @@ __all__ = [
     "stacked_diff_matrix",
     "pack_real_coefficients",
     "unpack_real_coefficients",
+    "real_form",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -269,7 +270,9 @@ def stacked_diff_matrix(dim: int, n_harmonics: int, omega0: float) -> np.ndarray
 #
 # Per component the real unknowns are ordered [a_0.re, a_1.re, a_1.im,
 # a_2.re, a_2.im, ...]; negative harmonics follow by conjugation.  This keeps
-# Newton systems square and real.
+# Newton systems square and real.  The unpacking map U (amplitudes = U u) is
+# complex-linear: a complex u, such as an eigenvector of a real form, unpacks
+# to U u, which carries it back to complex harmonics.
 # ---------------------------------------------------------------------------
 
 
@@ -294,13 +297,42 @@ def unpack_real_coefficients(u: np.ndarray, dim: int, n_harmonics: int) -> np.nd
     """Inverse of :func:`pack_real_coefficients`; restores conjugate symmetry.
 
     Trailing axes of ``u`` are carried along: unpacking the identity gives
-    the columns d(amplitudes)/d(packed real unknowns).
+    the columns of U = d(amplitudes)/d(packed real unknowns).  The map is
+    complex-linear, a_{+-h} = u_{2h-1} +- i*u_{2h}, so a complex ``u`` unpacks
+    to U u (conjugate symmetric only when ``u`` is real).
     """
     u = np.asarray(u)
     u = u.reshape((dim, 2 * n_harmonics + 1) + u.shape[1:])
-    half = u[:, 1::2] + 1j * u[:, 2::2]
+    re, im = u[:, 1::2], 1j * u[:, 2::2]
     amps = np.empty(u.shape, dtype=complex)
     amps[:, n_harmonics] = u[:, 0]
-    amps[:, n_harmonics + 1:] = half
-    amps[:, :n_harmonics] = half[:, ::-1].conj()
+    amps[:, n_harmonics + 1:] = re + im
+    amps[:, :n_harmonics] = (re - im)[:, ::-1]
     return amps
+
+
+def real_form(mat: np.ndarray, dim: int, n_harmonics: int) -> np.ndarray:
+    """U^-1 mat U: a (dim*(2N+1))-square matrix on the harmonic layout, in the packed basis.
+
+    U is the map of :func:`unpack_real_coefficients`, so an eigenvector v of
+    the result unpacks to the eigenvector U v of ``mat``.  Both factors are
+    applied by slicing the harmonic pairs +-h.  A matrix that maps
+    conjugate-symmetric amplitudes to conjugate-symmetric ones (a real
+    signal operator) has a real form; an imaginary part above the
+    conjugate-symmetry tolerance raises ``ValueError``.
+    """
+    n, m = n_harmonics, 2 * n_harmonics + 1
+    a = np.asarray(mat).reshape(dim, m, dim, m)
+    # columns of mat U, from the columns of harmonics 0, +h and -h (h = 1..N)
+    pos, neg = a[..., n + 1:], a[..., :n][..., ::-1]
+    cols = np.empty(a.shape, dtype=complex)
+    cols[..., 0], cols[..., 1::2], cols[..., 2::2] = a[..., n], pos + neg, 1j * (pos - neg)
+    # rows of U^-1 (mat U), likewise
+    pos, neg = cols[:, n + 1:], cols[:, :n][:, ::-1]
+    out = np.empty(a.shape, dtype=complex)
+    out[:, 0], out[:, 1::2], out[:, 2::2] = cols[:, n], (pos + neg) / 2, (pos - neg) / 2j
+    out = out.reshape(dim * m, dim * m)
+    defect = np.max(np.abs(out.imag))
+    if defect > _SYMMETRY_TOL * (1.0 + np.max(np.abs(a))):
+        raise ValueError(f"conjugate symmetry violated by {defect:.3e}: no real form")
+    return np.ascontiguousarray(out.real)

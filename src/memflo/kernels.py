@@ -215,25 +215,32 @@ def _window_factor_dc(c: complex, sbar: float | None) -> complex:
 # --- exact transfers of sampled kernels --------------------------------------
 
 
-def _spline_transfer(spline: CubicSpline, truncation: float | None, zeta: complex,
-                     power: int) -> np.ndarray:
-    """integral_0^U (-u)^power s(u) e^{-zeta u} du, exact for the cubic spline s.
+def _spline_transfers(splines: list[CubicSpline], truncation: float | None, zeta: complex,
+                      power: int) -> list[np.ndarray]:
+    """integral_0^U (-u)^power s(u) e^{-zeta u} du, exact for each cubic spline s.
 
-    U is the support, cut to the window.  On the knot panel [x_i, x_i + h] the
-    polynomial part is sum_q a_qi (u - x_i)^q, so the panel adds e^{-zeta x_i}
-    sum_q a_qi I_q(h), with I_q(h) = integral_0^h t^q e^{-zeta t} dt =
-    h^{q+1} q! e^{-zeta h} phi_{q+1}(zeta h).  expm of [[z, 1, 0, ...],
-    [0, 0, 1, ...], ...], z = zeta h, has the first row (e^z, phi_1(z), ...)
-    (Sidje, Expokit, ACM TOMS 1998); shifted by -z I it holds e^{-z} phi_q(z),
-    which a decaying panel cannot overflow.  The knots are uniform, so all full
-    panels share one h; a window ending inside a panel adds it cut short.
-    Raises :class:`~memflo.errors.BoundViolation` where the transfer is not finite.
+    The splines share their knots.  U is the support, cut to the window.  On
+    the knot panel [x_i, x_i + h] the polynomial part is sum_q a_qi
+    (u - x_i)^q, so the panel adds e^{-zeta x_i} sum_q a_qi I_q(h), with
+    I_q(h) = integral_0^h t^q e^{-zeta t} dt = h^{q+1} q! e^{-zeta h}
+    phi_{q+1}(zeta h).  expm of [[z, 1, 0, ...], [0, 0, 1, ...], ...],
+    z = zeta h, has the first row (e^z, phi_1(z), ...) (Sidje, Expokit, ACM
+    TOMS 1998); shifted by -z I it holds e^{-z} phi_q(z), which a decaying
+    panel cannot overflow.  The knots are uniform, so all full panels share
+    one h; a window ending inside a panel adds it cut short.  The panel
+    weights depend on zeta and the knots only, so they are computed once for
+    all splines.  Raises :class:`~memflo.errors.BoundViolation` where a
+    transfer is not finite.
     """
-    x, a = spline.x, spline.c[::-1]  # a[q, i] multiplies (u - x_i)^q
-    if power:  # -u = -x_i - (u - x_i) raises the degree by one
-        zero = np.zeros_like(a[:1])
-        a = -np.concatenate([a * x[:-1, None, None], zero]) - np.concatenate([zero, a])
-    n = len(a)
+    x = splines[0].x
+    coeffs = []
+    for spline in splines:
+        a = spline.c[::-1]  # a[q, i] multiplies (u - x_i)^q
+        if power:  # -u = -x_i - (u - x_i) raises the degree by one
+            zero = np.zeros_like(a[:1])
+            a = -np.concatenate([a * x[:-1, None, None], zero]) - np.concatenate([zero, a])
+        coeffs.append(a)
+    n = len(coeffs[0])
 
     def moments(h: float) -> np.ndarray:  # I_q(h), q < n
         aug = np.diag(np.ones(n, dtype=complex), 1) - zeta * h * np.eye(n + 1)
@@ -242,14 +249,19 @@ def _spline_transfer(spline: CubicSpline, truncation: float | None, zeta: comple
 
     upper = x[-1] if truncation is None else min(truncation, x[-1])
     n_full = int(np.searchsorted(x, upper, side="right")) - 1
+    totals = []
     with np.errstate(over="ignore", invalid="ignore"):
         shift = np.exp(-zeta * x[:n_full + 1])
-        total = np.tensordot(shift[:n_full] * moments(x[1] - x[0])[:, None], a[:, :n_full], axes=2)
-        if upper > x[n_full]:
-            total += shift[n_full] * np.tensordot(moments(upper - x[n_full]), a[:, n_full], 1)
-    if not np.all(np.isfinite(total)):
-        raise BoundViolation(f"sampled-kernel transfer is not finite at zeta = {zeta:.6g}")
-    return total
+        full = shift[:n_full] * moments(x[1] - x[0])[:, None]
+        cut = moments(upper - x[n_full]) if upper > x[n_full] else None
+        for a in coeffs:
+            total = np.tensordot(full, a[:, :n_full], axes=2)
+            if cut is not None:
+                total += shift[n_full] * np.tensordot(cut, a[:, n_full], 1)
+            if not np.all(np.isfinite(total)):
+                raise BoundViolation(f"sampled-kernel transfer is not finite at zeta = {zeta:.6g}")
+            totals.append(total)
+    return totals
 
 
 # --- transfer evaluation ----------------------------------------------------
@@ -283,7 +295,7 @@ def _transfer(mt: MemoryTransfer, lam: complex, omega_j: float, power: int) -> n
             return np.zeros_like(k.weight, dtype=complex)
         return (-k.delay) ** power * k.weight * _bounded_exp(-zeta * k.delay)
     if isinstance(k, FiniteSupportSampled):
-        return _spline_transfer(k.splines[0], mt.truncation, zeta, power)
+        return _spline_transfers([k.splines[0]], mt.truncation, zeta, power)[0]
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
@@ -347,10 +359,11 @@ def _memory_coupling(mt: MemoryTransfer, lam: complex, omegas: np.ndarray,
     out = np.zeros((k.dim * size, k.dim * size), dtype=complex)
     for h, w in enumerate(omegas):
         if isinstance(k, FiniteSupportSampled):
-            for m, spline in k.splines.items():
-                if 0 <= h + m < size:
-                    out[h + m::size, h::size] = _spline_transfer(
-                        spline, mt.truncation, complex(lam) + 1j * w, power)
+            ms = [m for m in k.splines if 0 <= h + m < size]
+            blocks = _spline_transfers([k.splines[m] for m in ms], mt.truncation,
+                                       complex(lam) + 1j * w, power)
+            for m, block in zip(ms, blocks):
+                out[h + m::size, h::size] = block
         else:
             out[h::size, h::size] = _transfer(mt, lam, w, power)
     return out

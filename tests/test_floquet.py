@@ -5,13 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.special import lambertw
 
+from memflo import cycles as C
 from memflo import floquet as F
 from memflo import hb
 from memflo import kernels as K
+from memflo import models as M
 from memflo.errors import IncompleteSpectrum
 from memflo.oracles import (
     monodromy_multipliers,
@@ -189,6 +193,39 @@ def test_linear_operator_is_built_once_per_problem(monkeypatch):
 def test_hill_matrix_rejects_truncated_memory():
     with pytest.raises(ValueError, match="untruncated"):
         F.hill_matrix(scalar_problem(0.0, 3.0, s=2.0, n_harmonics=1))
+
+
+# --- real form of the Hill matrix ----------------------------------------------------
+
+
+def particle_problem(n_harmonics):
+    model = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    cycle, _ = M.particle_spectrum(model, n_harmonics=n_harmonics)
+    return C.linearize(M.particle_system(model), cycle)
+
+
+@pytest.mark.parametrize("build", [lambda: particle_problem(12),
+                                   lambda: scalar_problem(0.4, 2.0, n_harmonics=3)],
+                         ids=["particle", "scalar_memory_states"])
+def test_hill_real_form_keeps_the_hill_spectrum(build):
+    p = build()
+    h = F.hill_matrix(p)
+    n_states = len(h) // (2 * p.n_harmonics + 1)
+    real = hb.real_form(h, n_states, p.n_harmonics)
+    assert real.dtype == np.float64
+    lams, vecs = scipy.linalg.eig(real)
+    want = scipy.linalg.eigvals(h)
+    rows, cols = linear_sum_assignment(np.abs(lams[:, None] - want[None, :]))
+    assert np.all(np.abs(lams[rows] - want[cols]) <= 1e-12 * (1 + np.abs(want[cols])))
+    back = hb.unpack_real_coefficients(vecs, n_states, p.n_harmonics).reshape(len(h), -1)
+    resid = np.linalg.norm(h @ back - back * lams, axis=0)
+    assert np.all(resid <= 1e-10 * np.linalg.norm(back, axis=0))
+
+
+def test_hill_route_rejects_a_linearization_that_is_not_real():
+    p = memoryless_problem(-0.5 + 0.2j, n_harmonics=2)  # a complex constant coefficient
+    with pytest.raises(ValueError, match="conjugate symmetry"):
+        F.floquet_spectrum(p)
 
 
 # --- solve_pep --------------------------------------------------------------------
@@ -580,6 +617,22 @@ def test_sampled_time_varying_memory_matrix_matches_closed_form():
     assert np.max(np.abs(np.diag(mat, 1) - diag[1:] / 4)) < 1e-9
     assert np.max(np.abs(np.triu(mat, 2)) + np.abs(np.tril(mat, -2))) < 1e-15
     assert np.max(np.abs(np.triu(mat, 3)) + np.abs(np.tril(mat, -3))) == 0.0
+
+
+@pytest.mark.parametrize("truncation", [None, 1.1])
+def test_time_varying_memory_matrix_shares_panel_weights_bit_for_bit(truncation):
+    # every block equals its t-coefficient's transfer computed alone
+    kern = modulated_sampled_kernel(2 * math.pi)
+    mt = K.MemoryTransfer(kern, truncation)
+    omegas = np.arange(-3, 4) * 1.0
+    lam = 0.3 + 0.2j
+    for power, build in ((0, K.memory_matrix), (1, K.memory_matrix_dlambda)):
+        mat = build(mt, lam, omegas)
+        for h, w in enumerate(omegas):
+            for m, spline in kern.splines.items():
+                if 0 <= h + m < len(omegas):
+                    alone = K._spline_transfers([spline], truncation, lam + 1j * w, power)[0]
+                    assert mat[h + m, h] == alone[0, 0]
 
 
 def test_contour_route_certifies_time_varying_sampled_kernel():

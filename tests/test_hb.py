@@ -261,3 +261,26 @@ def test_pack_unpack_round_trip():
     amps = hb.unpack_real_coefficients(u, 3, 4)
     assert np.max(np.abs(hb.pack_real_coefficients(amps) - u)) == 0.0
     assert np.max(np.abs(amps[:, ::-1].conj() - amps)) == 0.0
+
+
+def test_unpack_is_complex_linear():
+    rng = np.random.default_rng(3)
+    re, im = rng.normal(size=(2, 2 * 7))
+    want = hb.unpack_real_coefficients(re, 2, 3) + 1j * hb.unpack_real_coefficients(im, 2, 3)
+    assert np.max(np.abs(hb.unpack_real_coefficients(re + 1j * im, 2, 3) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("n_harmonics", [0, 1, 4])
+def test_real_form_of_a_real_signal_operator(n_harmonics):
+    # A - D for a real periodic 2x2 signal maps real signals to real signals
+    rng = np.random.default_rng(4)
+    period = 2.0
+    mh = hb.MatrixHarmonics.from_time_grid(rng.normal(size=(2, 2, 4 * n_harmonics + 1)),
+                                           period, 2 * n_harmonics)
+    op = hb.toeplitz_from_periodic(mh, n_harmonics) - hb.stacked_diff_matrix(
+        2, n_harmonics, mh.omega0)
+    real = hb.real_form(op, 2, n_harmonics)
+    assert real.dtype == np.float64 and real.shape == op.shape
+    u = rng.normal(size=(len(op), 3))
+    amps = op @ hb.unpack_real_coefficients(u, 2, n_harmonics).reshape(len(op), 3)
+    assert np.max(np.abs(real @ u - hb.pack_real_coefficients(amps.reshape(2, -1, 3)))) < 1e-12
