@@ -40,6 +40,7 @@ from .hb import (
     _grid_basis,
     dft,
     pack_real_coefficients,
+    real_form,
     sample_times,
     stacked_diff_matrix,
     toeplitz_from_periodic,
@@ -194,7 +195,6 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     amps = np.array(hv.amplitudes)
     u = pack_real_coefficients(amps)
     m = 2 * nh + 1
-    basis = unpack_real_coefficients(np.eye(n * m), n, nh).reshape(n * m, n * m)
     anchor_slot = anchor * m + 2  # packed index of Im a_{anchor,1}
 
     def full_residual(uvec, w0):
@@ -213,8 +213,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
         if norm < NEWTON_TOL:
             break
         a, z_real, times = ctx
-        jc = _jacobian_complex(model, a, omega0, z_real, times)
-        jr = pack_real_coefficients((jc @ basis).reshape(n, m, n * m))
+        jr = real_form(_jacobian_complex(model, a, omega0, z_real, times), n, nh)
         if model.autonomous:
             # d(residual)/d(omega0): only the derivative term depends on omega0
             dw = pack_real_coefficients((1j * np.arange(-nh, nh + 1)) * a)

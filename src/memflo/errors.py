@@ -21,9 +21,9 @@ class NoConvergence(MemfloError):
 
 
 class IncompleteSpectrum(MemfloError):
-    """Exponents are missing: the contour root count disagrees with the exponents
-    accounted for or encloses none, or an autonomous cycle's spectrum lacks its
-    trivial class."""
+    """Exponents are missing: the certified and filtered classes fall short of
+    the Hill states or of the contour root count, the contour encloses none, or
+    an autonomous cycle's spectrum lacks its trivial class."""
 
 
 class SingularJacobian(MemfloError):

@@ -14,13 +14,15 @@ memoryless problems and untruncated exponential kernels, whose memory
 integral is carried as extra states, solved in real arithmetic in the
 cos/sin basis (the linearization is real), and contour integrals of the exact
 R(lambda) for delay, sampled and truncated kernels, whose integer root count
-certifies that no exponent in the enclosed rectangle was missed.  Raw
-eigenvalues are filtered against the decay bound, polished by
+certifies that no exponent in the enclosed rectangle was missed.  Each class
+is invariant under shifts by i*omega0, so a Hill matrix of d states holds d
+classes of 2N+1 copies: the route keeps each class's copy with centred
+eigenvector harmonics, and is complete when d classes are certified or
+filtered.  Candidates are filtered against the decay bound, polished by
 bordered Newton iteration on the exact transcendental operator, and collapsed
-into splitting classes (each exponent class is invariant under shifts by
-i*omega0; multipliers exp(lambda*T) label the classes uniquely).  The
-tolerances are the module constants below; the stability verdict is derived
-from the classes by :attr:`FloquetSpectrum.stability`.
+into classes (multipliers exp(lambda*T) label them uniquely).  The tolerances
+are the module constants below; the stability verdict is derived from the
+classes by :attr:`FloquetSpectrum.stability`.
 """
 
 from __future__ import annotations
@@ -463,8 +465,9 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     best = np.argmax(np.linalg.norm(blocks, axis=1), axis=0)
     x = blocks[best, :, np.arange(len(lams))]
     x /= np.linalg.norm(x, axis=1)[:, None]
-    val = sum((x if standard and k == degree else x @ c.T) * lams[:, None]**k
-              for k, c in enumerate(coeffs))
+    # x @ c.T as two products on the parts: numpy would run a real c as a complex product
+    val = sum((x if standard and k == degree else x.real @ c.T + 1j * (x.imag @ c.T))
+              * lams[:, None]**k for k, c in enumerate(coeffs))
     resid = np.linalg.norm(val, axis=1)
     pairs = [(complex(lam), x[i], float(resid[i])) for i, lam in enumerate(lams)]
     pairs.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -654,48 +657,52 @@ def canonicalize_spectrum(pairs, omega0: float | None, autonomous: bool = False,
 # --- end-to-end driver ------------------------------------------------------
 
 
-def _edge_energy_fraction(vec: np.ndarray, dim: int, n_harmonics: int, band: int) -> float:
-    m = 2 * n_harmonics + 1
-    a = vec.reshape(dim, m)
-    outer = np.concatenate([a[:, :band], a[:, m - band:]], axis=1)
-    total = np.linalg.norm(a)
-    return float(np.linalg.norm(outer) / total) if total > 0 else 1.0
-
-
 def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpectrum:
-    """Full pipeline: eigenproblem, filters, classes, polish, canonical strip.
+    """Full pipeline: eigenproblem, class pick, filter, polish, canonical strip.
 
     Memoryless problems and untruncated exponential kernels go through the
     exact standard eigenproblem of :func:`hill_matrix`, solved as a real
     matrix in the cos/sin basis, whose eigenvectors are mapped back to
-    complex harmonics before the filters (a linearization that is not real
-    raises ``ValueError``); delay, sampled and
-    truncated kernels through :func:`contour_eigenvalues` on the exact
-    R(lambda).  Candidates are grouped into classes modulo i*omega0 before
-    the polish, except for a time-invariant problem (``n_harmonics == 0``),
-    whose exponents are not folded.  One member of each class is polished
-    against the exact R(lambda) and must meet ``CERTIFICATE_TOL``.  The
-    contour root count must equal the certified plus the filtered
-    candidates; otherwise the rectangle moves to the next of
-    ``CONTOUR_SHIFTS`` with twice the nodes, at most ``CONTOUR_DOUBLINGS``
-    times, before :class:`~memflo.errors.IncompleteSpectrum`; a matched
-    count with no certified class raises it at once.
-    ``autonomous`` marks the time-translation class as trivial, and a
-    spectrum without one raises :class:`~memflo.errors.IncompleteSpectrum`.
-    Diagnostics name the ``route`` and count every discarded candidate
-    (decay-bound violations, truncation-edge pollution, failed polishes);
-    the contour route adds ``n_enclosed`` and ``contour``.
+    complex harmonics (a linearization that is not real raises
+    ``ValueError``).  Of each class's copies it keeps the one whose
+    eigenvector centroid sum_j j*|v_j|^2 / sum_j |v_j|^2, over every state and
+    memory component, lies in (-1/2, 1/2]; of the two copies of a negative
+    real multiplier, at -1/2 and +1/2 within ``MERGE_TOL``, the +1/2 one.
+    Delay, sampled and truncated kernels go through
+    :func:`contour_eigenvalues` on the exact R(lambda).  Candidates are
+    grouped into classes modulo i*omega0 before the polish, except for a
+    time-invariant problem (``n_harmonics == 0``), whose exponents are not
+    folded.  One member of each class is polished against the exact
+    R(lambda) and must meet ``CERTIFICATE_TOL``.  The certified plus the
+    bound-filtered candidates must number the Hill states, or the contour
+    root count; an unmatched contour count moves the rectangle to the next
+    of ``CONTOUR_SHIFTS`` with twice the nodes, at most
+    ``CONTOUR_DOUBLINGS`` times.  An unmatched count, or a matched contour
+    count with no certified class, raises
+    :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
+    time-translation class as trivial, and a spectrum without one raises it
+    too.  Diagnostics name the ``route`` and count every discarded
+    candidate (decay-bound violations, failed polishes); the contour route
+    adds ``n_enclosed`` and ``contour``.
     """
     if _hill_applies(p):
         hill = hill_matrix(p)
         n_states = len(hill) // (2 * p.n_harmonics + 1)  # state and memory components
         pep = solve_pep([-real_form(hill, n_states, p.n_harmonics), np.eye(len(hill))])
         diag = {"route": "hill", "n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite}
-        vecs = unpack_real_coefficients(np.array([v for _, v, _ in pep.eigenpairs]).T,
-                                        n_states, p.n_harmonics)
-        vecs = vecs.reshape(len(hill), -1)[:p.size].T  # back to complex harmonics
-        cands = [(lam, vec) for (lam, _, _), vec in zip(pep.eigenpairs, vecs)]
-        return _polished_spectrum(p, cands, diag, autonomous)
+        amps = unpack_real_coefficients(np.array([v for _, v, _ in pep.eigenpairs]).T,
+                                        n_states, p.n_harmonics)  # complex harmonics
+        weight = np.sum(np.abs(amps) ** 2, axis=0)
+        centroid = np.arange(-p.n_harmonics, p.n_harmonics + 1) @ weight / weight.sum(axis=0)
+        vecs = amps.reshape(len(hill), -1)[:p.size].T
+        # centroids in (-1/2, 1/2], the edges moved up by MERGE_TOL: of a tie the +1/2 copy stays
+        cands = [(pep.eigenpairs[i][0], vecs[i])
+                 for i in np.flatnonzero(np.abs(centroid - MERGE_TOL) <= 0.5)]
+        spec = _polished_spectrum(p, cands, diag, autonomous)
+        found = spec.diagnostics["n_certified"] + spec.diagnostics["n_bound_filtered"]
+        if found != n_states:
+            raise IncompleteSpectrum(f"{found} of {n_states} Hill classes certified or filtered")
+        return spec
     re_lo, re_hi = _contour_real_extent(p)
     for doubling in range(CONTOUR_DOUBLINGS + 1):
         nodes = CONTOUR_NODES << doubling
@@ -711,7 +718,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
                  for lam in lams]
         spec = _polished_spectrum(p, cands, diag, autonomous)
         d = spec.diagnostics
-        if n_enclosed == d["n_certified"] + d["n_bound_filtered"] + d["n_edge_filtered"]:
+        if n_enclosed == d["n_certified"] + d["n_bound_filtered"]:
             if not d["n_certified"]:  # every exponent lies left of the rectangle
                 raise IncompleteSpectrum(f"no exponent right of Re = {rect[0]:.6g}")
             return spec
@@ -720,30 +727,17 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
 
 def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
                        autonomous: bool) -> FloquetSpectrum:
-    """Filters, classes, one polish per class; ``n_certified`` counts every copy."""
-    diag.update({"n_bound_filtered": 0, "bound_filtered": [], "n_edge_filtered": 0,
-                 "n_unrefined": 0, "n_certificate_failed": 0, "n_seed_rejected": 0,
-                 "n_certified": 0})
-    kc = p.critical_exponent
-    survivors = []
-    for lam, vec in candidates:
-        if math.isfinite(kc) and lam.real <= -kc + BOUND_MARGIN:
-            diag["n_bound_filtered"] += 1
-            diag["bound_filtered"].append([lam.real, lam.imag])
-            continue
-        if p.n_harmonics >= 8:
-            band = max(2, p.n_harmonics // 4)
-            if _edge_energy_fraction(vec, p.dim, p.n_harmonics, band) > 1e-6:
-                diag["n_edge_filtered"] += 1
-                continue
-        survivors.append((lam, vec))
-    if diag["n_bound_filtered"]:
+    """Bound filter, classes, one polish per class; ``n_certified`` counts every copy."""
+    floor = -p.critical_exponent + BOUND_MARGIN  # -inf without a decay bound
+    survivors = [(lam, vec) for lam, vec in candidates if lam.real > floor]
+    below = [[lam.real, lam.imag] for lam, _ in candidates if lam.real <= floor]
+    diag.update({"n_bound_filtered": len(below), "bound_filtered": below, "n_unrefined": 0,
+                 "n_certificate_failed": 0, "n_seed_rejected": 0, "n_certified": 0})
+    if below:
         log.info("discarded %d eigenvalue candidates below the decay bound %.6g",
-                 diag["n_bound_filtered"], -kc)
+                 len(below), -p.critical_exponent)
 
     omega0 = p.omega0 if p.n_harmonics else None  # a time-invariant problem folds nothing
-    if omega0 is not None:  # each class polishes its best-centred copy
-        survivors.sort(key=lambda c: abs(_strip_steps(c[0].imag, omega0)))
     polished = []
     for (lam, vec), n_copies in _exponent_classes(survivors, lambda c: c[0], omega0):
         seed = make_eigenpair(p, lam, vec, math.inf, refined=False)

@@ -197,6 +197,18 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     checks.append(("delay exponent on the contour route vs Lambert W", err < 1e-10,
                    f"|lambda - ref| = {err:.2e}"))
 
+    # x'' + 0.05x' + (1 + 0.4 cos 2t)x = 0 in its first tongue: two negative multipliers
+    coeffs = np.zeros((2, 2, 3))
+    coeffs[:, :, 1] = [[0.0, 1.0], [-1.0, -0.05]]
+    coeffs[1, 0, [0, 2]] = -0.2
+    mathieu = hb.MatrixHarmonics(2, 2, 1, coeffs, 2.0)
+    jac = hb.toeplitz_from_periodic(mathieu, n_harmonics=12)
+    spec = floquet.floquet_spectrum(floquet.FloquetProblem(jac, None, math.pi, 12, 2))
+    want = monodromy_multipliers(lambda t: mathieu.evaluate(t).real, 2, math.pi)
+    err = max(np.min(np.abs(spec.multipliers - w)) / abs(w) for w in want)
+    checks.append(("Mathieu period-doubling multipliers vs monodromy",
+                   len(spec.canonical_strip) == 2 and err < 1e-10, f"max rel err {err:.2e}"))
+
     samples = np.exp(-2.0 * np.linspace(0.0, 4.0, 200))[None, :, None, None]
     sampled = kernels.MemoryTransfer(kernels.FiniteSupportSampled(samples, 4.0))
     closed = kernels.MemoryTransfer(kernels.ExponentialDecay([[1.0]], 2.0), truncation=4.0)

@@ -411,6 +411,38 @@ def test_memoryless_multipliers_match_monodromy_oracle():
     assert match_nearest(spec.multipliers, want) < 1e-6
 
 
+@pytest.mark.parametrize("n", [3, 12])
+def test_mathieu_tongue_keeps_one_copy_of_each_class(n):
+    # x'' + 0.05x' + (1 + 0.4 cos 2t)x = 0: two negative multipliers, so both classes
+    # have copies at harmonic centroids -1/2 and +1/2, and exactly one of each is kept
+    coeffs = np.zeros((2, 2, 3))
+    coeffs[:, :, 1] = [[0.0, 1.0], [-1.0, -0.05]]
+    coeffs[1, 0, [0, 2]] = -0.2
+    mathieu = hb.MatrixHarmonics(2, 2, 1, coeffs, 2.0)
+    p = F.FloquetProblem(hb.toeplitz_from_periodic(mathieu, n_harmonics=n), None, math.pi, n, 2)
+    spec = F.floquet_spectrum(p)
+    assert len(spec.canonical_strip) == 2
+    assert spec.diagnostics["n_certified"] == 2
+    want = monodromy_multipliers(lambda t: mathieu.evaluate(t).real, 2, p.period)
+    assert all(w.real < -0.5 for w in want)
+    assert match_nearest(spec.multipliers, want) < 1e-10
+
+
+def test_hill_route_raises_on_a_lost_class(monkeypatch):
+    # a class whose polish fails leaves the count one short of the two Hill states
+    p, _ = periodic_2d_problem(n_harmonics=6)
+    refine = F.refine_eigenpair
+    seeds = []
+
+    def failing_first(problem, seed):
+        seeds.append(seed)
+        return replace(seed, refined=False) if len(seeds) == 1 else refine(problem, seed)
+
+    monkeypatch.setattr(F, "refine_eigenpair", failing_first)
+    with pytest.raises(IncompleteSpectrum, match="1 of 2 Hill classes"):
+        F.floquet_spectrum(p)
+
+
 def test_splitting_closure_of_computed_pairs():
     p, _ = periodic_2d_problem()
     spec = F.floquet_spectrum(p)
@@ -441,8 +473,8 @@ def test_floquet_spectrum_residual_certificate():
 def test_floquet_spectrum_bound_filter_diagnostics():
     p = scalar_problem(0.0, 3.0, n_harmonics=3)
     spec = F.floquet_spectrum(p)
-    # the Hill matrix's root below -k, one copy per harmonic, is discarded and logged
-    assert spec.diagnostics["n_bound_filtered"] == 7
+    # the Hill matrix's class below -k, its centred copy only, is discarded and logged
+    assert spec.diagnostics["n_bound_filtered"] == 1
     assert all(re <= -3.0 + 1e-6 for re, _ in spec.diagnostics["bound_filtered"])
     assert len(spec.canonical_strip) == 1
     assert spec.canonical_strip[0].exponent == pytest.approx(LAM_A0_K3, abs=1e-10)
@@ -535,17 +567,16 @@ def delay_problem(n_harmonics, period, a=-1.0, b=0.5, dim=1):
 
 def test_contour_route_finds_every_lambert_w_class_in_the_rectangle():
     # y' = -y + y(t-1)/2: lam = -1 + W_k(e/2); the rectangle [-5, 1] x strip holds the
-    # branches 0, +-1, ..., +-4, and the two branch +-4 roots sit on edge harmonics
+    # branches 0, +-1, ..., +-4, each one class
     p = delay_problem(8, 2.0)
     spec = F.floquet_spectrum(p)
     diag = spec.diagnostics
     assert diag["route"] == "contour"
     assert diag["contour"]["re"] == pytest.approx([-5.0, 1.0], abs=1e-12)
-    assert diag["n_enclosed"] == 9
-    assert diag["n_edge_filtered"] == 2
-    want = [-1.0 + complex(lambertw(math.e / 2, k)) for k in range(-3, 4)]
+    assert diag["n_enclosed"] == diag["n_certified"] == 9
+    want = [-1.0 + complex(lambertw(math.e / 2, k)) for k in range(-4, 5)]
     want = [w - 1j * p.omega0 * F._strip_steps(w.imag, p.omega0) for w in want]
-    assert len(spec.canonical_strip) == 7
+    assert len(spec.canonical_strip) == 9
     assert max(min(abs(got - w) for got in spec.exponents) for w in want) < 1e-9
     assert all(q.residual < 1e-8 for q in spec.canonical_strip)
 
@@ -645,8 +676,7 @@ def test_contour_route_certifies_time_varying_sampled_kernel():
     spec = F.floquet_spectrum(p)
     diag = spec.diagnostics
     assert diag["route"] == "contour"
-    assert diag["n_enclosed"] == len(spec.canonical_strip) + diag["n_bound_filtered"] \
-        + diag["n_edge_filtered"] > 0
+    assert diag["n_enclosed"] == len(spec.canonical_strip) + diag["n_bound_filtered"] > 0
     assert all(q.residual < F.CERTIFICATE_TOL for q in spec.canonical_strip)
 
 
@@ -696,8 +726,7 @@ def test_copies_split_across_the_strip_edge_are_polished_once(monkeypatch, n):
     assert len(spec.canonical_strip) == 1
     lam = spec.exponents[0]
     assert (lam.real, abs(lam.imag)) == pytest.approx((-0.1, omega0 / 2), abs=1e-12)
-    assert spec.diagnostics["n_certified"] == 2 * (2 * n + 1) - spec.diagnostics[
-        "n_edge_filtered"]
+    assert spec.diagnostics["n_certified"] == 2  # one centred copy of each state
 
 
 def test_time_invariant_problem_keeps_exponents_a_strip_apart():

@@ -9,7 +9,7 @@ import pytest
 
 from memflo import floquet as F
 from memflo import models as M
-from memflo.errors import IncompleteSpectrum, MatchedLine, NoCycle
+from memflo.errors import MatchedLine, NoCycle
 from memflo.oracles import monodromy_multipliers, quadratic_memory_exponent
 
 
@@ -165,11 +165,24 @@ def test_particle_fast_memory_seeds_a_cycle():
     assert spec.stability == "Unstable"
 
 
-def test_particle_spectrum_without_trivial_class_is_incomplete():
-    # at N = 12 the edge filter drops the time-translation class of the same
-    # cycle; reporting the remaining classes would read Stable
-    with pytest.raises(IncompleteSpectrum):
-        M.particle_spectrum(fast_memory_particle(), n_harmonics=12)
+def test_particle_fast_memory_classes_agree_at_n12_and_n20():
+    # the trivial class and the unstable pair of the N = 20 spectrum are resolved at N = 12
+    _, coarse = M.particle_spectrum(fast_memory_particle(), n_harmonics=12)
+    _, fine = M.particle_spectrum(fast_memory_particle(), n_harmonics=20)
+    assert len(coarse.canonical_strip) == len(fine.canonical_strip) == 5
+    assert sum(p.trivial for p in coarse.canonical_strip) == 1
+    assert coarse.stability == fine.stability == "Unstable"
+    assert np.max(np.abs(coarse.exponents - fine.exponents)) < 1e-8
+
+
+def test_particle_classes_at_n4_equal_those_at_n30():
+    # a coarse truncation holds the same six classes, each as its one centred copy
+    m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    _, coarse = M.particle_spectrum(m, n_harmonics=4)
+    _, fine = M.particle_spectrum(m, n_harmonics=30)
+    assert len(coarse.canonical_strip) == len(fine.canonical_strip) == 6
+    assert sum(p.trivial for p in coarse.canonical_strip) == 1
+    assert np.max(np.abs(coarse.exponents - fine.exponents)) < 1e-5
 
 
 def test_particle_equilibrium_regime_returns_zero_cycle():
@@ -275,11 +288,11 @@ def test_particle_hill_matrix_schur_complement_is_minus_residual():
 
 
 def test_polarized_cycle_keeps_decay_bound_filter():
-    # polarized branch: one class below -k is dropped, as 2N+1 filtered copies
+    # polarized branch: one class below -k is dropped, as its one centred copy
     m = M.BrownianParticleModel(alpha=0.55, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0 / 0.8))
     _, spec = M.particle_spectrum(m, n_harmonics=12)
     assert len(spec.canonical_strip) == 5
-    assert spec.diagnostics["n_bound_filtered"] == 25
+    assert spec.diagnostics["n_bound_filtered"] == 1
     assert all(re <= -m.k + 1e-6 for re, _ in spec.diagnostics["bound_filtered"])
     assert all(c.bound_ok and c.exponent.real > -m.k for c in spec.canonical_strip)
 
