@@ -287,20 +287,19 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
 # --- coarse time-domain seeding ----------------------------------------------
 
 
-def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0,
-                               period_estimate: float | None = None) -> LimitCycle:
+def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0) -> LimitCycle:
     """Initial cycle guess from integration of the transient.
 
-    Integrates over ten estimated periods with LSODA, which switches to a
-    stiff method by itself when fast memory states need one, estimates the
-    period from late upcrossings, and transforms the last period to harmonic
-    form.  A state that leaves the finite numbers or an integrator failure
-    raises :class:`NoConvergence`.  Memory states start where ``z0`` puts
-    them (zero for a zero history).
+    Integrates over ten periods of ``model.period_hint`` with LSODA, which
+    switches to a stiff method by itself when fast memory states need one,
+    estimates the period from late upcrossings, and transforms the last
+    period to harmonic form.  A state that leaves the finite numbers or an
+    integrator failure raises :class:`NoConvergence`.  Memory states start
+    where ``z0`` puts them (zero for a zero history).
     """
-    t_guess = period_estimate or model.period_hint
+    t_guess = model.period_hint
     if t_guess is None:
-        raise ValueError("need a period estimate to seed from time integration")
+        raise ValueError("need the model's period_hint to seed from time integration")
     t_end = 10 * t_guess
 
     def f(t, z):

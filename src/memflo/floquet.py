@@ -86,6 +86,7 @@ CONTOUR_DEPTH = 5.0         # rectangle left edge at Re = -CONTOUR_DEPTH without
 CONTOUR_SHIFTS = (0.125, 0.375, 0.25, 0.0625, 0.3125)
 COUNT_TOL = 0.05            # distance of the contour count from its integer
 RANK_TOL = 1e-8             # relative singular value that still counts in the Hankel rank
+_GL_NODES, _GL_WEIGHTS = leggauss(CONTOUR_NODES)  # on [-1, 1], mapped to every contour panel
 
 
 @dataclass(frozen=True)
@@ -280,9 +281,11 @@ def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
     """All exponents of a scalar constant-coefficient problem.
 
     Roots of the zero-harmonic characteristic equation are found by Newton
-    iteration from a 21x21 grid of starting points with Maehly deflation; the
-    other harmonics only shift those roots by -i*j*omega0, so the
-    zero-harmonic roots are already the canonical representatives.
+    iteration from a 21x21 grid of starting points with Maehly deflation; a
+    start is dropped once the transfer raises
+    :class:`~memflo.errors.BoundViolation` at one of its iterates.  The other
+    harmonics only shift those roots by -i*j*omega0, so the zero-harmonic
+    roots are already the canonical representatives.
     """
     if p.dim != 1:
         raise ValueError("solve_scalar requires a one-dimensional problem")
@@ -311,39 +314,37 @@ def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
 
     roots: list[complex] = []
     rejected: list[complex] = []
+
+    def newton(lam: complex) -> complex | None:
+        """Deflated Newton from one start, then a plain polish; None if it stalls."""
+        for _ in range(80):
+            val, der = g(lam), gp(lam)
+            if val == 0:
+                break
+            denom = der / val - sum(1.0 / (lam - r) for r in roots)
+            if denom == 0 or not np.isfinite(denom):
+                return None
+            step = 1.0 / denom
+            lam = lam - step
+            if abs(step) < 5e-14 * (1.0 + abs(lam)):
+                break
+        else:
+            return None
+        for _ in range(3):  # plain polish on the undeflated function
+            try:
+                lam = lam - g(lam) / gp(lam)
+            except ZeroDivisionError:
+                break
+        return lam
+
     for re0 in res:
         for im0 in ims:
-            lam = complex(re0, im0)
-            converged = False
-            for _ in range(80):
-                try:
-                    val = g(lam)
-                    der = gp(lam)
-                except BoundViolation:
-                    break
-                if val == 0:
-                    converged = True
-                    break
-                denom = der / val - sum(1.0 / (lam - r) for r in roots)
-                if denom == 0 or not np.isfinite(denom):
-                    break
-                step = 1.0 / denom
-                lam = lam - step
-                if math.isfinite(kc) and mt.truncation is None and lam.real <= -kc + 1e-8:
-                    break
-                if abs(step) < 5e-14 * (1.0 + abs(lam)):
-                    converged = True
-                    break
-            if not converged:
-                continue
-            for _ in range(3):  # plain polish on the undeflated function
-                try:
-                    lam = lam - g(lam) / gp(lam)
-                except (BoundViolation, ZeroDivisionError):
-                    break
-            if any(abs(lam - r) < 1e-8 for r in roots + rejected):
-                continue
-            if abs(g(lam)) > 1e-9 * (1.0 + abs(lam)):
+            try:
+                lam = newton(complex(re0, im0))
+                if lam is None or any(abs(lam - r) < 1e-8 for r in roots + rejected) \
+                        or abs(g(lam)) > 1e-9 * (1.0 + abs(lam)):
+                    continue
+            except BoundViolation:
                 continue
             if math.isfinite(kc) and lam.real <= -kc + BOUND_MARGIN:
                 rejected.append(lam)
@@ -495,7 +496,8 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
                         nodes: int) -> tuple[complex, np.ndarray]:
     """Unrounded root count of det R in ``rect`` and the enclosed eigenvalues.
 
-    ``nodes`` Gauss-Legendre points on each side give the argument-principle
+    ``nodes`` points per side, the ``CONTOUR_NODES``-point Gauss-Legendre rule
+    on each of nodes // CONTOUR_NODES equal panels, give the argument-principle
     count (1/2 pi i) contour-integral tr(R^-1 R') (Delves & Lyness, Math. Comp.
     1967), then, if it is within COUNT_TOL of a positive integer, the moments of
     R^-1, ``CONTOUR_NODES`` inverses at a time, whose block Hankel pencil cut
@@ -503,10 +505,12 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
     and inside the rectangle.
     """
     corners = [complex(rect[i], rect[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))]
-    t, w = leggauss(nodes)
+    panels = nodes // CONTOUR_NODES
+    t = ((np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1)) / panels).ravel()  # in (0, 1)
+    w = np.tile(0.5 * _GL_WEIGHTS, panels) / panels
     sides = list(zip(corners, corners[1:] + corners[:1]))
-    z = np.concatenate([a + 0.5 * (b - a) * (t + 1) for a, b in sides])
-    dz = np.concatenate([0.5 * (b - a) * w for a, b in sides]) / (2j * np.pi)
+    z = np.concatenate([a + (b - a) * t for a, b in sides])
+    dz = np.concatenate([(b - a) * w for a, b in sides]) / (2j * np.pi)
     count = sum(c * np.trace(np.linalg.solve(assemble_residual_matrix(p, zj),
                                               residual_matrix_dlambda(p, zj)))
                 for c, zj in zip(dz, z))
@@ -538,9 +542,10 @@ def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenp
     """Polish a seed against the exact transcendental operator.
 
     Bordered Newton iteration on {R(lambda) x = 0, x_pivot = 1}, at most 50
-    steps to a residual below 1e-10; on failure the seed is returned flagged
-    unrefined.  The seed's residual is measured at the first iterate; a seed
-    at 0.1 or above raises ``ValueError``.
+    steps to a residual below 1e-10; on failure (a singular step, or an
+    iterate where the transfer raises ``BoundViolation``) the seed is returned
+    flagged unrefined.  The seed's residual is measured at the first iterate;
+    a seed at 0.1 or above raises ``ValueError``.
     """
     tol = 1e-10
     x = np.array(seed.eigenvector.flat, dtype=complex)
@@ -548,37 +553,33 @@ def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenp
     x = x / x[idx]
     lam = complex(seed.exponent)
     size = p.size
-    for it in range(50):
-        try:
+    try:
+        for it in range(51):  # the residual at the seed and after each of 50 steps
             rmat = assemble_residual_matrix(p, lam)
-        except BoundViolation:
-            return replace(seed, refined=False)
-        r = rmat @ x
-        res = np.linalg.norm(r) / np.linalg.norm(x)
-        if it == 0 and res >= 0.1:
-            raise ValueError("refinement expects a seed with residual below 0.1")
-        if res < tol:
-            return make_eigenpair(p, lam, x, res)
-        jac = np.zeros((size + 1, size + 1), dtype=complex)
-        jac[:size, :size] = rmat
-        jac[:size, size] = residual_matrix_dlambda(p, lam) @ x
-        jac[size, idx] = 1.0
-        rhs = -np.concatenate([r, [x[idx] - 1.0]])
-        try:
+            r = rmat @ x
+            res = np.linalg.norm(r) / np.linalg.norm(x)
+            if it == 0 and res >= 0.1:
+                raise ValueError("refinement expects a seed with residual below 0.1")
+            if res < tol:
+                return make_eigenpair(p, lam, x, res)
+            if it == 50:
+                break
+            jac = np.zeros((size + 1, size + 1), dtype=complex)
+            jac[:size, :size] = rmat
+            jac[:size, size] = residual_matrix_dlambda(p, lam) @ x
+            jac[size, idx] = 1.0
+            rhs = -np.concatenate([r, [x[idx] - 1.0]])
             delta = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            return replace(seed, refined=False)
-        step = 1.0
-        kc = p.critical_exponent
-        if p.transfer is not None and p.transfer.truncation is None and math.isfinite(kc):
-            # keep the iterate inside the transfer domain
-            while step > 1e-6 and (lam + step * delta[size]).real <= -kc + 2 * BOUND_MARGIN:
-                step *= 0.5
-        x = x + step * delta[:size]
-        lam = lam + step * delta[size]
-    res = eigenpair_residual(p, lam, x)
-    if res < tol:
-        return make_eigenpair(p, lam, x, res)
+            step = 1.0
+            kc = p.critical_exponent
+            if p.transfer is not None and p.transfer.truncation is None and math.isfinite(kc):
+                # keep the iterate inside the transfer domain
+                while step > 1e-6 and (lam + step * delta[size]).real <= -kc + 2 * BOUND_MARGIN:
+                    step *= 0.5
+            x = x + step * delta[:size]
+            lam = lam + step * delta[size]
+    except (BoundViolation, np.linalg.LinAlgError):  # an iterate off the domain, or singular
+        pass
     return replace(seed, refined=False)
 
 

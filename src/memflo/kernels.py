@@ -13,9 +13,10 @@ where Gm(u) are the Fourier coefficients of G in t.  Time-invariant kernels
 have only the m = 0 term and the coupling is diagonal over harmonics.
 
 The asymptotic decay rate of the kernel tail (its critical exponent) bounds
-every admissible exponent from below: Re(lambda) > -min_t k_c(t).  Evaluating
-an untruncated transfer at or below that abscissa raises
-:class:`~memflo.errors.BoundViolation`.
+every admissible exponent from below: Re(lambda) > -min_t k_c(t).  Every
+transfer and lambda-derivative raises :class:`~memflo.errors.BoundViolation`
+where it cannot be evaluated: at or below that abscissa when untruncated, and
+wherever its value would overflow.
 """
 
 from __future__ import annotations
@@ -187,6 +188,12 @@ def _check_domain(mt: MemoryTransfer, lam: complex) -> None:
         )
 
 
+def _check_overflow(x: complex) -> None:
+    """Raise :class:`~memflo.errors.BoundViolation` where a factor e^x of a transfer overflows."""
+    if x.real > 600.0:
+        raise BoundViolation(f"transfer is not finite: exponent {x.real:.6g} above 600")
+
+
 def _window_factor(c: complex, sbar: float | None) -> complex:
     """integral_0^sbar e^{-c u} du; sbar = None means the full half line."""
     if sbar is None:
@@ -194,8 +201,7 @@ def _window_factor(c: complex, sbar: float | None) -> complex:
     x = c * sbar
     if abs(x) < 1e-6:
         return sbar * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
-    if x.real < -600.0:  # exp would overflow; huge sentinel makes iterations back off
-        return complex(1e280, 0.0)
+    _check_overflow(-x)
     return -np.expm1(-x) / c
 
 
@@ -206,8 +212,7 @@ def _window_factor_dc(c: complex, sbar: float | None) -> complex:
     x = c * sbar
     if abs(x) < 1e-6:
         return -sbar * sbar * (0.5 - x / 3.0 + x * x / 8.0)
-    if x.real < -600.0:
-        return complex(-1e280, 0.0)
+    _check_overflow(-x)
     e = np.exp(-x)
     return (sbar * e * c - (1.0 - e)) / (c * c)
 
@@ -293,17 +298,12 @@ def _transfer(mt: MemoryTransfer, lam: complex, omega_j: float, power: int) -> n
     if isinstance(k, Delay):
         if mt.truncation is not None and mt.truncation < k.delay:
             return np.zeros_like(k.weight, dtype=complex)
-        return (-k.delay) ** power * k.weight * _bounded_exp(-zeta * k.delay)
+        x = -zeta * k.delay
+        _check_overflow(x)
+        return (-k.delay) ** power * k.weight * complex(np.exp(x))
     if isinstance(k, FiniteSupportSampled):
         return _spline_transfers([k.splines[0]], mt.truncation, zeta, power)[0]
     raise TypeError(f"unsupported kernel {type(k).__name__}")
-
-
-def _bounded_exp(x: complex) -> complex:
-    """exp with a huge finite sentinel instead of overflow."""
-    if x.real > 600.0:
-        return complex(1e280, 0.0)
-    return complex(np.exp(x))
 
 
 def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:

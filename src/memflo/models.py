@@ -290,8 +290,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
         z0 = np.zeros(system.dim)  # memory states start from the zero history
         z0[[0, 3]] = 0.3, 0.5
         try:
-            late = seed_from_time_integration(
-                system, n_harmonics, z0=z0, period_estimate=2 * math.pi / m.omega_bar[0])
+            late = seed_from_time_integration(system, n_harmonics, z0=z0)
             attempt = solve_cycle(system, late)
             if cycle_amplitude(attempt) > CYCLE_AMPLITUDE_TOL:
                 cycle = attempt

@@ -282,8 +282,7 @@ def test_jacobian_validation_flags_wrong_jacobian():
 
 def test_seed_from_time_integration_recovers_forced_response():
     model = linear_forced_model()
-    seed = C.seed_from_time_integration(model, 5, z0=np.array([0.0]),
-                                        period_estimate=2 * math.pi)
+    seed = C.seed_from_time_integration(model, 5, z0=np.array([0.0]))
     cyc = C.solve_cycle(model, seed)
     assert cyc.harmonics.amplitude(0, 1) == pytest.approx(0.25 - 0.25j, abs=1e-10)
     # the transient-integrated seed is already close

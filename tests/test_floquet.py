@@ -16,7 +16,7 @@ from memflo import floquet as F
 from memflo import hb
 from memflo import kernels as K
 from memflo import models as M
-from memflo.errors import IncompleteSpectrum
+from memflo.errors import BoundViolation, IncompleteSpectrum
 from memflo.oracles import (
     monodromy_multipliers,
     pep_determinant,
@@ -556,12 +556,12 @@ def test_delay_kernel_characteristic_root():
     assert lam_m == pytest.approx(lam, abs=1e-9)
 
 
-def delay_problem(n_harmonics, period, a=-1.0, b=0.5, dim=1):
-    # y' = a y + b y(t-1) in each of dim uncoupled components
+def delay_problem(n_harmonics, period, a=-1.0, b=0.5, dim=1, tau=1.0):
+    # y' = a y + b y(t-tau) in each of dim uncoupled components
     jac = hb.toeplitz_from_periodic(
         hb.MatrixHarmonics.constant(a * np.eye(dim), 2 * math.pi / period),
         n_harmonics=n_harmonics)
-    return F.FloquetProblem(jac, K.MemoryTransfer(K.Delay(b * np.eye(dim), 1.0)), period,
+    return F.FloquetProblem(jac, K.MemoryTransfer(K.Delay(b * np.eye(dim), tau)), period,
                             n_harmonics, dim)
 
 
@@ -604,6 +604,13 @@ def test_contour_route_that_encloses_no_exponent_is_incomplete():
     # y' = -10y + 1e-6 y(t-1): the root near -9.98 lies left of the edge at Re = -5
     with pytest.raises(IncompleteSpectrum, match="no exponent"):
         F.floquet_spectrum(delay_problem(2, 2 * math.pi, a=-10.0, b=1e-6))
+
+
+def test_contour_route_raises_where_a_long_delay_overflows():
+    # y' = -y + y(t-150)/2: e^{-150 lambda} is beyond the float range on the left edge
+    # Re = -5, so the route raises there instead of integrating a stand-in value
+    with pytest.raises(BoundViolation, match="not finite"):
+        F.floquet_spectrum(delay_problem(2, 2 * math.pi, tau=150.0))
 
 
 def test_contour_route_raises_on_a_lost_candidate(monkeypatch):

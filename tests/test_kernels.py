@@ -117,16 +117,27 @@ def test_sampled_transfer_is_exact_for_a_cubic(zeta, truncation):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_sampled_transfer_overflow_is_a_bound_violation():
-    # lambda = -5 + 0.1i is the contour's left edge without a decay bound; over a support
-    # of 200 the transfer grows like e^{1000}, beyond the float range
-    u = np.linspace(0.0, 200.0, 400)
-    mt = K.MemoryTransfer(K.FiniteSupportSampled(np.exp(-u / 50)[None, :, None, None], 200.0))
-    for transfer in (K.transfer_at, K.transfer_dlambda):
-        with pytest.raises(BoundViolation, match="not finite"):
-            transfer(mt, -5 + 0.1j, 0.0)
+# (transfer, lambda) of each family where the transfer lies beyond the float range.  Re = -5
+# is the contour's left edge without a decay bound: a support of 200 grows like e^{1000}
+# and a delay of 150 like e^{750}; a window of 700 at rate 1 and lambda = -4, like e^{2100}
+OVERFLOWING = {
+    "sampled": (K.MemoryTransfer(K.FiniteSupportSampled(
+        np.exp(-np.linspace(0.0, 200.0, 400) / 50)[None, :, None, None], 200.0)), -5 + 0.1j),
+    "exponential": (exp_transfer(1.0, truncation=700.0), -4.0),
+    "delay": (K.MemoryTransfer(K.Delay([[1.0]], 150.0)), -5.0),
+}
+
+
+@pytest.mark.parametrize("family", OVERFLOWING)
+@pytest.mark.parametrize("transfer, matrix", [(K.transfer_at, K.memory_matrix),
+                                              (K.transfer_dlambda, K.memory_matrix_dlambda)],
+                         ids=["transfer", "dlambda"])
+def test_transfer_overflow_is_a_bound_violation(transfer, matrix, family):
+    mt, lam = OVERFLOWING[family]
     with pytest.raises(BoundViolation, match="not finite"):
-        K.memory_matrix(mt, -5 + 0.1j, np.array([-1.0, 0.0, 1.0]))
+        transfer(mt, lam, 0.0)
+    with pytest.raises(BoundViolation, match="not finite"):
+        matrix(mt, lam, np.array([-1.0, 0.0, 1.0]))
 
 
 # --- derivative and analyticity --------------------------------------------------

@@ -44,6 +44,22 @@ def test_model1d_exponent_increases_with_rate():
         assert all(x < y for x, y in zip(lams, lams[1:]))
 
 
+def test_model1d_transfers_stay_in_the_float_range(monkeypatch):
+    # a Newton start that crosses the window's overflow line is dropped where the transfer
+    # raises, rather than iterated on a huge stand-in value
+    moduli = []
+    transfer_at = F.transfer_at
+
+    def recorded(*args):
+        value = transfer_at(*args)
+        moduli.append(float(np.max(np.abs(value))))
+        return value
+
+    monkeypatch.setattr(F, "transfer_at", recorded)
+    M.model1d_exponent(M.Memory1DModel(0.0, 3.0, 10.0))
+    assert moduli and max(moduli) <= 1e200
+
+
 def test_model1d_convergence_table():
     rows = M.model1d_convergence(M.Memory1DModel(0.0, 3.0), [0.0, 1.0, 2.0, 5.0, 20.0])
     s_vals, lams, devs = zip(*rows)
