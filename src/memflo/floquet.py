@@ -20,9 +20,12 @@ classes of 2N+1 copies: the route keeps each class's copy with centred
 eigenvector harmonics, and is complete when d classes are certified or
 filtered.  Candidates are filtered against the decay bound, polished by
 bordered Newton iteration on the exact transcendental operator, and collapsed
-into classes (multipliers exp(lambda*T) label them uniquely).  The tolerances
-are the module constants below; the stability verdict is derived from the
-classes by :attr:`FloquetSpectrum.stability`.
+into classes (multipliers exp(lambda*T) label them uniquely).  Every route
+has one certificate: a pair's residual ||R(lambda) r|| / ||r|| lies below
+``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1 where
+that is larger; a scalar root's |R(lambda)| lies below ``CERTIFICATE_TOL``.
+The tolerances are the module constants below; the stability verdict is
+derived from the classes by :attr:`FloquetSpectrum.stability`.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ log = logging.getLogger(__name__)
 STABILITY_TOL = 1e-6
 MERGE_TOL = 1e-8
 TRIVIAL_FACTOR = 1e-3
-CERTIFICATE_TOL = 1e-8
+CERTIFICATE_TOL = 1e-10     # residual that certifies a pair, unless R's rounding floor is above it
 BOUND_MARGIN = 1e-9
 CONTOUR_NODES = 32          # Gauss-Legendre nodes per rectangle side, first pass
 CONTOUR_DOUBLINGS = 4       # node doublings before an unmatched count is an incomplete spectrum
@@ -153,7 +156,6 @@ class FloquetEigenpair:
     eigenvector: HarmonicVector | None
     residual: float
     bound_ok: bool = True
-    refined: bool = True
     trivial: bool = False
 
 
@@ -208,15 +210,14 @@ def floquet_multiplier(exponent: complex, period: float) -> complex:
 
 
 def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarray,
-                   residual: float, refined: bool = True) -> FloquetEigenpair:
+                   residual: float) -> FloquetEigenpair:
     """Package an eigenpair: gauge-normalized vector, multiplier, bound flag."""
     vec = _gauge_normalize(np.asarray(vector, dtype=complex))
     hv = HarmonicVector.from_flat(vec, problem.dim, problem.n_harmonics, problem.omega0)
     mult = floquet_multiplier(exponent, problem.period)
     kc = problem.critical_exponent
     ok = (not math.isfinite(kc)) or exponent.real > -kc + BOUND_MARGIN
-    return FloquetEigenpair(complex(exponent), mult, hv, float(residual),
-                            bound_ok=ok, refined=refined)
+    return FloquetEigenpair(complex(exponent), mult, hv, float(residual), bound_ok=ok)
 
 
 def assemble_residual_matrix(p: FloquetProblem, lam: complex) -> np.ndarray:
@@ -264,7 +265,7 @@ def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair,
     lam = pair.exponent + 1j * steps * p.omega0
     hv = shift_harmonics(pair.eigenvector, -steps)
     res = eigenpair_residual(p, lam, hv.flat)
-    return make_eigenpair(p, lam, hv.flat, res, refined=pair.refined)
+    return make_eigenpair(p, lam, hv.flat, res)
 
 
 # --- scalar route -----------------------------------------------------------
@@ -283,7 +284,8 @@ def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
     Roots of the zero-harmonic characteristic equation are found by Newton
     iteration from a 21x21 grid of starting points with Maehly deflation; a
     start is dropped once the transfer raises
-    :class:`~memflo.errors.BoundViolation` at one of its iterates.  The other
+    :class:`~memflo.errors.BoundViolation` at one of its iterates, and a root
+    is kept when |R(lambda)| < ``CERTIFICATE_TOL``.  The other
     harmonics only shift those roots by -i*j*omega0, so the zero-harmonic
     roots are already the canonical representatives.
     """
@@ -342,7 +344,7 @@ def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
             try:
                 lam = newton(complex(re0, im0))
                 if lam is None or any(abs(lam - r) < 1e-8 for r in roots + rejected) \
-                        or abs(g(lam)) > 1e-9 * (1.0 + abs(lam)):
+                        or abs(g(lam)) >= CERTIFICATE_TOL:
                     continue
             except BoundViolation:
                 continue
@@ -538,20 +540,23 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
 # --- Newton polish ----------------------------------------------------------
 
 
-def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenpair:
-    """Polish a seed against the exact transcendental operator.
+def refine_eigenpair(p: FloquetProblem, exponent: complex,
+                     vector: np.ndarray) -> FloquetEigenpair | None:
+    """Polish a candidate against the exact transcendental operator.
 
     Bordered Newton iteration on {R(lambda) x = 0, x_pivot = 1}, at most 50
-    steps to a residual below 1e-10; on failure (a singular step, or an
-    iterate where the transfer raises ``BoundViolation``) the seed is returned
-    flagged unrefined.  The seed's residual is measured at the first iterate;
-    a seed at 0.1 or above raises ``ValueError``.
+    steps, until the residual ||R(lambda) x|| / ||x|| is certified: below
+    ``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1
+    where that is larger (fast memory puts entries of size ~rate in R).
+    Returns the certified pair, or None on failure (no certified iterate, a
+    singular step, or an iterate where the transfer raises
+    ``BoundViolation``).  The candidate's residual is measured at the first
+    iterate; a candidate at 0.1 or above raises ``ValueError``.
     """
-    tol = 1e-10
-    x = np.array(seed.eigenvector.flat, dtype=complex)
+    x = np.asarray(vector, dtype=complex)
     idx = int(np.argmax(np.abs(x)))
     x = x / x[idx]
-    lam = complex(seed.exponent)
+    lam = complex(exponent)
     size = p.size
     try:
         for it in range(51):  # the residual at the seed and after each of 50 steps
@@ -560,7 +565,7 @@ def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenp
             res = np.linalg.norm(r) / np.linalg.norm(x)
             if it == 0 and res >= 0.1:
                 raise ValueError("refinement expects a seed with residual below 0.1")
-            if res < tol:
+            if res < CERTIFICATE_TOL or res < 1e3 * np.finfo(float).eps * np.linalg.norm(rmat, 1):
                 return make_eigenpair(p, lam, x, res)
             if it == 50:
                 break
@@ -580,7 +585,7 @@ def refine_eigenpair(p: FloquetProblem, seed: FloquetEigenpair) -> FloquetEigenp
             lam = lam + step * delta[size]
     except (BoundViolation, np.linalg.LinAlgError):  # an iterate off the domain, or singular
         pass
-    return replace(seed, refined=False)
+    return None
 
 
 # --- canonicalization -------------------------------------------------------
@@ -643,8 +648,7 @@ def canonicalize_spectrum(pairs, omega0: float | None, autonomous: bool = False,
             lam = lam - 1j * m * omega0
             vec = shift_harmonics(vec, m) if vec is not None else None
         classes.append(FloquetEigenpair(lam, floquet_multiplier(lam, period), vec,
-                                        pair.residual, bound_ok=pair.bound_ok,
-                                        refined=pair.refined))
+                                        pair.residual, bound_ok=pair.bound_ok))
 
     if autonomous and classes:
         nearest = min(range(len(classes)), key=lambda i: abs(classes[i].exponent))
@@ -674,12 +678,13 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     grouped into classes modulo i*omega0 before the polish, except for a
     time-invariant problem (``n_harmonics == 0``), whose exponents are not
     folded.  One member of each class is polished against the exact
-    R(lambda) and must meet ``CERTIFICATE_TOL``.  The certified plus the
-    bound-filtered candidates must number the Hill states, or the contour
-    root count; an unmatched contour count moves the rectangle to the next
-    of ``CONTOUR_SHIFTS`` with twice the nodes, at most
-    ``CONTOUR_DOUBLINGS`` times.  An unmatched count, or a matched contour
-    count with no certified class, raises
+    R(lambda) by :func:`refine_eigenpair`, which certifies it at a residual
+    below ``CERTIFICATE_TOL``, or below the rounding floor of R(lambda) where
+    that is larger.  The certified plus the bound-filtered candidates must
+    number the Hill states, or the contour root count; an unmatched contour
+    count moves the rectangle to the next of ``CONTOUR_SHIFTS`` with twice
+    the nodes, at most ``CONTOUR_DOUBLINGS`` times.  An unmatched count, or a
+    matched contour count with no certified class, raises
     :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
     time-translation class as trivial, and a spectrum without one raises it
     too.  Diagnostics name the ``route`` and count every discarded
@@ -733,7 +738,7 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
     survivors = [(lam, vec) for lam, vec in candidates if lam.real > floor]
     below = [[lam.real, lam.imag] for lam, _ in candidates if lam.real <= floor]
     diag.update({"n_bound_filtered": len(below), "bound_filtered": below, "n_unrefined": 0,
-                 "n_certificate_failed": 0, "n_seed_rejected": 0, "n_certified": 0})
+                 "n_seed_rejected": 0, "n_certified": 0})
     if below:
         log.info("discarded %d eigenvalue candidates below the decay bound %.6g",
                  len(below), -p.critical_exponent)
@@ -741,17 +746,13 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
     omega0 = p.omega0 if p.n_harmonics else None  # a time-invariant problem folds nothing
     polished = []
     for (lam, vec), n_copies in _exponent_classes(survivors, lambda c: c[0], omega0):
-        seed = make_eigenpair(p, lam, vec, math.inf, refined=False)
         try:
-            pair = refine_eigenpair(p, seed)
+            pair = refine_eigenpair(p, lam, vec)
         except ValueError:  # seed residual at or above 0.1
             diag["n_seed_rejected"] += 1
             continue
-        if not pair.refined:
+        if pair is None:
             diag["n_unrefined"] += 1
-            continue
-        if pair.residual >= CERTIFICATE_TOL:
-            diag["n_certificate_failed"] += 1
             continue
         polished.append(pair)
         diag["n_certified"] += n_copies

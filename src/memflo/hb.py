@@ -156,16 +156,9 @@ class HarmonicVector:
         return cls(dim, n_harmonics, a, omega0, real_signal)
 
 
-def dft(x: TimeSamples, n_harmonics: int | None = None) -> HarmonicVector:
-    """Transform time samples to harmonic amplitudes.
-
-    The sample count fixes the truncation; passing ``n_harmonics`` asserts it.
-    """
+def dft(x: TimeSamples) -> HarmonicVector:
+    """Transform time samples to harmonic amplitudes; the sample count fixes the truncation."""
     n = x.n_harmonics
-    if n_harmonics is not None and n_harmonics != n:
-        raise ValueError(
-            f"sample count {x.samples.shape[1]} does not match n_harmonics={n_harmonics}"
-        )
     amps = x.samples @ _grid_basis(n, 2 * n + 1).T
     real = bool(np.max(np.abs(np.asarray(x.samples).imag)) == 0.0) if np.iscomplexobj(x.samples) else True
     return HarmonicVector(x.dim, n, amps, 2 * np.pi / x.period, real_signal=real)

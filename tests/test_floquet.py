@@ -1,7 +1,6 @@
 """Eigenproblem tests: assembly, scalar roots, Hill and contour routes, polish, classes."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,8 +272,7 @@ def test_refine_exact_pair_is_fixed_point():
     p = memoryless_problem(0.5, n_harmonics=1)
     vec = np.zeros(3, dtype=complex)
     vec[1] = 1.0
-    seed = F.make_eigenpair(p, 0.5, vec, 0.0)
-    out = F.refine_eigenpair(p, seed)
+    out = F.refine_eigenpair(p, 0.5, vec)
     assert out.exponent == pytest.approx(0.5, abs=1e-14)
     assert out.residual < 1e-14
 
@@ -283,9 +281,8 @@ def test_refine_scalar_memory_seed():
     p = scalar_problem(0.0, 3.0, n_harmonics=2)
     vec = np.zeros(5, dtype=complex)
     vec[2] = 1.0
-    seed = F.make_eigenpair(p, 0.30, vec, F.eigenpair_residual(p, 0.30, vec))
-    out = F.refine_eigenpair(p, seed)
-    assert out.refined
+    out = F.refine_eigenpair(p, 0.30, vec)
+    assert out is not None
     assert out.exponent == pytest.approx(LAM_A0_K3, abs=1e-10)
     assert out.residual < 1e-10
 
@@ -296,8 +293,7 @@ def test_refine_recovers_from_perturbed_vector():
     vec = np.zeros(5, dtype=complex)
     vec[2] = 1.0
     vec += 1e-3 * (rng.normal(size=5) + 1j * rng.normal(size=5))
-    seed = F.make_eigenpair(p, LAM_A0_K3, vec, F.eigenpair_residual(p, LAM_A0_K3, vec))
-    out = F.refine_eigenpair(p, seed)
+    out = F.refine_eigenpair(p, LAM_A0_K3, vec)
     assert out.residual < 1e-10
     assert out.exponent == pytest.approx(LAM_A0_K3, abs=1e-9)
 
@@ -306,7 +302,15 @@ def test_refine_rejects_bad_seed():
     p = scalar_problem(0.0, 3.0, n_harmonics=1)
     vec = np.ones(3, dtype=complex)
     with pytest.raises(ValueError, match="residual"):
-        F.refine_eigenpair(p, F.make_eigenpair(p, 5.0, vec, 0.5))
+        F.refine_eigenpair(p, 5.0, vec)
+
+
+def test_refine_returns_none_where_the_transfer_overflows():
+    # e^{-150 lambda} is beyond the float range at Re lambda = -5: no pair is certified
+    p = delay_problem(1, 2 * math.pi, tau=150.0)
+    vec = np.zeros(3, dtype=complex)
+    vec[1] = 1.0
+    assert F.refine_eigenpair(p, -5.0, vec) is None
 
 
 # --- canonicalization --------------------------------------------------------------
@@ -434,9 +438,9 @@ def test_hill_route_raises_on_a_lost_class(monkeypatch):
     refine = F.refine_eigenpair
     seeds = []
 
-    def failing_first(problem, seed):
-        seeds.append(seed)
-        return replace(seed, refined=False) if len(seeds) == 1 else refine(problem, seed)
+    def failing_first(problem, exponent, vector):
+        seeds.append(exponent)
+        return None if len(seeds) == 1 else refine(problem, exponent, vector)
 
     monkeypatch.setattr(F, "refine_eigenpair", failing_first)
     with pytest.raises(IncompleteSpectrum, match="1 of 2 Hill classes"):
@@ -618,10 +622,10 @@ def test_contour_route_raises_on_a_lost_candidate(monkeypatch):
     p = delay_problem(8, 2.0)
     refine = F.refine_eigenpair
 
-    def failing(problem, seed):
-        if abs(seed.exponent - (-1.0 + lambertw(math.e / 2).real)) < 1e-6:
-            return replace(seed, refined=False)
-        return refine(problem, seed)
+    def failing(problem, exponent, vector):
+        if abs(exponent - (-1.0 + lambertw(math.e / 2).real)) < 1e-6:
+            return None
+        return refine(problem, exponent, vector)
 
     monkeypatch.setattr(F, "refine_eigenpair", failing)
     monkeypatch.setattr(F, "CONTOUR_DOUBLINGS", 1)
@@ -723,9 +727,9 @@ def test_copies_split_across_the_strip_edge_are_polished_once(monkeypatch, n):
     seeds = []
     refine = F.refine_eigenpair
 
-    def counted(problem, seed):
-        seeds.append(seed.exponent)
-        return refine(problem, seed)
+    def counted(problem, exponent, vector):
+        seeds.append(exponent)
+        return refine(problem, exponent, vector)
 
     monkeypatch.setattr(F, "refine_eigenpair", counted)
     spec = F.floquet_spectrum(p)

@@ -45,12 +45,6 @@ def test_dft_matches_direct_fourier_sum():
     assert np.max(np.abs(a.amplitudes - direct)) < 1e-14
 
 
-def test_dft_rejects_mismatched_truncation():
-    x = _random_samples(np.random.default_rng(0), 1, 3)
-    with pytest.raises(ValueError, match="does not match"):
-        hb.dft(x, n_harmonics=4)
-
-
 def test_time_samples_reject_even_count():
     with pytest.raises(ValueError, match="odd"):
         hb.TimeSamples(1, np.zeros((1, 6)), period=1.0)
