@@ -61,7 +61,6 @@ from .models import (
     TlResonatorModel,
     model1d_convergence,
     model1d_exponent,
-    particle_effective_friction,
     particle_equilibrium_spectrum,
     particle_spectrum,
     tl_spectrum,

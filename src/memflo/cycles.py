@@ -67,7 +67,12 @@ NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
 class SystemModel:
     """Right-hand side and Jacobian of a memoryless state equation.
 
-    ``rhs(z, t)`` and ``rhs_jacobian(z, t)`` describe dz/dt = f(z, t).  A
+    ``rhs(z, t)`` and ``rhs_jacobian(z, t)`` describe dz/dt = f(z, t) on a
+    grid of states in one call: z has shape (dim, ...), t broadcasts against
+    its trailing axes, ``rhs`` returns (dim, ...) and ``rhs_jacobian``
+    (dim, dim, ...) or a constant (dim, dim).  The collocation grid passes
+    z of shape (dim, G) with t of shape (G,), time integration one (dim,)
+    state.  A
     model that carries exponential memory as states sets ``memory_rate`` to
     the decay rate of those states: exponents at or below -memory_rate belong
     to no admissible mode of the memory system and are filtered out of its
@@ -92,17 +97,14 @@ class SystemModel:
 
     def _check_jacobian(self, n_checks: int = 3, tol: float = 1e-5):
         rng = np.random.default_rng(0)
+        h = 1e-6
+        dz = h * np.eye(self.dim)  # column j perturbs state j
         for _ in range(n_checks):
             z = rng.normal(size=self.dim)
             t = float(rng.uniform(0, 1))
-            jac = np.atleast_2d(np.asarray(self.rhs_jacobian(z, t), dtype=float))
-            fd = np.empty_like(jac)
-            h = 1e-6
-            for j in range(self.dim):
-                dz = np.zeros(self.dim)
-                dz[j] = h
-                fd[:, j] = (np.asarray(self.rhs(z + dz, t)) -
-                            np.asarray(self.rhs(z - dz, t))) / (2 * h)
+            jac = np.asarray(self.rhs_jacobian(z, t), dtype=float)
+            fd = (np.asarray(self.rhs(z[:, None] + dz, t)) -
+                  np.asarray(self.rhs(z[:, None] - dz, t))) / (2 * h)
             scale = max(1.0, float(np.max(np.abs(jac))))
             if np.max(np.abs(jac - fd)) > tol * scale:
                 raise ValueError("rhs_jacobian disagrees with finite differences of rhs")
@@ -131,10 +133,12 @@ def rotate_phase(hv: HarmonicVector, phi: float) -> HarmonicVector:
 def _sampled_band(fn, z_real: np.ndarray, times: np.ndarray, period: float) -> MatrixHarmonics:
     """Harmonics -2N..2N of the matrix fn(z, t) sampled along the cycle.
 
-    ``times`` is the oversampled grid ``sample_times(2N, period)``.
+    ``times`` is the oversampled grid ``sample_times(2N, period)``; a
+    constant fn broadcasts over it.
     """
-    samples = np.stack([np.atleast_2d(fn(z, t)) for z, t in zip(z_real.T, times)], axis=-1)
-    return MatrixHarmonics.from_time_grid(samples, period, (len(times) - 1) // 2)
+    n, g = z_real.shape
+    samples = np.broadcast_to(np.reshape(fn(z_real, times), (n, n, -1)), (n, n, g))
+    return MatrixHarmonics.from_time_grid(samples, period, (g - 1) // 2)
 
 
 def _residual_complex(model: SystemModel, amps: np.ndarray, omega0: float):
@@ -145,9 +149,7 @@ def _residual_complex(model: SystemModel, amps: np.ndarray, omega0: float):
     basis = _grid_basis(nh, len(times))
     # conjugate-symmetric amplitudes guarantee real samples
     z_real = HarmonicVector(n, nh, amps, omega0).evaluate(times).real
-    f_samples = np.empty((n, len(times)))
-    for i, t in enumerate(times):
-        f_samples[:, i] = np.asarray(model.rhs(z_real[:, i], t), dtype=float)
+    f_samples = np.asarray(model.rhs(z_real, times), dtype=float)
     h = np.arange(-nh, nh + 1)
     rho = (1j * h * omega0) * amps - f_samples @ basis.T
     return rho, z_real, times

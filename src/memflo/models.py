@@ -36,7 +36,6 @@ from .hb import (
     HarmonicVector,
     MatrixHarmonics,
     differentiate,
-    sample_times,
     toeplitz_from_periodic,
 )
 from .kernels import ExponentialDecay, MemoryTransfer
@@ -53,7 +52,6 @@ __all__ = [
     "model1d_convergence",
     "particle_spectrum",
     "particle_equilibrium_spectrum",
-    "particle_effective_friction",
     "tl_spectrum",
     "cycle_amplitude",
     "CYCLE_AMPLITUDE_TOL",
@@ -138,8 +136,9 @@ class BrownianParticleModel:
         if self.omega_bar[0] <= 0 or self.omega_bar[1] <= 0:
             raise ValueError("well frequencies must be positive")
 
-    def friction(self, v: np.ndarray) -> float:
-        return -self.alpha + self.beta * float(v @ v) + self.g / self.k
+    def friction(self, v):
+        """gamma(v) for the velocity components v[0], v[1] of any shape."""
+        return -self.alpha + self.beta * (v[0] * v[0] + v[1] * v[1]) + self.g / self.k
 
 
 def particle_system(m: BrownianParticleModel) -> SystemModel:
@@ -153,47 +152,39 @@ def particle_system(m: BrownianParticleModel) -> SystemModel:
     keeps every equation of order one when k is large, so the damped cycle
     Newton does not stall on rows that scale with k.
     """
-    w2 = np.array([m.omega_bar[0] ** 2, m.omega_bar[1] ** 2])
-    period_hint = 2 * math.pi / m.omega_bar[0]
-
-    if math.isinf(m.k):
-        def rhs(z, t):
-            x, v = z[:2], z[2:]
-            gam = m.friction(v)
-            return np.concatenate([v, -gam * v - w2 * x])
-
-        def jac(z, t):
-            v = z[2:]
-            gam = m.friction(v)
-            out = np.zeros((4, 4))
-            out[0, 2] = out[1, 3] = 1.0
-            out[2:, :2] = -np.diag(w2)
-            out[2:, 2:] = -(gam * np.eye(2) + 2 * m.beta * np.outer(v, v))
-            return out
-
-        return SystemModel(4, rhs, jac, autonomous=True, period_hint=period_hint)
-
-    wx2, wy2 = w2.tolist()
+    wx2, wy2 = m.omega_bar[0] ** 2, m.omega_bar[1] ** 2
     k = m.k
+    memoryless = math.isinf(k)
+    dim = 4 if memoryless else 6
 
     def rhs(z, t):
-        # scalar arithmetic: the time-domain seed makes thousands of these calls
-        x0, x1, v0, v1, s0, s1 = z.tolist()
-        gam = m.friction(z[2:4])
+        x0, x1, v0, v1, *s = z
+        gam = m.friction((v0, v1))
+        if memoryless:
+            return np.array([v0, v1, -gam * v0 - wx2 * x0, -gam * v1 - wy2 * x1])
+        s0, s1 = s
         return np.array([v0, v1, -wx2 * x0 - k * s0, -wy2 * x1 - k * s1,
                          gam * v0 - k * s0, gam * v1 - k * s1])
 
     def jac(z, t):
         v = z[2:4]
-        out = np.zeros((6, 6))
+        # gamma(v) I + 2 beta v v^T, the velocity derivative of gamma(v) v
+        friction = 2 * m.beta * np.einsum("i...,j...->ij...", v, v)
+        gam = m.friction(v)
+        friction[0, 0] += gam
+        friction[1, 1] += gam
+        out = np.zeros((dim, dim) + v.shape[1:])
         out[0, 2] = out[1, 3] = 1.0
-        out[2:4, :2] = -np.diag(w2)
-        out[2:4, 4:] = out[4:, 4:] = -k * np.eye(2)
-        out[4:, 2:4] = m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v)
+        out[2, 0], out[3, 1] = -wx2, -wy2
+        if memoryless:
+            out[2:, 2:] = -friction
+        else:
+            out[2, 4] = out[3, 5] = out[4, 4] = out[5, 5] = -k
+            out[4:, 2:4] = friction
         return out
 
-    return SystemModel(6, rhs, jac, autonomous=True, period_hint=period_hint,
-                       memory_rate=k)
+    return SystemModel(dim, rhs, jac, autonomous=True,
+                       period_hint=2 * math.pi / m.omega_bar[0], memory_rate=k)
 
 
 def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int) -> LimitCycle | None:
@@ -221,24 +212,6 @@ def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int) -> LimitCyc
     amps[2:4] = vel.amplitudes
     hv = HarmonicVector(dim, nh, amps, omega, real_signal=True)
     return LimitCycle(2 * math.pi / omega, hv, math.inf)
-
-
-def particle_effective_friction(m: BrownianParticleModel, c: LimitCycle) -> MatrixHarmonics:
-    """Harmonics of the velocity Jacobian of the friction force along a cycle.
-
-    The friction force density gamma(|v|) v linearizes to
-    gamma(|v|) I + 2 beta v v^T evaluated on the cycle velocity; the
-    harmonics of that 2x2 matrix drive the memory states of the variational
-    problem.
-    """
-    nh = c.harmonics.n_harmonics
-    times = sample_times(2 * nh, c.period)
-    z = c.harmonics.evaluate(times).real
-    samples = np.empty((2, 2, len(times)))
-    for i in range(len(times)):
-        v = z[2:4, i]
-        samples[:, :, i] = m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v)
-    return MatrixHarmonics.from_time_grid(samples, c.period, 2 * nh)
 
 
 def _rest_spectrum(system: SystemModel, omega0: float) -> FloquetSpectrum:

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import lambertw
 
+from .hb import MatrixHarmonics, sample_times
+
 __all__ = [
     "fourier_coefficients_direct",
     "quadratic_memory_exponent",
@@ -24,6 +26,7 @@ __all__ = [
     "rk4_trajectory",
     "orbit_period_amplitude",
     "circular_orbit",
+    "particle_effective_friction",
     "selfcheck",
 ]
 
@@ -152,6 +155,25 @@ def circular_orbit(alpha: float, beta: float, g: float, k: float, omega: float):
     if r2 <= 0:
         return None
     return math.sqrt(r2) / omega, 2 * math.pi / omega
+
+
+def particle_effective_friction(m, c) -> MatrixHarmonics:
+    """Harmonics of the friction force's velocity Jacobian along a cycle.
+
+    For the particle model ``m`` on the cycle ``c``, the friction force
+    density gamma(|v|) v linearizes to gamma(|v|) I + 2 beta v v^T, formed
+    here sample by sample, apart from the grid-wide Jacobian of
+    ``models.particle_system``; the harmonics of that 2x2 matrix drive the
+    memory states of the variational problem.
+    """
+    nh = c.harmonics.n_harmonics
+    times = sample_times(2 * nh, c.period)
+    z = c.harmonics.evaluate(times).real
+    samples = np.empty((2, 2, len(times)))
+    for i in range(len(times)):
+        v = z[2:4, i]
+        samples[:, :, i] = m.friction(v) * np.eye(2) + 2 * m.beta * np.outer(v, v)
+    return MatrixHarmonics.from_time_grid(samples, c.period, 2 * nh)
 
 
 # --- embedded quick checks (CLI selfcheck) ------------------------------------

@@ -12,13 +12,18 @@ from memflo import floquet as F
 from memflo import hb
 from memflo.errors import NoConvergence, SpectralResolutionWarning
 from memflo.models import BrownianParticleModel, particle_spectrum, particle_system
-from memflo.oracles import circular_orbit, orbit_period_amplitude, rk4_trajectory
+from memflo.oracles import (
+    circular_orbit,
+    orbit_period_amplitude,
+    particle_effective_friction,
+    rk4_trajectory,
+)
 
 
 def linear_forced_model(omega0=1.0):
     return C.SystemModel(
         1,
-        lambda z, t: np.array([-z[0] + math.cos(omega0 * t)]),
+        lambda z, t: np.array([-z[0] + np.cos(omega0 * t)]),
         lambda z, t: np.array([[-1.0]]),
         autonomous=False,
         period_hint=2 * math.pi / omega0,
@@ -29,7 +34,7 @@ def forced_memory_model(k):
     """dz/dt = -z + q + cos t with the memory q = int exp(-k (t - tau)) z dtau as a state."""
     return C.SystemModel(
         2,
-        lambda z, t: np.array([-z[0] + z[1] + math.cos(t), -k * z[1] + z[0]]),
+        lambda z, t: np.array([-z[0] + z[1] + np.cos(t), -k * z[1] + z[0]]),
         lambda z, t: np.array([[-1.0, 1.0], [1.0, -k]]),
         autonomous=False,
         period_hint=2 * math.pi,
@@ -236,8 +241,6 @@ def test_linearize_particle_effective_friction_blocks():
     assert np.max(np.abs(blocks[4:, 4:] - want)) < 1e-14
     assert np.max(np.abs(blocks[2:4, 4:] - want)) < 1e-14
     # the memory-velocity block equals the friction Jacobian harmonics
-    from memflo.models import particle_effective_friction
-
     gamma_h = particle_effective_friction(m, cyc)
     nh = cyc.harmonics.n_harmonics
     for h in (-2, 0, 2):
@@ -254,6 +257,22 @@ def test_particle_system_jacobian_passes_validation(instantaneous):
     assert system.dim == (4 if instantaneous else 6)
     assert system.memory_rate == (math.inf if instantaneous else m.k)
     dataclasses.replace(system, validate=True)  # raises on a finite-difference mismatch
+
+
+@pytest.mark.parametrize("k", [1.0, math.inf])
+def test_particle_system_grid_call_equals_column_calls(k):
+    # one call on a (dim, G) grid gives exactly the per-sample values
+    system = particle_system(BrownianParticleModel(alpha=0.7, beta=1.3, g=0.2, k=k,
+                                                   omega_bar=(2.0, 1.7)))
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(system.dim, 9))
+    t = rng.uniform(0.0, 3.0, size=9)
+    f = system.rhs(z, t)
+    jac = system.rhs_jacobian(z, t)
+    assert f.shape == (system.dim, 9) and jac.shape == (system.dim, system.dim, 9)
+    for i in range(9):
+        assert np.array_equal(f[:, i], system.rhs(z[:, i], t[i]))
+        assert np.array_equal(jac[:, :, i], system.rhs_jacobian(z[:, i], t[i]))
 
 
 def test_trivial_exponent_from_cycle_derivative():

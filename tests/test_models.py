@@ -10,7 +10,11 @@ import pytest
 from memflo import floquet as F
 from memflo import models as M
 from memflo.errors import MatchedLine, NoCycle
-from memflo.oracles import monodromy_multipliers, quadratic_memory_exponent
+from memflo.oracles import (
+    monodromy_multipliers,
+    particle_effective_friction,
+    quadratic_memory_exponent,
+)
 
 
 # --- 1-D memory system ----------------------------------------------------------
@@ -109,9 +113,10 @@ def test_particle_cycle_is_exact_circle_at_unit_ratio():
     assert a.max() < 1e-10
 
 
-@pytest.mark.parametrize("k", [1e6, 1e8])
+@pytest.mark.parametrize("k", [1e6, 1e8, 1e10])
 def test_particle_near_memoryless_matches_monodromy(k):
-    # the fast memory classes near -k are certified at the rounding floor of R(lambda)
+    # the fast memory classes near -k pass the relative seed gate and are
+    # certified at the rounding floor of R(lambda)
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.0, k=k, omega_bar=(2.0, 2.0))
     cyc, spec = M.particle_spectrum(m, n_harmonics=16)
     assert len(spec.canonical_strip) == 6
@@ -235,7 +240,7 @@ def test_effective_friction_at_rest_is_scalar():
 
     cyc = LimitCycle(math.pi, hb.HarmonicVector(4, 4, np.zeros((4, 9)), 2.0,
                                                 real_signal=True), 0.0)
-    prof = M.particle_effective_friction(m, cyc)
+    prof = particle_effective_friction(m, cyc)
     want = (-m.alpha + m.g / m.k) * np.eye(2)
     assert np.allclose(prof.coefficient(0), want, atol=1e-12)
     for h in range(1, 5):
@@ -252,7 +257,7 @@ def test_effective_friction_beta_zero_is_constant():
     amps = np.concatenate([half[:, ::-1].conj(), rng.normal(size=(4, 1)).astype(complex),
                            half], axis=1)
     cyc = LimitCycle(math.pi, hb.HarmonicVector(4, 4, amps, 2.0, real_signal=True), 0.0)
-    prof = M.particle_effective_friction(m, cyc)
+    prof = particle_effective_friction(m, cyc)
     assert np.allclose(prof.coefficient(0), (-0.3 + 0.1) * np.eye(2), atol=1e-12)
     for h in range(1, 5):
         assert np.max(np.abs(prof.coefficient(h))) < 1e-12
@@ -261,7 +266,7 @@ def test_effective_friction_beta_zero_is_constant():
 def test_effective_friction_matches_finite_differences():
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
     cyc, _ = M.particle_spectrum(m, n_harmonics=12)
-    prof = M.particle_effective_friction(m, cyc)
+    prof = particle_effective_friction(m, cyc)
     h = 1e-6
     for t in (0.3, 1.1, 2.9):
         v = cyc.harmonics.evaluate(t).real[2:4, 0]
@@ -290,7 +295,7 @@ def test_particle_hill_matrix_schur_complement_is_minus_residual():
     mm = 2 * prob.n_harmonics + 1
     size = 4 * mm  # position and velocity
     assert h.shape == (size + 2 * mm, size + 2 * mm)
-    gamma = hb.toeplitz_from_periodic(M.particle_effective_friction(m, cyc),
+    gamma = hb.toeplitz_from_periodic(particle_effective_friction(m, cyc),
                                       n_harmonics=prob.n_harmonics)
     a_zz = prob.jacobian[:size, :size]
     d = hb.stacked_diff_matrix(4, prob.n_harmonics, prob.omega0)
