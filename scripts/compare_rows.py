@@ -17,7 +17,9 @@ output it names is read from both directories and held to fixed tolerances:
   same keys and the same lo/hi/mid trail, and for particle configs their
   other values may move within the relative bound.
 
-Prints how many rows are byte-identical and exits 1 on any violation.
+Prints how many rows are byte-identical and, for each field under the
+relative rule, the largest move |a - b| / (1 + |a|) it saw, per file and in
+total; exits 1 on any violation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 REL_TOL = 1e-9
 RESIDUAL_TOL = 1e-10  # cycle Newton tolerance: a converged residual stays below it
 TRAIL = ("lo", "hi", "mid")  # bisection bracket keys, compared exactly
+RELATIVE = ("max_re_lambda", "period", "cycle_amplitude")  # fields under the relative rule
 
 
 def _config(path: Path) -> dict:
@@ -41,15 +44,28 @@ def _config(path: Path) -> dict:
     return out
 
 
+def _move(a, b) -> float | None:
+    """|a - b| / (1 + |a|) of two numbers; None unless both are numbers."""
+    try:
+        a, b = float(a), float(b)
+    except (TypeError, ValueError):  # an empty field or None against a number
+        return None
+    return abs(a - b) / (1.0 + abs(a))
+
+
 def _close(a, b) -> bool:
     """Equal, or two numbers within the pinned relative tolerance."""
     if a == b:
         return True
-    try:
-        a, b = float(a), float(b)
-    except (TypeError, ValueError):  # an empty field or None against a number
-        return False
-    return abs(a - b) <= REL_TOL * (1.0 + abs(a))
+    move = _move(a, b)
+    return move is not None and move <= REL_TOL
+
+
+def _record(moves: dict, key: str, a, b):
+    """Keep the largest move of a field under the relative rule."""
+    move = _move(a, b) if key in RELATIVE else None
+    if move is not None:
+        moves[key] = max(moves[key], move)
 
 
 def _converged(a, b) -> bool:
@@ -63,18 +79,18 @@ def _converged(a, b) -> bool:
 
 
 # particle fields that may move, and the rule that holds them
-LOOSE = {"max_re_lambda": _close, "period": _close, "cycle_amplitude": _close,
-         "cycle_residual": _converged}
+LOOSE = {**dict.fromkeys(RELATIVE, _close), "cycle_residual": _converged}
 
 
-def _field_ok(key: str, a, b, loose: bool) -> bool:
+def _field_ok(key: str, a, b, loose: bool, moves: dict) -> bool:
     """One row field (the ``extra`` dict field by field) against its rule."""
     if a == b:
         return True
+    _record(moves, key, a, b)
     if not loose:
         return False
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_field_ok(k, a[k], b[k], loose) for k in a)
+        return a.keys() == b.keys() and all(_field_ok(k, a[k], b[k], loose, moves) for k in a)
     return key in LOOSE and LOOSE[key](a, b)
 
 
@@ -83,7 +99,7 @@ def _csv_rows(text: str) -> tuple[str, list[str]]:
     return header, rows
 
 
-def _compare_csv(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]:
+def _compare_csv(old: str, new: str, loose: bool, moves: dict) -> tuple[int, int, list[str]]:
     head_old, rows_old = _csv_rows(old)
     head_new, rows_new = _csv_rows(new)
     if head_old != head_new or len(rows_old) != len(rows_new):
@@ -96,12 +112,12 @@ def _compare_csv(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]:
             continue
         fa, fb = a.split(","), b.split(",")
         if len(fa) != len(fb) or not all(
-                _field_ok(k, x, y, loose) for k, x, y in zip(names, fa, fb)):
+                _field_ok(k, x, y, loose, moves) for k, x, y in zip(names, fa, fb)):
             errors.append(f"row {i}: {a!r} != {b!r}")
     return same, len(rows_old), errors
 
 
-def _compare_json(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]:
+def _compare_json(old: str, new: str, loose: bool, moves: dict) -> tuple[int, int, list[str]]:
     doc_old, doc_new = json.loads(old), json.loads(new)
     rows_old, rows_new = doc_old["rows"], doc_new["rows"]
     if doc_old["header"] != doc_new["header"] or len(rows_old) != len(rows_new):
@@ -111,7 +127,7 @@ def _compare_json(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]
         if json.dumps(a) == json.dumps(b):
             same += 1
             continue
-        if not _field_ok("row", a, b, loose):
+        if not _field_ok("row", a, b, loose, moves):
             errors.append(f"row {i}: {json.dumps(a)} != {json.dumps(b)}")
     bis_old = doc_old["metadata"].get("bisect")
     bis_new = doc_new["metadata"].get("bisect")
@@ -129,10 +145,16 @@ def _compare_json(old: str, new: str, loose: bool) -> tuple[int, int, list[str]]
             if a.keys() != b.keys():
                 errors.append(f"history step {j}: keys {sorted(a)} != {sorted(b)}")
                 continue
+            for k in a:
+                _record(moves, k, a[k], b[k])
             ok = loose and all(a[k] == b[k] if k in TRAIL else _close(a[k], b[k]) for k in a)
             if not ok:
                 errors.append(f"history step {j}: {a} != {b}")
     return same, len(rows_old), errors
+
+
+def _moves_line(moves: dict) -> str:
+    return "  largest |a-b|/(1+|a|): " + ", ".join(f"{k} {v:.3e}" for k, v in moves.items())
 
 
 def main(argv: list[str]) -> int:
@@ -145,6 +167,7 @@ def main(argv: list[str]) -> int:
         print(f"no figs/*.cfg under {parent}", file=sys.stderr)
         return 2
     total_same = total_rows = n_errors = 0
+    total_moves = dict.fromkeys(RELATIVE, 0.0)
     for cfg_path in configs:
         cfg = _config(cfg_path)
         output = cfg.get("output")
@@ -157,14 +180,19 @@ def main(argv: list[str]) -> int:
             continue
         loose = cfg.get("model") == "particle"  # only particle rows may move
         compare = _compare_json if output.endswith(".json") else _compare_csv
-        same, rows, errors = compare(old_path.read_text(), new_path.read_text(), loose)
+        moves = dict.fromkeys(RELATIVE, 0.0)
+        same, rows, errors = compare(old_path.read_text(), new_path.read_text(), loose, moves)
         total_same += same
         total_rows += rows
         n_errors += len(errors)
         print(f"{output}: {same}/{rows} rows byte-identical, {len(errors)} violations")
+        print(_moves_line(moves))
         for err in errors[:10]:
             print(f"  {err}")
+        for key, move in moves.items():
+            total_moves[key] = max(total_moves[key], move)
     print(f"total: {total_same}/{total_rows} rows byte-identical, {n_errors} violations")
+    print(_moves_line(total_moves))
     return 1 if n_errors else 0
 
 

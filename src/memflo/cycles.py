@@ -4,28 +4,26 @@ The state equation is the memoryless dz/dt = f(z, t); an exponential memory
 is carried as extra states of z (the linear chain trick), and the rate of
 the slowest such state is recorded as ``SystemModel.memory_rate`` so that
 the variational problem keeps the decay bound of the memory it came from.
-The periodic solution is sought directly in the frequency domain: the
-harmonic residual
-
-    rho = Omega_n z - F(z)
-
-is driven to zero by damped Newton iteration (to a residual norm of 1e-10,
-halving the step at most 20 times), where F collects the harmonics of f
-sampled on the oversampled grid ``sample_times(2N, T)`` (alias-free in the
-retained band for polynomial nonlinearities).  Jacobians sampled on the
-same grid keep the band -2N..2N before they become Toeplitz operators.  For
-autonomous systems the fundamental frequency is an unknown and one
-first-harmonic imaginary part, on the component with the largest
-first-harmonic magnitude in the seed, is pinned to zero to fix the time
-origin.
+The periodic solution is sought in the packed real harmonics u = (c_0,
+Re a_1, Im a_1, ...) of each component.  With the real synthesis S,
+analysis P and derivative D on the oversampled grid ``sample_times(2N, T)``
+(alias-free in the retained band for polynomial nonlinearities), the
+residual rho = omega0 D u - P f(S u, t) is driven to zero by damped Newton
+iteration (to a residual norm of 1e-10, halving the step at most 20 times)
+on the Galerkin matrix kron(I, omega0 D) - P A(t) S, A = df/dz on the grid.
+For autonomous systems the fundamental frequency is an unknown (its column
+is D u) and one first-harmonic imaginary part, on the component with the
+largest first-harmonic magnitude in the seed, is pinned to zero to fix the
+time origin.  Only :func:`linearize` keeps the complex band -2N..2N of A,
+which becomes the Toeplitz operator of the variational problem.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,9 +38,7 @@ from .hb import (
     _grid_basis,
     dft,
     pack_real_coefficients,
-    real_form,
     sample_times,
-    stacked_diff_matrix,
     toeplitz_from_periodic,
     unpack_real_coefficients,
 )
@@ -57,8 +53,6 @@ __all__ = [
     "rotate_phase",
 ]
 
-log = logging.getLogger(__name__)
-
 RESOLUTION_WARN_RATIO = 1e-8
 NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
 
@@ -72,15 +66,14 @@ class SystemModel:
     its trailing axes, ``rhs`` returns (dim, ...) and ``rhs_jacobian``
     (dim, dim, ...) or a constant (dim, dim).  The collocation grid passes
     z of shape (dim, G) with t of shape (G,), time integration one (dim,)
-    state.  A
-    model that carries exponential memory as states sets ``memory_rate`` to
-    the decay rate of those states: exponents at or below -memory_rate belong
-    to no admissible mode of the memory system and are filtered out of its
-    spectra.  It is a spectral bound only: neither the cycle solve nor the
-    time-domain seed reads it.  Autonomous systems must ignore ``t`` and
-    may leave the period to be solved for.  With ``validate=True`` the
-    Jacobian is checked against finite differences of the right-hand side on
-    a few random states at construction.
+    state.  A model that carries exponential memory as states sets
+    ``memory_rate`` to the decay rate of those states: exponents at or below
+    -memory_rate belong to no admissible mode of the memory system and are
+    filtered out of its spectra.  It is a spectral bound only: neither the
+    cycle solve nor the time-domain seed reads it.  Autonomous systems must
+    ignore ``t`` and may leave the period to be solved for.  With
+    ``validate=True`` the Jacobian is checked against finite differences of
+    the right-hand side on a few random states at construction.
     """
 
     dim: int
@@ -130,43 +123,51 @@ def rotate_phase(hv: HarmonicVector, phi: float) -> HarmonicVector:
                           real_signal=hv.real_signal)
 
 
-def _sampled_band(fn, z_real: np.ndarray, times: np.ndarray, period: float) -> MatrixHarmonics:
-    """Harmonics -2N..2N of the matrix fn(z, t) sampled along the cycle.
+@functools.lru_cache(maxsize=None)
+def _real_grid(nh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Synthesis S, analysis P and derivative D (at omega0 = 1) of the packed basis.
 
-    ``times`` is the oversampled grid ``sample_times(2N, period)``; a
-    constant fn broadcasts over it.
+    On ``sample_times(2N, T)``, whatever T, packed coefficients u of shape
+    (dim, 2N+1) have the samples ``u @ S.T`` and the derivative ``u @ D.T``,
+    and samples x have the packed harmonics ``x @ P.T``.
     """
-    n, g = z_real.shape
-    samples = np.broadcast_to(np.reshape(fn(z_real, times), (n, n, -1)), (n, n, g))
-    return MatrixHarmonics.from_time_grid(samples, period, (g - 1) // 2)
-
-
-def _residual_complex(model: SystemModel, amps: np.ndarray, omega0: float):
-    """Harmonic residual and the sampled cycle reused by the Jacobian."""
-    n = model.dim
-    nh = (amps.shape[1] - 1) // 2
-    times = sample_times(2 * nh, 2 * np.pi / omega0)
-    basis = _grid_basis(nh, len(times))
-    # conjugate-symmetric amplitudes guarantee real samples
-    z_real = HarmonicVector(n, nh, amps, omega0).evaluate(times).real
-    f_samples = np.asarray(model.rhs(z_real, times), dtype=float)
+    forward = _grid_basis(nh, 4 * nh + 1)
+    unpack = unpack_real_coefficients(np.eye(2 * nh + 1), 1, nh)  # d(amplitudes)/du
     h = np.arange(-nh, nh + 1)
-    rho = (1j * h * omega0) * amps - f_samples @ basis.T
-    return rho, z_real, times
+    grid = (np.ascontiguousarray((forward.shape[1] * forward.conj().T @ unpack[0]).real),
+            pack_real_coefficients(forward[None]),
+            pack_real_coefficients((1j * h)[:, None] * unpack))
+    for mat in grid:
+        mat.setflags(write=False)
+    return grid
+
+
+def _residual(model: SystemModel, u: np.ndarray, omega0: float) -> np.ndarray:
+    """Packed harmonic-balance residual omega0 D u - P f(S u, t)."""
+    coeffs = u.reshape(model.dim, -1)
+    nh = (coeffs.shape[1] - 1) // 2
+    synthesis, analysis, derivative = _real_grid(nh)
+    times = sample_times(2 * nh, 2 * np.pi / omega0)
+    f = np.asarray(model.rhs(coeffs @ synthesis.T, times), dtype=float)
+    return (omega0 * coeffs @ derivative.T - f @ analysis.T).reshape(-1)
+
+
+def _newton_matrix(model: SystemModel, u: np.ndarray, omega0: float) -> np.ndarray:
+    """Jacobian of :func:`_residual` in u: kron(I, omega0 D) - P A(t) S."""
+    n = model.dim
+    coeffs = u.reshape(n, -1)
+    m = coeffs.shape[1]
+    synthesis, analysis, derivative = _real_grid((m - 1) // 2)
+    times = sample_times(m - 1, 2 * np.pi / omega0)
+    a = np.reshape(model.rhs_jacobian(coeffs @ synthesis.T, times), (n, n, -1))
+    blocks = (analysis * a[:, :, None, :]) @ synthesis  # P diag(A_rc) S; a constant A broadcasts
+    return (np.kron(np.eye(n), omega0 * derivative)
+            - blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m))
 
 
 def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
-    """Packed real harmonic-balance residual of a candidate cycle."""
-    rho, *_ = _residual_complex(model, cycle.harmonics.amplitudes, cycle.omega0)
-    return pack_real_coefficients(rho)
-
-
-def _jacobian_complex(model: SystemModel, amps: np.ndarray, omega0: float,
-                      z_real: np.ndarray, times: np.ndarray) -> np.ndarray:
-    n = model.dim
-    nh = (amps.shape[1] - 1) // 2
-    a_mh = _sampled_band(model.rhs_jacobian, z_real, times, 2 * np.pi / omega0)
-    return stacked_diff_matrix(n, nh, omega0) - toeplitz_from_periodic(a_mh, n_harmonics=nh)
+    """Packed real harmonic-balance residual of a candidate, read through its harmonics h >= 0."""
+    return _residual(model, pack_real_coefficients(cycle.harmonics.amplitudes), cycle.omega0)
 
 
 def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
@@ -175,7 +176,8 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
 
     For autonomous models the fundamental frequency joins the unknowns and
     the phase condition Im a_{anchor,1} = 0 closes the system; the anchor is
-    the component with the largest first-harmonic magnitude in the seed.
+    the component with the largest first-harmonic magnitude in the seed, so
+    an autonomous guess needs at least one harmonic (``ValueError``).
     Raises :class:`NoConvergence` with the residual trace when the iteration
     stalls or runs past ``max_iter`` steps and :class:`SingularJacobian` when
     the Newton system is singular.
@@ -185,40 +187,33 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     nh = hv.n_harmonics
     if hv.dim != n:
         raise ValueError("guess dimension does not match the model")
+    if model.autonomous and nh < 1:
+        raise ValueError("an autonomous cycle needs n_harmonics >= 1 for its phase condition")
     omega0 = 2 * np.pi / initial_guess.period
-
-    first = np.abs(hv.amplitudes[:, nh + 1]) if nh >= 1 else np.zeros(n)
-    anchor = int(np.argmax(first))
-    if model.autonomous and nh >= 1:
+    m = 2 * nh + 1
+    anchor_slot = None
+    if model.autonomous:
+        anchor = int(np.argmax(np.abs(hv.amplitudes[:, nh + 1])))
         pivot = hv.amplitudes[anchor, nh + 1]
         if abs(pivot) > 0:
             hv = rotate_phase(hv, -np.angle(pivot))
-
-    amps = np.array(hv.amplitudes)
-    u = pack_real_coefficients(amps)
-    m = 2 * nh + 1
-    anchor_slot = anchor * m + 2  # packed index of Im a_{anchor,1}
+        anchor_slot = anchor * m + 2  # packed index of Im a_{anchor,1}
+    u = pack_real_coefficients(hv.amplitudes)
 
     def full_residual(uvec, w0):
-        a = unpack_real_coefficients(uvec, n, nh)
-        rho, z_real, times = _residual_complex(model, a, w0)
-        rr = pack_real_coefficients(rho)
-        if model.autonomous:
-            rr = np.concatenate([rr, [a[anchor, nh + 1].imag]])
-        return rr, (a, z_real, times)
+        rr = _residual(model, uvec, w0)
+        return np.append(rr, uvec[anchor_slot]) if model.autonomous else rr
 
-    trace = []
-    rr, ctx = full_residual(u, omega0)
+    rr = full_residual(u, omega0)
     norm = float(np.linalg.norm(rr))
-    trace.append(norm)
+    trace = [norm]
     for _ in range(max_iter):
         if norm < NEWTON_TOL:
             break
-        a, z_real, times = ctx
-        jr = real_form(_jacobian_complex(model, a, omega0, z_real, times), n, nh)
+        jr = _newton_matrix(model, u, omega0)
         if model.autonomous:
             # d(residual)/d(omega0): only the derivative term depends on omega0
-            dw = pack_real_coefficients((1j * np.arange(-nh, nh + 1)) * a)
+            dw = (u.reshape(n, m) @ _real_grid(nh)[2].T).reshape(-1)
             jr = np.block([[jr, dw[:, None]],
                            [np.zeros((1, jr.shape[1] + 1))]])
             jr[-1, anchor_slot] = 1.0
@@ -235,10 +230,10 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
             if w_new <= 0:
                 step *= 0.5
                 continue
-            rr_new, ctx_new = full_residual(u_new, w_new)
+            rr_new = full_residual(u_new, w_new)
             norm_new = float(np.linalg.norm(rr_new))
             if norm_new < norm:
-                u, omega0, rr, ctx, norm = u_new, w_new, rr_new, ctx_new, norm_new
+                u, omega0, rr, norm = u_new, w_new, rr_new, norm_new
                 accepted = True
                 break
             step *= 0.5
@@ -276,14 +271,14 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
     The Jacobian sampled along the cycle becomes the Toeplitz operator; the
     model's memory rate becomes the problem's decay bound.
     """
-    nh = cycle.harmonics.n_harmonics
+    n, nh = model.dim, cycle.harmonics.n_harmonics
     times = sample_times(2 * nh, cycle.period)
-    # evaluate at omega0 = 2*pi/period, the frequency of the grid and of the problem
-    z_real = replace(cycle.harmonics, omega0=cycle.omega0).evaluate(times).real
-    a_mh = _sampled_band(model.rhs_jacobian, z_real, times, cycle.period)
+    coeffs = pack_real_coefficients(cycle.harmonics.amplitudes).reshape(n, -1)
+    samples = model.rhs_jacobian(coeffs @ _real_grid(nh)[0].T, times)
+    samples = np.broadcast_to(np.reshape(samples, (n, n, -1)), (n, n, len(times)))
+    a_mh = MatrixHarmonics.from_time_grid(samples, cycle.period, 2 * nh)
     jac = toeplitz_from_periodic(a_mh, n_harmonics=nh)
-    return FloquetProblem(jac, None, cycle.period, nh, model.dim,
-                          memory_rate=model.memory_rate)
+    return FloquetProblem(jac, None, cycle.period, nh, n, memory_rate=model.memory_rate)
 
 
 # --- coarse time-domain seeding ----------------------------------------------

@@ -241,7 +241,10 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     seed.  When no cycle converges and the resting state is stable the
     degenerate zero cycle is returned with the equilibrium spectrum;
     otherwise :class:`NoCycle` is raised (non-periodic attractor regime).
+    ``n_harmonics`` < 1 raises ``ValueError``: the phase condition pins a first harmonic.
     """
+    if n_harmonics < 1:
+        raise ValueError(f"n_harmonics must be at least 1, got {n_harmonics}")
     system = particle_system(m)
     seeds = []
     if seed is not None:

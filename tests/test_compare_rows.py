@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_rows.py"
 _spec = importlib.util.spec_from_file_location("compare_rows", SCRIPT)
 compare_rows = importlib.util.module_from_spec(_spec)
@@ -64,12 +66,22 @@ def test_history_trail_must_match_exactly(tmp_path):
     assert compare_rows.main([str(a), str(c)]) == 1
 
 
-def test_particle_cycle_fields_move_within_pinned_tolerances(tmp_path):
+def test_particle_cycle_fields_move_within_pinned_tolerances(tmp_path, capsys):
     a = _checkout(tmp_path / "a", [], _row())
     b = _checkout(tmp_path / "b", [], _row(
         max_re_lambda=-0.1 * (1 + 1e-12), cycle_residual=8e-11,
         extra={"period": 3.14 * (1 + 1e-12), "cycle_amplitude": 0.45 * (1 - 1e-12)}))
     assert compare_rows.main([str(a), str(b)]) == 0
+    # the largest move |a - b| / (1 + |a|) of each relative field, per file and in total
+    lines = capsys.readouterr().out.splitlines()
+    moves = [line for line in lines if "largest" in line]
+    assert len(moves) == 2 and moves[0] == moves[1]
+    printed = dict(item.split() for item in moves[1].split(": ", 1)[1].split(", "))
+    want = {"max_re_lambda": 0.1e-12 / 1.1, "period": 3.14e-12 / 4.14,
+            "cycle_amplitude": 0.45e-12 / 1.45}
+    assert printed.keys() == want.keys()
+    for key, value in want.items():
+        assert float(printed[key]) == pytest.approx(value, rel=1e-3)
 
 
 def test_particle_cycle_fields_out_of_tolerance_are_violations(tmp_path):

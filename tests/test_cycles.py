@@ -11,7 +11,12 @@ from memflo import cycles as C
 from memflo import floquet as F
 from memflo import hb
 from memflo.errors import NoConvergence, SpectralResolutionWarning
-from memflo.models import BrownianParticleModel, particle_spectrum, particle_system
+from memflo.models import (
+    BrownianParticleModel,
+    circular_cycle_guess,
+    particle_spectrum,
+    particle_system,
+)
 from memflo.oracles import (
     circular_orbit,
     orbit_period_amplitude,
@@ -102,17 +107,17 @@ def test_residual_memory_term_uses_zero_frequency_transfer():
 def test_solve_cycle_linear_forced_converges_fast():
     model = linear_forced_model()
     evals = []
-    orig = C._residual_complex
+    orig = C._residual
 
-    def spy(mdl, amps, w0):
+    def spy(mdl, u, w0):
         evals.append(1)
-        return orig(mdl, amps, w0)
+        return orig(mdl, u, w0)
 
-    C._residual_complex = spy
+    C._residual = spy
     try:
         cyc = C.solve_cycle(model, zero_guess(1, 5, 2 * math.pi))
     finally:
-        C._residual_complex = orig
+        C._residual = orig
     assert len(evals) <= 4  # linear problem: one Newton step plus bookkeeping
     assert cyc.residual < 1e-12
     assert cyc.harmonics.amplitude(0, 1) == pytest.approx(0.25 - 0.25j, abs=1e-12)
@@ -166,22 +171,20 @@ def test_newton_quadratic_tail():
     # track the residual trace of a genuinely nonlinear solve
     m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 1.9))
     system = particle_system(m)
-    from memflo.models import circular_cycle_guess
-
     guess = circular_cycle_guess(m, 12)
     norms = []
-    orig = C._residual_complex
+    orig = C._residual
 
-    def spy(model, amps, w0):
-        out = orig(model, amps, w0)
-        norms.append(float(np.linalg.norm(hb.pack_real_coefficients(out[0]))))
+    def spy(model, u, w0):
+        out = orig(model, u, w0)
+        norms.append(float(np.linalg.norm(out)))
         return out
 
-    C._residual_complex = spy
+    C._residual = spy
     try:
         C.solve_cycle(system, guess)
     finally:
-        C._residual_complex = orig
+        C._residual = orig
     accepted = [n for n in norms if n > 0]
     tail = [n for n in accepted if n < 1e-2]
     # quadratic contraction with a generous slack factor
@@ -189,6 +192,65 @@ def test_newton_quadratic_tail():
         if after < 1e-14:
             break
         assert after <= 10.0 * before**2 / max(tail[0], 1e-30) or after <= before**2 * 1e4
+
+
+def test_autonomous_cycle_needs_a_harmonic():
+    # the phase condition pins a first harmonic, so N = 0 is refused up front
+    m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    with pytest.raises(ValueError, match="n_harmonics"):
+        C.solve_cycle(particle_system(m), zero_guess(6, 0, math.pi))
+    with pytest.raises(ValueError, match="n_harmonics"):
+        particle_spectrum(m, n_harmonics=0)
+
+
+def _newton_case(name, nh):
+    """A model, a packed point off its cycle and a frequency for the Newton-matrix checks."""
+    rng = np.random.default_rng(nh)
+    if name == "memory":
+        model, omega0 = forced_memory_model(2.0), 1.0
+        return model, rng.normal(size=2 * (2 * nh + 1)), omega0
+    k = 1.0 if name == "particle" else math.inf
+    m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=k, omega_bar=(2.0, 1.9))
+    model = particle_system(m)
+    guess = hb.pack_real_coefficients(circular_cycle_guess(m, nh).harmonics.amplitudes)
+    return model, guess + 0.1 * rng.normal(size=guess.size), 1.9
+
+
+NEWTON_CASES = [(name, nh) for name in ("particle", "particle_k_inf", "memory")
+                for nh in (1, 4, 12)]
+
+
+@pytest.mark.parametrize("name, nh", NEWTON_CASES)
+def test_newton_matrix_matches_central_differences(name, nh):
+    model, u, omega0 = _newton_case(name, nh)
+    jac = C._newton_matrix(model, u, omega0)
+    h = 1e-6
+    fd = np.column_stack([(C._residual(model, u + h * e, omega0) -
+                           C._residual(model, u - h * e, omega0)) / (2 * h)
+                          for e in np.eye(u.size)])
+    assert np.max(np.abs(jac - fd)) < 1e-7 * np.max(np.abs(jac))
+    if model.autonomous:  # the bordering column d(residual)/d(omega0) is D u
+        dw = (u.reshape(model.dim, -1) @ C._real_grid(nh)[2].T).reshape(-1)
+        fd_w = (C._residual(model, u, omega0 + h) - C._residual(model, u, omega0 - h)) / (2 * h)
+        assert np.max(np.abs(dw - fd_w)) < 1e-7 * np.max(np.abs(dw))
+
+
+@pytest.mark.parametrize("name, nh", NEWTON_CASES)
+def test_newton_matrix_equals_complex_toeplitz_chain(name, nh):
+    # the former assembly: band -2N..2N of the sampled Jacobian, complex
+    # Toeplitz and difference matrix, mapped to the packed basis
+    model, u, omega0 = _newton_case(name, nh)
+    n, period = model.dim, 2 * math.pi / omega0
+    times = hb.sample_times(2 * nh, period)
+    amps = hb.unpack_real_coefficients(u, n, nh)
+    z = hb.HarmonicVector(n, nh, amps, omega0).evaluate(times).real
+    samples = np.broadcast_to(np.reshape(model.rhs_jacobian(z, times), (n, n, -1)),
+                              (n, n, len(times)))
+    band = hb.MatrixHarmonics.from_time_grid(samples, period, 2 * nh)
+    chain = hb.real_form(hb.stacked_diff_matrix(n, nh, omega0)
+                         - hb.toeplitz_from_periodic(band, n_harmonics=nh), n, nh)
+    jac = C._newton_matrix(model, u, omega0)
+    assert np.max(np.abs(jac - chain)) <= 1e-12 * np.max(np.abs(chain))
 
 
 def test_resolution_warning_on_underresolved_cycle():
