@@ -33,7 +33,6 @@ from .floquet import (
     hill_matrix,
     refine_eigenpair,
     solve_pep,
-    solve_scalar,
     splitting_shift,
 )
 from .hb import (

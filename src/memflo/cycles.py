@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NoConvergence, SingularJacobian, SpectralResolutionWarning
 from .floquet import FloquetProblem
@@ -294,6 +293,8 @@ def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0) -> Limi
     integrator failure raises :class:`NoConvergence`.  Memory states start
     where ``z0`` puts them (zero for a zero history).
     """
+    from scipy.integrate import solve_ivp
+
     t_guess = model.period_hint
     if t_guess is None:
         raise ValueError("need the model's period_hint to seed from time integration")

@@ -8,24 +8,27 @@ whose null pairs (lambda, r) are the Floquet exponents and eigenvector
 harmonics.  Q(lambda) is the memory coupling of :mod:`memflo.kernels`; a
 problem whose exponential memory already sits in its state (the linear chain
 trick, as in the particle model) has no Q and carries the memory's decay
-rate instead.  Three solution routes are provided: direct scalar root
-hunting (1-D problems), the standard Floquet-Fourier-Hill eigenproblem for
-memoryless problems and untruncated exponential kernels, whose memory
-integral is carried as extra states, solved in real arithmetic in the
-cos/sin basis (the linearization is real), and contour integrals of the exact
-R(lambda) for delay, sampled and truncated kernels, whose integer root count
-certifies that no exponent in the enclosed rectangle was missed.  Each class
-is invariant under shifts by i*omega0, so a Hill matrix of d states holds d
-classes of 2N+1 copies: the route keeps each class's copy with centred
-eigenvector harmonics, and is complete when d classes are certified or
-filtered.  Candidates are filtered against the decay bound, polished by
-bordered Newton iteration on the exact transcendental operator, and collapsed
-into classes (multipliers exp(lambda*T) label them uniquely).  Every route
-has one certificate: a pair's residual ||R(lambda) r|| / ||r|| lies below
-``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1 where
-that is larger; a scalar root's |R(lambda)| lies below ``CERTIFICATE_TOL``.
-The tolerances are the module constants below; the stability verdict is
-derived from the classes by :attr:`FloquetSpectrum.stability`.
+rate instead.  Two solution routes are provided: the standard
+Floquet-Fourier-Hill eigenproblem for memoryless problems and untruncated
+exponential kernels, whose memory integral is carried as extra states, solved
+in real arithmetic in the cos/sin basis (the linearization is real), and
+contour integrals of the exact R(lambda) for delay, sampled and truncated
+kernels, whose integer root count certifies that no exponent in the enclosed
+rectangle was missed.  The rectangle's left edge lies just below the decay
+bound, or, for the scalar rate equation y' = a*y + c*integral over a window
+of e^{-k u} y(t-u) with c > 0 and a > -k, at (a - k)/2, where Rouche's
+theorem proves that no exponent lies between it and -k
+(:func:`_contour_real_extent`).  Each class is invariant under shifts by
+i*omega0, so a Hill matrix of d states holds d classes of 2N+1 copies: the
+route keeps each class's copy with centred eigenvector harmonics, and is
+complete when d classes are certified or filtered.  Candidates are filtered
+against the decay bound, polished by bordered Newton iteration on the exact
+transcendental operator, and collapsed into classes (multipliers
+exp(lambda*T) label them uniquely).  Every route has one certificate: a
+pair's residual ||R(lambda) r|| / ||r|| lies below ``CERTIFICATE_TOL``, or
+below the rounding floor 1e3*eps*||R(lambda)||_1 where that is larger.  The
+tolerances are the module constants below; the stability verdict is derived
+from the classes by :attr:`FloquetSpectrum.stability`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from .errors import BoundViolation, IncompleteSpectrum, NoConvergence
+from .errors import BoundViolation, IncompleteSpectrum
 from .hb import HarmonicVector, real_form, stacked_diff_matrix, unpack_real_coefficients
 from .kernels import (
     ExponentialDecay,
@@ -49,8 +52,6 @@ from .kernels import (
     critical_exponent,
     memory_matrix,
     memory_matrix_dlambda,
-    transfer_at,
-    transfer_dlambda,
     truncation_error_bound,
 )
 
@@ -62,7 +63,6 @@ __all__ = [
     "assemble_residual_matrix",
     "residual_matrix_dlambda",
     "eigenpair_residual",
-    "solve_scalar",
     "hill_matrix",
     "solve_pep",
     "contour_eigenvalues",
@@ -268,110 +268,6 @@ def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair,
     return make_eigenpair(p, lam, hv.flat, res)
 
 
-# --- scalar route -----------------------------------------------------------
-
-
-def _scalar_constant_coefficient(p: FloquetProblem) -> complex:
-    row = p.jacobian[0]
-    if len(row) > 1 and np.max(np.abs(row[1:])) > 1e-12 * (1 + abs(row[0])):
-        raise ValueError("scalar root hunting expects a constant coefficient")
-    return complex(row[0])
-
-
-def solve_scalar(p: FloquetProblem) -> FloquetSpectrum:
-    """All exponents of a scalar constant-coefficient problem.
-
-    Roots of the zero-harmonic characteristic equation are found by Newton
-    iteration from a 21x21 grid of starting points with Maehly deflation; a
-    start is dropped once the transfer raises
-    :class:`~memflo.errors.BoundViolation` at one of its iterates, and a root
-    is kept when |R(lambda)| < ``CERTIFICATE_TOL``.  The other
-    harmonics only shift those roots by -i*j*omega0, so the zero-harmonic
-    roots are already the canonical representatives.
-    """
-    if p.dim != 1:
-        raise ValueError("solve_scalar requires a one-dimensional problem")
-    a = _scalar_constant_coefficient(p)
-    kc = p.critical_exponent
-    omega0 = p.omega0
-
-    if p.transfer is None:
-        pair = _scalar_pair(p, a, a)
-        return canonicalize_spectrum([pair], omega0, period=p.period)
-
-    mt = p.transfer
-
-    def g(lam: complex) -> complex:
-        return lam - a - complex(transfer_at(mt, lam, 0.0)[0, 0])
-
-    def gp(lam: complex) -> complex:
-        return 1.0 - complex(transfer_dlambda(mt, lam, 0.0)[0, 0])
-
-    re_lo = (-kc + 0.05) if math.isfinite(kc) else (a.real - 5.0)
-    re_hi = a.real + 2.0
-    if re_hi <= re_lo:
-        re_hi = re_lo + 1.0
-    res = np.linspace(re_lo, re_hi, 21)
-    ims = np.linspace(-omega0 / 2, omega0 / 2, 21)
-
-    roots: list[complex] = []
-    rejected: list[complex] = []
-
-    def newton(lam: complex) -> complex | None:
-        """Deflated Newton from one start, then a plain polish; None if it stalls."""
-        for _ in range(80):
-            val, der = g(lam), gp(lam)
-            if val == 0:
-                break
-            denom = der / val - sum(1.0 / (lam - r) for r in roots)
-            if denom == 0 or not np.isfinite(denom):
-                return None
-            step = 1.0 / denom
-            lam = lam - step
-            if abs(step) < 5e-14 * (1.0 + abs(lam)):
-                break
-        else:
-            return None
-        for _ in range(3):  # plain polish on the undeflated function
-            try:
-                lam = lam - g(lam) / gp(lam)
-            except ZeroDivisionError:
-                break
-        return lam
-
-    for re0 in res:
-        for im0 in ims:
-            try:
-                lam = newton(complex(re0, im0))
-                if lam is None or any(abs(lam - r) < 1e-8 for r in roots + rejected) \
-                        or abs(g(lam)) >= CERTIFICATE_TOL:
-                    continue
-            except BoundViolation:
-                continue
-            if math.isfinite(kc) and lam.real <= -kc + BOUND_MARGIN:
-                rejected.append(lam)
-                log.info("discarding root %s below the decay bound %s", lam, -kc)
-                continue
-            roots.append(lam)
-
-    if not roots:
-        raise NoConvergence("no scalar characteristic root found from any start")
-    pairs = [_scalar_pair(p, a, lam, residual=abs(g(lam))) for lam in roots]
-    diag = {
-        "n_raw": len(roots) + len(rejected),
-        "n_bound_filtered": len(rejected),
-        "bound_filtered": [[r.real, r.imag] for r in rejected],
-    }
-    return canonicalize_spectrum(pairs, omega0, period=p.period, diagnostics=diag)
-
-
-def _scalar_pair(p: FloquetProblem, a: complex, lam: complex,
-                 residual: float = 0.0) -> FloquetEigenpair:
-    vec = np.zeros(p.size, dtype=complex)
-    vec[p.n_harmonics] = 1.0  # zero-harmonic slot of the single component
-    return make_eigenpair(p, lam, vec, residual)
-
-
 # --- eigenproblem routes ---------------------------------------------------
 
 
@@ -483,15 +379,30 @@ def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
     R is nonsingular right of mu_2(A) + integral ||K|| (mu_2 the top eigenvalue
     of the Hermitian part of the Jacobian, as ||Q|| <= integral ||K|| for
     Re(lambda) >= 0 and D is skew-Hermitian), so every exponent right of the
-    left edge, below the decay bound or at -CONTOUR_DEPTH, is enclosed.
+    left edge is enclosed.  The left edge is CONTOUR_MARGIN below the decay
+    bound, or at -CONTOUR_DEPTH without one, except on a scalar problem with
+    Jacobian a*I and a truncated exponential kernel c*e^{-k u}, c > 0, a > -k:
+    there it is (a - k)/2.  R is then diagonal, with entries g(lambda +
+    i*omega_h), g(lambda) = lambda - a - c*(1 - e^{-mu s})/mu and mu = lambda + k,
+    and mu*g = P(mu) + c*e^{-mu s} with P = mu^2 - b*mu - c, b = k + a > 0.  For
+    0 < Re mu < b, Re P < -c - (Im mu)^2, so |P| > c >= |c*e^{-mu s}| and g has
+    no root with -k < Re lambda < a; by Rouche's theorem against P it has
+    exactly one with Re lambda >= a, and that root is real.  So the edge
+    encloses every admissible exponent and leaves out the window's roots, which
+    crowd at spacing 2*pi/s just below -k.  For a <= -k the lemma gives nothing
+    and the edge stays below the decay bound.
     """
     window = math.inf if p.transfer.truncation is None else p.transfer.truncation
-    a = p.linear_operator
-    mu2 = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[-1]
+    op = p.linear_operator
+    mu2 = np.linalg.eigvalsh(0.5 * (op + op.conj().T))[-1]
     hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
+    k, a = p.transfer.kernel, p.jacobian[0, 0].real
+    if p.dim == 1 and math.isfinite(window) and isinstance(k, ExponentialDecay) \
+            and k.coefficient[0, 0] > 0 and a > -k.rate \
+            and np.array_equal(p.jacobian, a * np.eye(p.size)):
+        return (a - k.rate) / 2, hi
     kc = p.critical_exponent
-    lo = -kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH
-    return lo, hi
+    return (-kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH), hi
 
 
 def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, float],

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from .errors import BoundViolation
@@ -139,6 +138,8 @@ class FiniteSupportSampled:
     @cached_property
     def splines(self) -> dict:
         """Cubic-spline interpolants in u of the t-coefficients, by m, built once."""
+        from scipy.interpolate import CubicSpline
+
         band = (self.values.shape[0] - 1) // 2
         return {m: CubicSpline(self.u_grid, self.t_coefficient(m), axis=0)
                 for m in range(-band, band + 1)}
@@ -220,7 +221,7 @@ def _window_factor_dc(c: complex, sbar: float | None) -> complex:
 # --- exact transfers of sampled kernels --------------------------------------
 
 
-def _spline_transfers(splines: list[CubicSpline], truncation: float | None, zeta: complex,
+def _spline_transfers(splines: list, truncation: float | None, zeta: complex,
                       power: int) -> list[np.ndarray]:
     """integral_0^U (-u)^power s(u) e^{-zeta u} du, exact for each cubic spline s.
 
@@ -327,6 +328,8 @@ def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
             return float(np.linalg.norm(k.weight, 2))
         return 0.0
     if isinstance(k, FiniteSupportSampled):
+        from scipy.interpolate import CubicSpline
+
         hi = min(s, k.support)
         norms = np.linalg.norm(k.values, ord=2, axis=(2, 3)).max(axis=0)
         return float(CubicSpline(k.u_grid, norms).integrate(s_bar, hi)) if s_bar < hi else 0.0

@@ -30,7 +30,6 @@ from .floquet import (
     canonicalize_spectrum,
     floquet_multiplier,
     floquet_spectrum,
-    solve_scalar,
 )
 from .hb import (
     HarmonicVector,
@@ -87,8 +86,12 @@ def model1d_problem(m: Memory1DModel, n_harmonics: int = 0,
 
 
 def model1d_exponent(m: Memory1DModel) -> FloquetSpectrum:
-    """Exponent classes of the scalar memory model via direct root hunting."""
-    return solve_scalar(model1d_problem(m))
+    """Exponent classes of the scalar memory model.
+
+    An infinite window runs the Hill route on its two states; a finite one
+    runs the contour route, whose left edge (a - k)/2 is proven for a > -k.
+    """
+    return floquet_spectrum(model1d_problem(m))
 
 
 def model1d_asymptotic_exponent(m: Memory1DModel) -> float:

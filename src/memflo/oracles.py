@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import lambertw
 
 from .hb import MatrixHarmonics, sample_times
 
@@ -65,6 +63,7 @@ def monodromy_multipliers(jacobian_of_t, dim: int, period: float,
     Integrates dY/dt = A(t) Y over one period from the identity and returns
     the eigenvalues of the resulting monodromy matrix, sorted by magnitude.
     """
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         return (np.atleast_2d(jacobian_of_t(t)) @ y.reshape(dim, dim)).reshape(-1)
@@ -181,6 +180,8 @@ def particle_effective_friction(m, c) -> MatrixHarmonics:
 
 def selfcheck() -> list[tuple[str, bool, str]]:
     """Fast oracle-backed sanity checks; returns (name, passed, detail) rows."""
+    from scipy.special import lambertw
+
     from . import floquet, hb, kernels, models
 
     checks = []

@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import memflo
 
 from memflo import cli
 from memflo.errors import ConfigError
@@ -304,6 +310,18 @@ def test_memory1d_invalid_points_become_error_rows(tmp_path):
 
 def test_selfcheck_passes():
     assert cli.main(["selfcheck"]) == 0
+
+
+def test_import_loads_no_heavy_scipy_submodule():
+    # a fresh interpreter, as this process already holds them: integrators, splines,
+    # special functions and optimizers are imported where they run, not by the package
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize")
+    code = ("import sys, memflo, memflo.cli, memflo.oracles\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(memflo.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_memory1d_row_with_an_overflowing_multiplier(tmp_path):

@@ -109,3 +109,60 @@ def test_csv_residual_loose_for_particle_only(tmp_path):
     c = _csv_checkout(tmp_path / "c", "memory1d", old)
     d = _csv_checkout(tmp_path / "d", "memory1d", new)
     assert compare_rows.main([str(c), str(d)]) == 1
+
+
+MEMORY_ROW = {"param1": 10.0, "param2": None, "max_re_lambda": 0.3, "verdict": "Unstable",
+              "n_classes": 1, "cycle_residual": None, "error_code": None,
+              "extra": {"n_bound_filtered": 12, "lambda_re": 0.3, "lambda_im": 0.0,
+                        "deviation_from_asymptote": 2e-9}}
+
+
+def _memory_checkout(root: Path, row: dict) -> Path:
+    (root / "figs").mkdir(parents=True)
+    (root / "out").mkdir()
+    (root / "figs" / "m.cfg").write_text("model = memory1d\nmode = convergence\n"
+                                         "output = out/m.json\n")
+    doc = {"header": [k for k in row if k != "extra"], "rows": [row], "metadata": {}}
+    (root / "out" / "m.json").write_text(json.dumps(doc))
+    return root
+
+
+def _memory_row(**changes) -> dict:
+    extra = dict(MEMORY_ROW["extra"], **changes.pop("extra", {}))
+    return dict(MEMORY_ROW, extra=extra, **changes)
+
+
+def test_memory1d_fields_move_within_pinned_tolerances(tmp_path):
+    a = _memory_checkout(tmp_path / "a", _memory_row())
+    b = _memory_checkout(tmp_path / "b", _memory_row(
+        max_re_lambda=0.3 * (1 + 1e-12),
+        extra={"n_bound_filtered": 0, "lambda_re": 0.3 * (1 + 1e-12), "lambda_im": 1e-16,
+               "deviation_from_asymptote": 2e-9 + 9e-14}))
+    assert compare_rows.main([str(a), str(b)]) == 0
+
+
+def test_memory1d_fields_out_of_tolerance_are_violations(tmp_path):
+    a = _memory_checkout(tmp_path / "a", _memory_row())
+    changed = {
+        "max_re_lambda": _memory_row(max_re_lambda=0.3 + 2e-9),
+        "lambda_re": _memory_row(extra={"lambda_re": 0.3 + 2e-9}),
+        "lambda_im": _memory_row(extra={"lambda_im": 2e-9}),
+        "deviation": _memory_row(extra={"deviation_from_asymptote": 2e-9 + 2e-13}),
+        "filtered": _memory_row(extra={"n_bound_filtered": 3}),
+        "verdict": _memory_row(verdict="Marginal"),
+        "classes": _memory_row(n_classes=2),
+        "error": _memory_row(error_code="incomplete_spectrum"),
+    }
+    for name, row in changed.items():
+        b = _memory_checkout(tmp_path / name, row)
+        assert compare_rows.main([str(a), str(b)]) == 1, name
+
+
+def test_tl_rows_stay_exact(tmp_path):
+    old = "1,0.5,-0.1,Stable,1,,"
+    a = _csv_checkout(tmp_path / "a", "tl", old)
+    b = _csv_checkout(tmp_path / "b", "tl", "1,0.5,-0.10000000000001,Stable,1,,")
+    assert compare_rows.main([str(a), str(b)]) == 1
+    c = _csv_checkout(tmp_path / "c", "memory1d", old)
+    d = _csv_checkout(tmp_path / "d", "memory1d", "1,0.5,-0.10000000000001,Stable,1,,")
+    assert compare_rows.main([str(c), str(d)]) == 0

@@ -35,6 +35,19 @@ def scalar_problem(a, k, s=math.inf, n_harmonics=0, period=2 * math.pi):
     return F.FloquetProblem(jac, mt, period, n_harmonics, 1)
 
 
+def window_root(a, k, s, lam=0.0):
+    # independent oracle: plain Newton on g = lam - a - (1 - e^{-mu s})/mu, mu = lam + k
+    for _ in range(100):
+        mu = lam + k
+        e = math.exp(-mu * s)
+        g = lam - a - (1.0 - e) / mu
+        gp = 1.0 - (s * e * mu - (1.0 - e)) / (mu * mu)
+        lam -= g / gp
+    mu = lam + k
+    assert abs(lam - a - (1.0 - math.exp(-mu * s)) / mu) < 1e-14
+    return lam
+
+
 def memoryless_problem(a, n_harmonics=2, period=2 * math.pi):
     omega0 = 2 * math.pi / period
     jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[a]], omega0),
@@ -74,34 +87,53 @@ def test_assemble_delay_diagonal():
         assert r[idx, idx] == pytest.approx(want, abs=1e-14)
 
 
-# --- scalar root hunting ---------------------------------------------------------
+# --- scalar memory spectra -------------------------------------------------------
 
 
-def test_solve_scalar_asymptotic_memory():
-    spec = F.solve_scalar(scalar_problem(0.0, 3.0))
+def test_scalar_spectrum_asymptotic_memory():
+    spec = F.floquet_spectrum(scalar_problem(0.0, 3.0))
+    assert spec.diagnostics["route"] == "hill"
     assert len(spec.canonical_strip) == 1
     assert spec.canonical_strip[0].exponent == pytest.approx(LAM_A0_K3, abs=1e-10)
 
 
-def test_solve_scalar_no_memory_window():
-    spec = F.solve_scalar(scalar_problem(1.0, 3.0, s=0.0))
+def test_scalar_spectrum_no_memory_window():
+    spec = F.floquet_spectrum(scalar_problem(1.0, 3.0, s=0.0))
+    assert spec.diagnostics["route"] == "contour"
     assert spec.canonical_strip[0].exponent == pytest.approx(1.0, abs=1e-12)
 
 
-def test_solve_scalar_filters_invalid_quadratic_root():
-    spec = F.solve_scalar(scalar_problem(-2.0, 3.0))
+def test_scalar_spectrum_filters_invalid_quadratic_root():
+    spec = F.floquet_spectrum(scalar_problem(-2.0, 3.0))
     exps = [p.exponent for p in spec.canonical_strip]
     assert len(exps) == 1
     assert exps[0] == pytest.approx(LAM_AM2_K3, abs=1e-10)
     # the second quadratic root sits below -k and must not be reported
     assert all(e.real > -3.0 for e in exps)
+    assert spec.diagnostics["n_bound_filtered"] == 1
 
 
-def test_solve_scalar_matches_quadratic_oracle_across_rates():
+def test_scalar_spectrum_matches_quadratic_oracle_across_rates():
     for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        spec = F.solve_scalar(scalar_problem(a, 3.0))
+        spec = F.floquet_spectrum(scalar_problem(a, 3.0))
         lam = max(p.exponent.real for p in spec.canonical_strip)
         assert lam == pytest.approx(quadratic_memory_exponent(a, 3.0), abs=1e-10)
+
+
+def test_scalar_window_edge_encloses_exactly_the_admissible_root():
+    # the contour's left edge (a - k)/2 leaves out the window roots below -k: one real
+    # root right of a is enclosed and certified at the first pass, none is filtered
+    for a in np.linspace(-2.0, 2.0, 9):
+        for s in (0.0, 0.5, 2.0, 10.0, 20.0, 35.0, 50.0):
+            spec = F.floquet_spectrum(scalar_problem(float(a), 3.0, s=s))
+            d = spec.diagnostics
+            assert d["route"] == "contour"
+            assert d["contour"]["re"][0] == pytest.approx((a - 3.0) / 2, abs=1e-15)
+            assert d["n_enclosed"] == 1 and d["contour"]["nodes_per_side"] == 32
+            assert d["n_bound_filtered"] == 0
+            assert len(spec.canonical_strip) == 1
+            lam = spec.canonical_strip[0].exponent
+            assert abs(lam.imag) <= 1e-12 and lam.real >= a - 1e-12
 
 
 # --- Hill matrix ---------------------------------------------------------------------
@@ -491,31 +523,17 @@ def test_floquet_spectrum_autonomous_needs_trivial_class():
     assert F.floquet_spectrum(memoryless_problem(0.0), autonomous=True).stability == "Marginal"
 
 
-def test_solve_scalar_rejects_periodic_coefficient():
-    coeffs = np.zeros((1, 1, 3), dtype=complex)
-    coeffs[0, 0, 1] = 0.5
-    coeffs[0, 0, 0] = coeffs[0, 0, 2] = 0.2  # genuinely periodic a(t)
-    mh = hb.MatrixHarmonics(1, 1, 1, coeffs, omega0=1.0)
-    jac = hb.toeplitz_from_periodic(mh)
-    mt = K.MemoryTransfer(K.ExponentialDecay([[1.0]], 3.0))
-    p = F.FloquetProblem(jac, mt, 2 * math.pi, 1, 1)
-    with pytest.raises(ValueError, match="constant"):
-        F.solve_scalar(p)
-
-
 # --- contour-route spectra for delay, sampled and truncated kernels -----------------
 
 
 def test_taylor_route_matches_scalar_route_for_finite_window():
-    # finite memory window: the polynomial route with Newton polish must agree
-    # with direct scalar root hunting
+    # finite memory window on harmonics: the contour route with Newton polish must agree
+    # with plain scalar Newton on the characteristic function
     p = scalar_problem(0.0, 3.0, s=2.0, n_harmonics=3)
-    spec_taylor = F.floquet_spectrum(p)
-    spec_scalar = F.solve_scalar(p)
-    lam_t = max(q.exponent.real for q in spec_taylor.canonical_strip)
-    lam_s = max(q.exponent.real for q in spec_scalar.canonical_strip)
-    assert lam_t == pytest.approx(lam_s, abs=1e-9)
-    assert all(q.residual < 1e-8 for q in spec_taylor.canonical_strip)
+    spec = F.floquet_spectrum(p)
+    lam = max(q.exponent.real for q in spec.canonical_strip)
+    assert lam == pytest.approx(window_root(0.0, 3.0, 2.0), abs=1e-9)
+    assert all(q.residual < 1e-8 for q in spec.canonical_strip)
 
 
 def test_sampled_kernel_spectrum_matches_closed_form_window():
@@ -528,10 +546,8 @@ def test_sampled_kernel_spectrum_matches_closed_form_window():
                                     n_harmonics=2)
     p = F.FloquetProblem(jac, mt, 2 * math.pi, 2, 1)
     spec = F.floquet_spectrum(p)
-    ref = F.solve_scalar(scalar_problem(0.0, k, s=support, n_harmonics=2))
-    lam_ref = max(q.exponent.real for q in ref.canonical_strip)
     lam = max(q.exponent.real for q in spec.canonical_strip)
-    assert lam == pytest.approx(lam_ref, abs=1e-7)
+    assert lam == pytest.approx(window_root(0.0, k, support), abs=1e-7)
 
 
 def test_delay_kernel_characteristic_root():
@@ -551,13 +567,9 @@ def test_delay_kernel_characteristic_root():
         lam -= g / gp
     assert abs(lam - a - b * math.exp(-lam * tau)) < 1e-14
 
-    spec = F.solve_scalar(p)
-    lam_s = max(q.exponent.real for q in spec.canonical_strip)
-    assert lam_s == pytest.approx(lam, abs=1e-10)
-
-    spec_m = F.floquet_spectrum(p)
-    lam_m = max(q.exponent.real for q in spec_m.canonical_strip)
-    assert lam_m == pytest.approx(lam, abs=1e-9)
+    spec = F.floquet_spectrum(p)
+    lam_m = max(q.exponent.real for q in spec.canonical_strip)
+    assert lam_m == pytest.approx(lam, abs=1e-10)
 
 
 def delay_problem(n_harmonics, period, a=-1.0, b=0.5, dim=1, tau=1.0):

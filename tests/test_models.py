@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from memflo import floquet as F
+from memflo import kernels as K
 from memflo import models as M
 from memflo.errors import MatchedLine, NoCycle
 from memflo.oracles import (
@@ -49,17 +50,17 @@ def test_model1d_exponent_increases_with_rate():
 
 
 def test_model1d_transfers_stay_in_the_float_range(monkeypatch):
-    # a Newton start that crosses the window's overflow line is dropped where the transfer
-    # raises, rather than iterated on a huge stand-in value
+    # every transfer the contour and its polish evaluate is a moderate number: right of
+    # the left edge (a - k)/2 > -k, |e^{-(lambda + k) s}| < 1
     moduli = []
-    transfer_at = F.transfer_at
+    transfer = K._transfer
 
     def recorded(*args):
-        value = transfer_at(*args)
+        value = transfer(*args)
         moduli.append(float(np.max(np.abs(value))))
         return value
 
-    monkeypatch.setattr(F, "transfer_at", recorded)
+    monkeypatch.setattr(K, "_transfer", recorded)
     M.model1d_exponent(M.Memory1DModel(0.0, 3.0, 10.0))
     assert moduli and max(moduli) <= 1e200
 
