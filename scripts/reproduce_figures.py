@@ -2,7 +2,7 @@
 """Run every figure-reproduction config into out/.
 
 Each config is a plain CLI run; plotting is left to downstream tools that
-consume the CSV/JSON.  The particle grids are the slow part (a few minutes).
+consume the CSV/JSON.
 """
 
 import pathlib

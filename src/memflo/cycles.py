@@ -14,8 +14,9 @@ on the Galerkin matrix kron(I, omega0 D) - P A(t) S, A = df/dz on the grid.
 For autonomous systems the fundamental frequency is an unknown (its column
 is D u) and one first-harmonic imaginary part, on the component with the
 largest first-harmonic magnitude in the seed, is pinned to zero to fix the
-time origin.  Only :func:`linearize` keeps the complex band -2N..2N of A,
-which becomes the Toeplitz operator of the variational problem.
+time origin.  The caller supplies the seed in harmonic form.  Only
+:func:`linearize` keeps the complex band -2N..2N of A, which becomes the
+Toeplitz operator of the variational problem.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .floquet import FloquetProblem
 from .hb import (
     HarmonicVector,
     MatrixHarmonics,
-    TimeSamples,
     _grid_basis,
-    dft,
     pack_real_coefficients,
     sample_times,
     toeplitz_from_periodic,
@@ -48,7 +47,6 @@ __all__ = [
     "hb_residual",
     "solve_cycle",
     "linearize",
-    "seed_from_time_integration",
     "rotate_phase",
 ]
 
@@ -64,13 +62,13 @@ class SystemModel:
     grid of states in one call: z has shape (dim, ...), t broadcasts against
     its trailing axes, ``rhs`` returns (dim, ...) and ``rhs_jacobian``
     (dim, dim, ...) or a constant (dim, dim).  The collocation grid passes
-    z of shape (dim, G) with t of shape (G,), time integration one (dim,)
-    state.  A model that carries exponential memory as states sets
-    ``memory_rate`` to the decay rate of those states: exponents at or below
-    -memory_rate belong to no admissible mode of the memory system and are
-    filtered out of its spectra.  It is a spectral bound only: neither the
-    cycle solve nor the time-domain seed reads it.  Autonomous systems must
-    ignore ``t`` and may leave the period to be solved for.  With
+    z of shape (dim, G) with t of shape (G,); the rest-state Jacobian and
+    time-stepping oracles pass one (dim,) state.  A model that carries
+    exponential memory as states sets ``memory_rate`` to the decay rate of
+    those states: exponents at or below -memory_rate belong to no admissible
+    mode of the memory system and are filtered out of its spectra.  It is a
+    spectral bound only: the cycle solve does not read it.  Autonomous
+    systems must ignore ``t``; their period is solved for.  With
     ``validate=True`` the Jacobian is checked against finite differences of
     the right-hand side on a few random states at construction.
     """
@@ -79,7 +77,6 @@ class SystemModel:
     rhs: Callable
     rhs_jacobian: Callable
     autonomous: bool = False
-    period_hint: float | None = None
     memory_rate: float = math.inf
     validate: bool = False
 
@@ -256,7 +253,10 @@ def _warn_if_underresolved(hv: HarmonicVector):
     peak = a.max()
     if peak < NEWTON_TOL:  # zero within the Newton tolerance, nothing to resolve
         return
-    edge = max(a[:, 0].max(), a[:, -1].max())
+    # the last two harmonics on each side (never the first): a cycle with only
+    # odd harmonics reads a rounding zero at an even N
+    width = min(2, n - 1)
+    edge = max(a[:, :width].max(), a[:, -width:].max())
     if edge > RESOLUTION_WARN_RATIO * peak:
         warnings.warn(
             f"trailing harmonic amplitude {edge:.2e} exceeds {RESOLUTION_WARN_RATIO:.0e}"
@@ -278,62 +278,3 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
     a_mh = MatrixHarmonics.from_time_grid(samples, cycle.period, 2 * nh)
     jac = toeplitz_from_periodic(a_mh, n_harmonics=nh)
     return FloquetProblem(jac, None, cycle.period, nh, n, memory_rate=model.memory_rate)
-
-
-# --- coarse time-domain seeding ----------------------------------------------
-
-
-def seed_from_time_integration(model: SystemModel, n_harmonics: int, z0) -> LimitCycle:
-    """Initial cycle guess from integration of the transient.
-
-    Integrates over ten periods of ``model.period_hint`` with LSODA, which
-    switches to a stiff method by itself when fast memory states need one,
-    estimates the period from late upcrossings, and transforms the last
-    period to harmonic form.  A state that leaves the finite numbers or an
-    integrator failure raises :class:`NoConvergence`.  Memory states start
-    where ``z0`` puts them (zero for a zero history).
-    """
-    from scipy.integrate import solve_ivp
-
-    t_guess = model.period_hint
-    if t_guess is None:
-        raise ValueError("need the model's period_hint to seed from time integration")
-    t_end = 10 * t_guess
-
-    def f(t, z):
-        # LSODA keeps stepping on an overflowed state instead of failing
-        if not np.isfinite(z).all():
-            raise NoConvergence(f"time-domain seed diverged at t = {t:.6g}")
-        return model.rhs(z, t)
-
-    sol = solve_ivp(f, (0.0, t_end), np.asarray(z0, dtype=float), method="LSODA",
-                    rtol=1e-6, atol=1e-9, dense_output=True)
-    if not sol.success:
-        raise NoConvergence(f"time-domain seed failed: {sol.message}")
-    period = t_guess
-    if model.autonomous:
-        tail = np.linspace(t_end - 4 * t_guess, t_end, 801)  # 200 samples a period
-        period = _estimate_period(tail, sol.sol(tail), t_guess)
-    sample_t = t_end - period + sample_times(n_harmonics, period)
-    hv = dft(TimeSamples(model.dim, sol.sol(sample_t), period))
-    return LimitCycle(period, hv, math.inf)
-
-
-def _estimate_period(times: np.ndarray, hist: np.ndarray, fallback: float) -> float:
-    tail = times >= times[-1] - 4 * fallback
-    t = times[tail]
-    best = None
-    for c in range(hist.shape[0]):
-        x = hist[c, tail]
-        x = x - x.mean()
-        if np.ptp(x) < 1e-12:
-            continue
-        ups = np.nonzero((x[:-1] < 0) & (x[1:] >= 0))[0]
-        if len(ups) < 3:
-            continue
-        crossings = t[ups] - x[ups] * (t[ups + 1] - t[ups]) / (x[ups + 1] - x[ups])
-        gaps = np.diff(crossings)
-        est = float(np.median(gaps))
-        if best is None or abs(est - fallback) < abs(best - fallback):
-            best = est
-    return best if best is not None else fallback

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import (
-    LimitCycle,
-    SystemModel,
-    linearize,
-    seed_from_time_integration,
-    solve_cycle,
-)
+from .cycles import LimitCycle, SystemModel, linearize, solve_cycle
 from .errors import MatchedLine, NoConvergence, NoCycle, SingularJacobian
 from .floquet import (
     FloquetEigenpair,
@@ -186,8 +180,29 @@ def particle_system(m: BrownianParticleModel) -> SystemModel:
             out[4:, 2:4] = friction
         return out
 
-    return SystemModel(dim, rhs, jac, autonomous=True,
-                       period_hint=2 * math.pi / m.omega_bar[0], memory_rate=k)
+    return SystemModel(dim, rhs, jac, autonomous=True, memory_rate=k)
+
+
+def _balanced_speed2(m: BrownianParticleModel) -> float | None:
+    """(alpha - g/k)/beta, the squared speed scale of the seeds; None when no orbit exists."""
+    r2 = (m.alpha - m.g / m.k) / m.beta if m.beta != 0 else -1.0
+    return r2 if r2 > 0 else None
+
+
+def _orbit_guess(m: BrownianParticleModel, n_harmonics: int, omega: float,
+                 first) -> LimitCycle:
+    """Seed with the first position harmonics ``first`` = (a_x, a_y) at frequency omega.
+
+    The velocities are their derivatives and the memory states are zero.
+    """
+    nh = n_harmonics
+    dim = 4 if math.isinf(m.k) else 6
+    amps = np.zeros((dim, 2 * nh + 1), dtype=complex)
+    amps[:2, nh + 1] = first
+    amps[:2, nh - 1] = np.conj(first)
+    amps[2:4] = differentiate(HarmonicVector(2, nh, amps[:2], omega, real_signal=True)).amplitudes
+    hv = HarmonicVector(dim, nh, amps, omega, real_signal=True)
+    return LimitCycle(2 * math.pi / omega, hv, math.inf)
 
 
 def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int) -> LimitCycle | None:
@@ -198,23 +213,31 @@ def circular_cycle_guess(m: BrownianParticleModel, n_harmonics: int) -> LimitCyc
     at the well frequency regardless of the retardation; the memory states
     are zero on it.
     """
-    r2 = (m.alpha - m.g / m.k) / m.beta if m.beta != 0 else -1.0
-    if r2 <= 0:
+    r2 = _balanced_speed2(m)
+    if r2 is None:
         return None
     omega = m.omega_bar[0]
     radius = math.sqrt(r2) / omega
-    nh = n_harmonics
-    dim = 4 if math.isinf(m.k) else 6
-    amps = np.zeros((dim, 2 * nh + 1), dtype=complex)
-    amps[0, nh + 1] = radius / 2
-    amps[0, nh - 1] = radius / 2
-    amps[1, nh + 1] = radius / (2j)
-    amps[1, nh - 1] = (radius / (2j)).conjugate()
-    pos = HarmonicVector(2, nh, amps[:2], omega, real_signal=True)
-    vel = differentiate(pos)
-    amps[2:4] = vel.amplitudes
-    hv = HarmonicVector(dim, nh, amps, omega, real_signal=True)
-    return LimitCycle(2 * math.pi / omega, hv, math.inf)
+    return _orbit_guess(m, n_harmonics, omega, (radius / 2, radius / (2j)))
+
+
+def polarized_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
+                          axis: int) -> LimitCycle | None:
+    """Seed on one axis of the well: x_axis = A cos(omega_axis t), the other axis at rest.
+
+    Each axis is an invariant set of the particle equations.  On it the
+    first-harmonic (Krylov-Bogoliubov) balance of the friction,
+    (-alpha + g/k) + 3/4 beta A^2 omega_axis^2 = 0, gives
+    A = sqrt(4 (alpha - g/k) / (3 beta)) / omega_axis and zeroes the first
+    harmonic of gamma(v) v, so the memory states start at zero.
+    """
+    r2 = _balanced_speed2(m)
+    if r2 is None:
+        return None
+    omega = m.omega_bar[axis]
+    first = [0.0, 0.0]
+    first[axis] = math.sqrt(4 * r2 / 3) / omega / 2
+    return _orbit_guess(m, n_harmonics, omega, first)
 
 
 def _rest_spectrum(system: SystemModel, omega0: float) -> FloquetSpectrum:
@@ -240,56 +263,44 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
                       seed: LimitCycle | None = None) -> tuple[LimitCycle, FloquetSpectrum]:
     """Limit cycle and its exponent classes for the particle model.
 
-    Tries the analytic rotating seed first, then a coarse time-integration
-    seed.  When no cycle converges and the resting state is stable the
-    degenerate zero cycle is returned with the equilibrium spectrum;
-    otherwise :class:`NoCycle` is raised (non-periodic attractor regime).
-    ``n_harmonics`` < 1 raises ``ValueError``: the phase condition pins a first harmonic.
+    Newton starts from the warm start ``seed``, then from the analytic
+    rotating orbit, then from the orbits polarized on the x and on the y
+    axis, and keeps the first cycle of amplitude above
+    ``CYCLE_AMPLITUDE_TOL``.  When none converges and the resting state is
+    not unstable, the degenerate zero cycle is returned with the
+    equilibrium spectrum; otherwise :class:`NoCycle` is raised
+    (non-periodic attractor regime).  ``diagnostics["cycle_seed"]`` names
+    the seed that converged, or ``"rest"``.  ``n_harmonics`` < 1 raises
+    ``ValueError``: the phase condition pins a first harmonic.
     """
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be at least 1, got {n_harmonics}")
     system = particle_system(m)
-    seeds = []
-    if seed is not None:
-        seeds.append(seed)
-    guess = circular_cycle_guess(m, n_harmonics)
-    if guess is not None:
-        seeds.append(guess)
-
-    cycle = None
-    for candidate in seeds:
+    seeds = (("warm", seed), ("rotating", circular_cycle_guess(m, n_harmonics)),
+             ("polarized-x", polarized_cycle_guess(m, n_harmonics, 0)),
+             ("polarized-y", polarized_cycle_guess(m, n_harmonics, 1)))
+    for name, candidate in seeds:
+        if candidate is None:
+            continue
         try:
             cycle = solve_cycle(system, candidate)
         except (NoConvergence, SingularJacobian):
             continue
         if cycle_amplitude(cycle) > CYCLE_AMPLITUDE_TOL:
-            break
-        cycle = None
-    if cycle is None:
-        z0 = np.zeros(system.dim)  # memory states start from the zero history
-        z0[[0, 3]] = 0.3, 0.5
-        try:
-            late = seed_from_time_integration(system, n_harmonics, z0=z0)
-            attempt = solve_cycle(system, late)
-            if cycle_amplitude(attempt) > CYCLE_AMPLITUDE_TOL:
-                cycle = attempt
-        except (NoConvergence, SingularJacobian):
-            cycle = None
+            spectrum = floquet_spectrum(linearize(system, cycle), autonomous=True)
+            spectrum.diagnostics["cycle_seed"] = name
+            return cycle, spectrum
 
-    if cycle is None:
-        eq = particle_equilibrium_spectrum(m)
-        if eq.stability != "Unstable":
-            zero = LimitCycle(2 * math.pi / m.omega_bar[0],
-                              HarmonicVector(system.dim, n_harmonics,
-                                             np.zeros((system.dim, 2 * n_harmonics + 1)),
-                                             m.omega_bar[0], real_signal=True),
-                              0.0)
-            return zero, eq
+    eq = particle_equilibrium_spectrum(m)
+    if eq.stability == "Unstable":
         raise NoCycle("no periodic attractor found and the resting state is unstable")
-
-    problem = linearize(system, cycle)
-    spectrum = floquet_spectrum(problem, autonomous=True)
-    return cycle, spectrum
+    eq.diagnostics["cycle_seed"] = "rest"
+    zero = LimitCycle(2 * math.pi / m.omega_bar[0],
+                      HarmonicVector(system.dim, n_harmonics,
+                                     np.zeros((system.dim, 2 * n_harmonics + 1)),
+                                     m.omega_bar[0], real_signal=True),
+                      0.0)
+    return zero, eq
 
 
 def cycle_amplitude(cycle: LimitCycle) -> float:

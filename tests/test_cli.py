@@ -314,14 +314,20 @@ def test_selfcheck_passes():
 
 def test_import_loads_no_heavy_scipy_submodule():
     # a fresh interpreter, as this process already holds them: integrators, splines,
-    # special functions and optimizers are imported where they run, not by the package
+    # special functions and optimizers are imported where they run, not by the package;
+    # particle rows below g/k and on a polarized cycle integrate nothing in time
     heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize")
-    code = ("import sys, memflo, memflo.cli, memflo.oracles\n"
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+    particle_rows = (
+        "from memflo.models import BrownianParticleModel as P, particle_spectrum\n"
+        "particle_spectrum(P(0.05, 1.0, 0.1, 1.0), n_harmonics=12)\n"
+        "particle_spectrum(P(0.5, 1.0, 0.1, 3.0, (2.0, 2.0 / 0.95)), n_harmonics=20)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(memflo.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    for work in ("", particle_rows):
+        code = ("import sys, memflo, memflo.cli, memflo.oracles\n" + work +
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 def test_memory1d_row_with_an_overflowing_multiplier(tmp_path):

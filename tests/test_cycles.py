@@ -31,7 +31,6 @@ def linear_forced_model(omega0=1.0):
         lambda z, t: np.array([-z[0] + np.cos(omega0 * t)]),
         lambda z, t: np.array([[-1.0]]),
         autonomous=False,
-        period_hint=2 * math.pi / omega0,
     )
 
 
@@ -42,7 +41,6 @@ def forced_memory_model(k):
         lambda z, t: np.array([-z[0] + z[1] + np.cos(t), -k * z[1] + z[0]]),
         lambda z, t: np.array([[-1.0, 1.0], [1.0, -k]]),
         autonomous=False,
-        period_hint=2 * math.pi,
         memory_rate=k,
     )
 
@@ -72,7 +70,7 @@ def test_residual_zero_state_of_unforced_system():
     model = C.SystemModel(4, lambda z, t: np.concatenate([-z[:2] + z[2:], -z[2:] + 0.3 * z[:2]]),
                           lambda z, t: np.block([[-np.eye(2), np.eye(2)],
                                                  [0.3 * np.eye(2), -np.eye(2)]]),
-                          autonomous=False, period_hint=2 * math.pi, memory_rate=1.0)
+                          autonomous=False, memory_rate=1.0)
     assert np.linalg.norm(C.hb_residual(model, zero_guess(4, 4, 2 * math.pi))) == 0.0
 
 
@@ -89,7 +87,7 @@ def test_residual_memory_term_uses_zero_frequency_transfer():
     k = 2.0
     model = C.SystemModel(2, lambda z, t: np.array([-z[0] + 1.0 + z[1], -k * z[1] + z[0]]),
                           lambda z, t: np.array([[-1.0, 1.0], [1.0, -k]]),
-                          autonomous=False, period_hint=2 * math.pi, memory_rate=k)
+                          autonomous=False, memory_rate=k)
     # fixed point: -z + 1 + z/k = 0  ->  z = k/(k-1)
     zstar = k / (k - 1.0)
     n = 3
@@ -122,6 +120,22 @@ def test_solve_cycle_linear_forced_converges_fast():
     assert cyc.residual < 1e-12
     assert cyc.harmonics.amplitude(0, 1) == pytest.approx(0.25 - 0.25j, abs=1e-12)
     assert cyc.harmonics.amplitude(0, -1) == pytest.approx(0.25 + 0.25j, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2.0, 500.0, 1e6])
+def test_solve_cycle_carries_exponential_memory(k):
+    # dz/dt = -z + q + cos t, dq/dt = -k q + z: first harmonic 0.5 / (1 + i - 1/(k + i)),
+    # reached from the memoryless response with the memory state at zero, fast memory included
+    model = forced_memory_model(k)
+    amps = np.zeros((2, 11), dtype=complex)
+    amps[0, 6] = 0.5 / (1 + 1j)
+    amps[0, 4] = amps[0, 6].conjugate()
+    guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(2, 5, amps, 1.0, real_signal=True),
+                         math.inf)
+    cyc = C.solve_cycle(model, guess)
+    exact = 0.5 / (1 + 1j - 1 / (k + 1j))
+    assert abs(cyc.harmonics.amplitude(0, 1) - exact) < 1e-10
+    assert abs(cyc.harmonics.amplitude(1, 1) - exact / (k + 1j)) < 1e-10
 
 
 def test_solve_cycle_memoryless_particle_matches_time_integration():
@@ -157,8 +171,7 @@ def test_solve_cycle_particle_memory_residual_and_refinement():
 def test_solve_cycle_no_convergence_reports_trace():
     # dz/dt = z^2 + 1 has no bounded periodic solution; the balance cannot close
     model = C.SystemModel(1, lambda z, t: np.array([z[0] ** 2 + 1.0]),
-                          lambda z, t: np.array([[2 * z[0]]]), autonomous=True,
-                          period_hint=2 * math.pi)
+                          lambda z, t: np.array([[2 * z[0]]]), autonomous=True)
     amps = np.zeros((1, 7), dtype=complex)
     amps[0, 4] = amps[0, 2] = 0.5
     guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(1, 3, amps, 1.0), math.inf)
@@ -254,10 +267,13 @@ def test_newton_matrix_equals_complex_toeplitz_chain(name, nh):
 
 
 def test_resolution_warning_on_underresolved_cycle():
-    m = BrownianParticleModel(alpha=4.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 1.8))
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always")
-        particle_spectrum(m, n_harmonics=3)
+    # the second cycle has only odd harmonics: at N = 4 harmonic 4 is a rounding
+    # zero while harmonic 3 is 8% of the peak
+    for alpha, omega_y, nh in ((4.0, 1.8, 3), (1.5, 2.5, 4)):
+        m = BrownianParticleModel(alpha=alpha, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, omega_y))
+        with warnings.catch_warnings(record=True) as captured:
+            warnings.simplefilter("always")
+            particle_spectrum(m, n_harmonics=nh)
         assert any(issubclass(w.category, SpectralResolutionWarning) for w in captured)
 
 
@@ -267,7 +283,7 @@ def test_resolution_warning_on_underresolved_cycle():
 def test_linearize_constant_jacobian():
     model = C.SystemModel(2, lambda z, t: np.array([z[1], -z[0]]),
                           lambda z, t: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                          autonomous=False, period_hint=2 * math.pi)
+                          autonomous=False)
     cyc = zero_guess(2, 3, 2 * math.pi)
     prob = C.linearize(model, cyc)
     want = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(7))
@@ -281,7 +297,7 @@ def test_linearize_zero_cycle_memory_kernel_is_plain():
     jac = np.array([[-1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0],
                     [0.5, 0.0, -2.0, 0.0], [0.0, 0.5, 0.0, -2.0]])
     model = C.SystemModel(4, lambda z, t: jac @ z, lambda z, t: jac,
-                          autonomous=False, period_hint=2 * math.pi, memory_rate=2.0)
+                          autonomous=False, memory_rate=2.0)
     prob = C.linearize(model, zero_guess(4, 2, 2 * math.pi))
     assert prob.transfer is None
     assert np.max(np.abs(prob.jacobian - np.kron(jac, np.eye(5)))) < 1e-14
@@ -356,42 +372,3 @@ def test_jacobian_validation_flags_wrong_jacobian():
                       autonomous=False, validate=True)
     C.SystemModel(1, lambda z, t: np.array([z[0] ** 2]),
                   lambda z, t: np.array([[2 * z[0]]]), autonomous=False, validate=True)
-
-
-def test_seed_from_time_integration_recovers_forced_response():
-    model = linear_forced_model()
-    seed = C.seed_from_time_integration(model, 5, z0=np.array([0.0]))
-    cyc = C.solve_cycle(model, seed)
-    assert cyc.harmonics.amplitude(0, 1) == pytest.approx(0.25 - 0.25j, abs=1e-10)
-    # the transient-integrated seed is already close
-    assert abs(seed.harmonics.amplitude(0, 1) - (0.25 - 0.25j)) < 1e-2
-
-
-def test_seed_from_time_integration_carries_exponential_memory():
-    # dz/dt = -z + q + cos t, dq/dt = -2 q + z: first harmonic 0.5 / (1 + i - 1/(2 + i))
-    model = forced_memory_model(2.0)
-    exact = 0.5 / (1 + 1j - 1 / (2 + 1j))
-    seed = C.seed_from_time_integration(model, 5, z0=np.zeros(2))
-    assert abs(seed.harmonics.amplitude(0, 1) - exact) < 2e-4
-    assert abs(seed.harmonics.amplitude(1, 1) - exact / (2 + 1j)) < 2e-4
-    cyc = C.solve_cycle(model, seed)
-    assert abs(cyc.harmonics.amplitude(0, 1) - exact) < 1e-10
-    assert abs(cyc.harmonics.amplitude(1, 1) - exact / (2 + 1j)) < 1e-10
-
-
-def test_seed_from_time_integration_resolves_fast_memory():
-    # a fast memory state is stiff; LSODA switches method by itself, so no
-    # step budget caps the rate
-    for k in (500.0, 1e6):
-        exact = 0.5 / (1 + 1j - 1 / (k + 1j))
-        seed = C.seed_from_time_integration(forced_memory_model(k), 5, z0=np.zeros(2))
-        assert abs(seed.harmonics.amplitude(0, 1) - exact) < 2e-4
-
-
-def test_seed_from_time_integration_raises_on_diverging_transient():
-    # dz/dt = z^3 from z = 1 blows up at t = 0.5; left alone, LSODA keeps
-    # stepping on the overflowed state
-    model = C.SystemModel(1, lambda z, t: z ** 3, lambda z, t: np.array([[3 * z[0] ** 2]]),
-                          period_hint=2 * math.pi)
-    with np.errstate(over="ignore"), pytest.raises(NoConvergence):
-        C.seed_from_time_integration(model, 3, z0=np.array([1.0]))

@@ -10,6 +10,7 @@ import pytest
 from memflo import floquet as F
 from memflo import kernels as K
 from memflo import models as M
+from memflo.cycles import solve_cycle
 from memflo.errors import MatchedLine, NoCycle
 from memflo.oracles import (
     monodromy_multipliers,
@@ -103,7 +104,10 @@ def test_particle_class_count_and_trivial_mode():
 
 def test_particle_cycle_is_exact_circle_at_unit_ratio():
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
-    cyc, _ = M.particle_spectrum(m, n_harmonics=16)
+    cyc, spec = M.particle_spectrum(m, n_harmonics=16)
+    assert spec.diagnostics["cycle_seed"] == "rotating"
+    _, spec = M.particle_spectrum(m, n_harmonics=16, seed=cyc)
+    assert spec.diagnostics["cycle_seed"] == "warm"
     radius = math.sqrt((m.alpha - m.g / m.k) / m.beta) / m.omega_bar[0]
     assert 2 * abs(cyc.harmonics.amplitude(0, 1)) == pytest.approx(radius, rel=1e-10)
     assert cyc.period == pytest.approx(2 * math.pi / m.omega_bar[0], rel=1e-12)
@@ -176,8 +180,8 @@ def test_particle_no_cycle_in_chaotic_regime():
 
 
 def fast_memory_particle():
-    # off the isotropic well the circular seed fails, so the time-domain seed
-    # must integrate a memory state 5000 times faster than the orbit
+    # off the isotropic well the rotating seed fails; the polarized-x seed reaches
+    # the x-axis cycle (period 3.172876) with a memory 5000 times faster than the orbit
     return M.BrownianParticleModel(alpha=0.8, beta=1.0, g=0.1, k=5000.0,
                                    omega_bar=(2.0, 2.0 / 1.1))
 
@@ -185,6 +189,8 @@ def fast_memory_particle():
 def test_particle_fast_memory_seeds_a_cycle():
     cyc, spec = M.particle_spectrum(fast_memory_particle(), n_harmonics=20)
     assert M.cycle_amplitude(cyc) > M.CYCLE_AMPLITUDE_TOL
+    assert spec.diagnostics["cycle_seed"] == "polarized-x"
+    assert cyc.period == pytest.approx(3.172876, abs=1e-6)
     assert sum(p.trivial for p in spec.canonical_strip) == 1
     assert len(spec.canonical_strip) == 5
     assert spec.stability == "Unstable"
@@ -215,6 +221,37 @@ def test_particle_equilibrium_regime_returns_zero_cycle():
     cyc, spec = M.particle_spectrum(m, n_harmonics=12)
     assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
     assert spec.stability == "Stable"
+    assert spec.diagnostics["cycle_seed"] == "rest"
+
+
+@pytest.mark.parametrize("k, alpha", [(1.0, 0.5), (10.0, 0.05)])
+def test_particle_at_alpha_equal_g_over_k_is_at_rest(k, alpha):
+    # the seeds' orbit radius vanishes at alpha = g/k, so no cycle exists there
+    m = M.BrownianParticleModel(alpha=alpha, beta=1.0, g=0.5, k=k, omega_bar=(2.0, 2.0))
+    cyc, spec = M.particle_spectrum(m, n_harmonics=12)
+    assert M.cycle_amplitude(cyc) == 0.0
+    assert spec.stability == "Marginal"
+    assert spec.diagnostics["cycle_seed"] == "rest"
+
+
+def test_particle_polarized_cycle_where_no_rotating_cycle_converges():
+    # each axis of the well is an invariant set; the x-axis cycle exists for alpha > g/k
+    m = M.BrownianParticleModel(alpha=0.5, beta=1.0, g=0.1, k=3.0, omega_bar=(2.0, 2.0 / 0.95))
+    cyc, spec = M.particle_spectrum(m, n_harmonics=20)
+    assert spec.diagnostics["cycle_seed"] == "polarized-x"
+    assert np.all(cyc.harmonics.amplitudes[[1, 3, 5]] == 0)
+    assert cyc.period == pytest.approx(3.143819, abs=1e-4)
+    assert spec.stability == "Unstable"
+    assert len(spec.canonical_strip) == 5
+    assert sum(p.trivial for p in spec.canonical_strip) == 1
+
+
+def test_polarized_y_guess_converges_on_the_y_axis():
+    m = M.BrownianParticleModel(alpha=0.5, beta=1.0, g=0.1, k=3.0, omega_bar=(2.0, 2.0 / 0.95))
+    cyc = solve_cycle(M.particle_system(m), M.polarized_cycle_guess(m, 12, 1))
+    assert np.all(cyc.harmonics.amplitudes[[0, 2, 4]] == 0)
+    assert M.cycle_amplitude(cyc) > M.CYCLE_AMPLITUDE_TOL
+    assert cyc.period == pytest.approx(2 * math.pi / m.omega_bar[1], rel=1e-3)
 
 
 def test_memoryless_rest_state_counts_each_double_exponent_once():
@@ -414,15 +451,18 @@ def test_tl_reflection_pole_rejected():
 
 
 def test_collapsed_cycle_does_not_warn_about_resolution():
-    # the circular seed shrinks to the rest state; its leftover harmonics are
-    # rounding noise below the Newton tolerance, not an unresolved cycle
+    # a warm start from another model's orbit shrinks to the rest state; its
+    # leftover harmonics are rounding noise below the Newton tolerance, not an
+    # unresolved cycle
     import warnings
 
     from memflo.errors import SpectralResolutionWarning
 
-    m = M.BrownianParticleModel(alpha=-0.5, beta=1.0, g=0.0, k=1.0, omega_bar=(2.0, 2.0))
+    m = M.BrownianParticleModel(alpha=-0.5, beta=1.0, g=0.0, k=math.inf, omega_bar=(2.0, 2.0))
+    warm = M.circular_cycle_guess(dataclasses.replace(m, alpha=0.5), 30)
     with warnings.catch_warnings():
         warnings.simplefilter("error", SpectralResolutionWarning)
-        cyc, spec = M.particle_spectrum(dataclasses.replace(m, k=math.inf))
+        cyc, spec = M.particle_spectrum(m, seed=warm)
     assert M.cycle_amplitude(cyc) < M.CYCLE_AMPLITUDE_TOL
     assert spec.stability == "Stable"
+    assert spec.diagnostics["cycle_seed"] == "rest"
