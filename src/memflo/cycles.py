@@ -16,7 +16,8 @@ is D u) and one first-harmonic imaginary part, on the component with the
 largest first-harmonic magnitude in the seed, is pinned to zero to fix the
 time origin.  The caller supplies the seed in harmonic form.  Only
 :func:`linearize` keeps the complex band -2N..2N of A, which becomes the
-Toeplitz operator of the variational problem.
+Toeplitz operator of the variational problem; on a half-wave symmetric
+cycle its odd harmonics are exact zeros.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ __all__ = [
     "solve_cycle",
     "linearize",
     "rotate_phase",
+    "cycle_tail",
 ]
 
 RESOLUTION_WARN_RATIO = 1e-8
 NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
+HALF_WAVE_TOL = 1e3 * np.finfo(float).eps  # even harmonics at rounding level against the peak
 
 
 @dataclass
@@ -245,36 +248,74 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     return LimitCycle(2 * np.pi / omega0, result, norm)
 
 
-def _warn_if_underresolved(hv: HarmonicVector):
+def cycle_tail(hv: HarmonicVector) -> float | None:
+    """Largest of the last two harmonics on each side, over the peak amplitude.
+
+    Never the first harmonic: at N = 2 only +-2 is read.  Reading two
+    harmonics keeps a cycle with only odd harmonics from reading a rounding
+    zero at an even N.  None below N = 2 or for an all-zero cycle.
+    """
     n = hv.n_harmonics
-    if n < 2:
-        return
     a = np.abs(hv.amplitudes)
     peak = a.max()
+    if n < 2 or peak == 0:
+        return None
+    width = min(2, n - 1)
+    return float(max(a[:, :width].max(), a[:, -width:].max()) / peak)
+
+
+def _warn_if_underresolved(hv: HarmonicVector):
+    peak = np.abs(hv.amplitudes).max()
     if peak < NEWTON_TOL:  # zero within the Newton tolerance, nothing to resolve
         return
-    # the last two harmonics on each side (never the first): a cycle with only
-    # odd harmonics reads a rounding zero at an even N
-    width = min(2, n - 1)
-    edge = max(a[:, :width].max(), a[:, -width:].max())
-    if edge > RESOLUTION_WARN_RATIO * peak:
+    tail = cycle_tail(hv)
+    if tail is not None and tail > RESOLUTION_WARN_RATIO:
         warnings.warn(
-            f"trailing harmonic amplitude {edge:.2e} exceeds {RESOLUTION_WARN_RATIO:.0e}"
+            f"trailing harmonic amplitude {tail * peak:.2e} exceeds {RESOLUTION_WARN_RATIO:.0e}"
             f" of the peak {peak:.2e}; increase the truncation",
             SpectralResolutionWarning, stacklevel=2)
+
+
+def _half_wave_symmetric(model: SystemModel, hv: HarmonicVector, states: np.ndarray,
+                         times: np.ndarray, samples: np.ndarray) -> bool:
+    """Whether A(t) = df/dz along the cycle is T/2-periodic, so its odd harmonics vanish.
+
+    Two conditions: the cycle's even harmonics, mean included, lie below
+    ``HALF_WAVE_TOL`` of its peak, so z(t + T/2) = -z(t); and the Jacobian is
+    even along it, A(-z, t + T/2) = A(z, t) exactly on the grid ``states``,
+    ``times``, where ``samples`` holds A(z, t).  A threshold on A itself would
+    not do: entries of size ~rate hide O(1) ones, and entries that are
+    themselves rounding fail a per-element ratio.
+    """
+    n = hv.n_harmonics
+    a = np.abs(hv.amplitudes)
+    if a[:, n % 2::2].max() > HALF_WAVE_TOL * a.max():  # harmonic h sits at column h + N
+        return False
+    mirrored = model.rhs_jacobian(-states, times + hv.period / 2)
+    return np.array_equal(np.broadcast_to(np.reshape(mirrored, samples.shape[:2] + (-1,)),
+                                          samples.shape), samples)
 
 
 def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
     """Variational problem about a converged cycle.
 
     The Jacobian sampled along the cycle becomes the Toeplitz operator; the
-    model's memory rate becomes the problem's decay bound.
+    model's memory rate becomes the problem's decay bound.  On a half-wave
+    symmetric cycle (:func:`_half_wave_symmetric`) the odd harmonics of the
+    Jacobian are set to exact zeros: they are rounding, and their exact zeros
+    let :func:`~memflo.floquet.floquet_spectrum` solve the even and the odd
+    harmonics as two uncoupled blocks.
     """
     n, nh = model.dim, cycle.harmonics.n_harmonics
     times = sample_times(2 * nh, cycle.period)
     coeffs = pack_real_coefficients(cycle.harmonics.amplitudes).reshape(n, -1)
-    samples = model.rhs_jacobian(coeffs @ _real_grid(nh)[0].T, times)
+    states = coeffs @ _real_grid(nh)[0].T
+    samples = model.rhs_jacobian(states, times)
     samples = np.broadcast_to(np.reshape(samples, (n, n, -1)), (n, n, len(times)))
     a_mh = MatrixHarmonics.from_time_grid(samples, cycle.period, 2 * nh)
+    if _half_wave_symmetric(model, cycle.harmonics, states, times, samples):
+        even = a_mh.coeffs.copy()
+        even[:, :, 1::2] = 0.0  # column i holds harmonic i - 2N: the odd ones
+        a_mh = MatrixHarmonics(n, n, 2 * nh, even, a_mh.omega0)
     jac = toeplitz_from_periodic(a_mh, n_harmonics=nh)
     return FloquetProblem(jac, None, cycle.period, nh, n, memory_rate=model.memory_rate)

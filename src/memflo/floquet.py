@@ -11,24 +11,28 @@ trick, as in the particle model) has no Q and carries the memory's decay
 rate instead.  Two solution routes are provided: the standard
 Floquet-Fourier-Hill eigenproblem for memoryless problems and untruncated
 exponential kernels, whose memory integral is carried as extra states, solved
-in real arithmetic in the cos/sin basis (the linearization is real), and
-contour integrals of the exact R(lambda) for delay, sampled and truncated
-kernels, whose integer root count certifies that no exponent in the enclosed
-rectangle was missed.  The rectangle's left edge lies just below the decay
-bound, or, for the scalar rate equation y' = a*y + c*integral over a window
-of e^{-k u} y(t-u) with c > 0 and a > -k, at (a - k)/2, where Rouche's
-theorem proves that no exponent lies between it and -k
+in real arithmetic in the cos/sin basis (the linearization is real), one
+eigenproblem per parity block when a T/2-periodic linearization leaves the
+even and the odd harmonics uncoupled, and contour integrals of the exact
+R(lambda) for delay, sampled and truncated kernels, whose integer root count
+certifies that no exponent in the enclosed rectangle was missed.  The
+rectangle's left edge lies just below the decay bound, or, for the scalar
+rate equation y' = a*y + c*integral over a window of e^{-k u} y(t-u) with
+c > 0 and a > -k, at (a - k)/2, where Rouche's theorem proves that no
+exponent lies between it and -k and that the one it encloses is real
 (:func:`_contour_real_extent`).  Each class is invariant under shifts by
 i*omega0, so a Hill matrix of d states holds d classes of 2N+1 copies: the
 route keeps each class's copy with centred eigenvector harmonics, and is
 complete when d classes are certified or filtered.  Candidates are filtered
 against the decay bound, polished by bordered Newton iteration on the exact
 transcendental operator, and collapsed into classes (multipliers
-exp(lambda*T) label them uniquely).  Every route has one certificate: a
-pair's residual ||R(lambda) r|| / ||r|| lies below ``CERTIFICATE_TOL``, or
-below the rounding floor 1e3*eps*||R(lambda)||_1 where that is larger.  The
-tolerances are the module constants below; the stability verdict is derived
-from the classes by :attr:`FloquetSpectrum.stability`.
+exp(lambda*T) label them uniquely); each class's eigenvector is stored
+once, shared by the spectrum's pairs and its canonical strip.  Every route
+has one certificate: a pair's residual ||R(lambda) r|| / ||r|| lies below
+``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1
+where that is larger.  The tolerances are the module constants below; the
+stability verdict is derived from the classes by
+:attr:`FloquetSpectrum.stability`.
 """
 
 from __future__ import annotations
@@ -310,6 +314,23 @@ def hill_matrix(p: FloquetProblem) -> np.ndarray:
     return h
 
 
+def _parity_blocks(rf: np.ndarray, n_states: int, n_harmonics: int) -> list[np.ndarray]:
+    """Index sets of the real Hill matrix ``rf`` that solve as separate eigenproblems.
+
+    In the packed basis each component holds harmonic 0, then the cos/sin
+    pair of each h = 1..N.  A T/2-periodic linearization (only even harmonics
+    in A, as :func:`~memflo.cycles.linearize` leaves a half-wave symmetric
+    cycle's) couples even harmonics only to even ones and odd to odd, so
+    when every entry between the two parities is an exact zero, they are two
+    blocks: the Floquet-Bloch split of the T/2-periodic problem (Deconinck &
+    Kutz, JCP 2006).  Otherwise, and at N = 0, the matrix is one block.
+    """
+    odd = np.tile((np.arange(2 * n_harmonics + 1) + 1) // 2 % 2 == 1, n_states)
+    if odd.any() and not rf[np.ix_(odd, ~odd)].any() and not rf[np.ix_(~odd, odd)].any():
+        return [np.flatnonzero(~odd), np.flatnonzero(odd)]
+    return [np.arange(len(rf))]
+
+
 @dataclass
 class PepResult:
     """Finite eigenpairs plus the multiplicity of eigenvalues at infinity."""
@@ -330,8 +351,10 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     counted in ``n_infinite`` rather than dropped.  An identity leading
     coefficient makes the pencil a standard eigenproblem, solved without QZ,
     and its residual skips the product with the identity.  Real coefficients
-    are solved in real arithmetic (the Hill route passes the real form of
-    :func:`hill_matrix`); the eigenvalues are complex either way.
+    are solved in real arithmetic; the eigenvalues are complex either way.
+    The Hill route of :func:`floquet_spectrum` calls it once per parity
+    block of the real form of :func:`hill_matrix`, with the block's own
+    identity: twice for a half-wave symmetric cycle, once otherwise.
     """
     coeffs = [np.atleast_2d(np.asarray(c)) for c in coeffs]
     degree = len(coeffs) - 1
@@ -373,6 +396,19 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     return PepResult(pairs, n_inf)
 
 
+def _scalar_window_lemma(p: FloquetProblem) -> bool:
+    """Jacobian a*I, one truncated exponential kernel c*e^{-k u}, c > 0, a > -k.
+
+    The lemma of :func:`_contour_real_extent` covers such a problem: its
+    rectangle encloses exactly one exponent, and that exponent is real.
+    """
+    k, a = p.transfer.kernel, p.jacobian[0, 0].real
+    window = p.transfer.truncation
+    return p.dim == 1 and window is not None and math.isfinite(window) \
+        and isinstance(k, ExponentialDecay) and k.coefficient[0, 0] > 0 and a > -k.rate \
+        and np.array_equal(p.jacobian, a * np.eye(p.size))
+
+
 def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
     """(Re lo, Re hi) of every contour rectangle, whichever strip it spans.
 
@@ -396,11 +432,8 @@ def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
     op = p.linear_operator
     mu2 = np.linalg.eigvalsh(0.5 * (op + op.conj().T))[-1]
     hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
-    k, a = p.transfer.kernel, p.jacobian[0, 0].real
-    if p.dim == 1 and math.isfinite(window) and isinstance(k, ExponentialDecay) \
-            and k.coefficient[0, 0] > 0 and a > -k.rate \
-            and np.array_equal(p.jacobian, a * np.eye(p.size)):
-        return (a - k.rate) / 2, hi
+    if _scalar_window_lemma(p):
+        return (p.jacobian[0, 0].real - p.transfer.kernel.rate) / 2, hi
     kc = p.critical_exponent
     return (-kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH), hi
 
@@ -537,6 +570,20 @@ def _least_stable_first(classes) -> list[FloquetEigenpair]:
     return sorted(classes, key=lambda q: (-q.exponent.real, q.exponent.imag))
 
 
+def _in_strip(pair: FloquetEigenpair, omega0: float | None, period: float) -> FloquetEigenpair:
+    """``pair`` itself when Im(lambda) lies in (-omega0/2, omega0/2], else its shifted copy.
+
+    The copy keeps the residual and the bound flag; ``omega0=None`` folds nothing.
+    """
+    m = _strip_steps(pair.exponent.imag, omega0) if omega0 is not None else 0
+    if not m:
+        return pair
+    lam = pair.exponent - 1j * m * omega0
+    vec = shift_harmonics(pair.eigenvector, m) if pair.eigenvector is not None else None
+    return FloquetEigenpair(lam, floquet_multiplier(lam, period), vec, pair.residual,
+                            bound_ok=pair.bound_ok)
+
+
 def canonicalize_spectrum(pairs, omega0: float | None, autonomous: bool = False,
                           period: float | None = None,
                           diagnostics: dict | None = None) -> FloquetSpectrum:
@@ -545,23 +592,16 @@ def canonicalize_spectrum(pairs, omega0: float | None, autonomous: bool = False,
     Exponents that differ by i*m*omega0, m an integer, form one class (the
     rule of :func:`_exponent_classes`), represented by its lowest-residual
     member shifted into the strip Im in (-omega0/2, omega0/2] (the upper
-    edge is kept).  ``omega0=None`` marks a time-invariant problem, whose
-    exponents are neither folded nor shifted; ``period`` is then required.
-    For autonomous problems the class nearest zero (within
-    ``TRIVIAL_FACTOR * 2*pi/period``) is labeled as the time-translation
-    mode and excluded from the verdict.
+    edge is kept); a member already in the strip is reused, not copied.
+    ``omega0=None`` marks a time-invariant problem, whose exponents are
+    neither folded nor shifted; ``period`` is then required.  For autonomous
+    problems the class nearest zero (within ``TRIVIAL_FACTOR * 2*pi/period``)
+    is labeled as the time-translation mode and excluded from the verdict.
     """
     period = period if period is not None else 2 * np.pi / omega0
-    classes = []
-    for pair, _ in _exponent_classes(sorted(pairs, key=lambda q: q.residual),
-                                     lambda q: q.exponent, omega0):
-        lam, vec = pair.exponent, pair.eigenvector
-        m = _strip_steps(lam.imag, omega0) if omega0 is not None else 0
-        if m:
-            lam = lam - 1j * m * omega0
-            vec = shift_harmonics(vec, m) if vec is not None else None
-        classes.append(FloquetEigenpair(lam, floquet_multiplier(lam, period), vec,
-                                        pair.residual, bound_ok=pair.bound_ok))
+    classes = [_in_strip(pair, omega0, period)
+               for pair, _ in _exponent_classes(sorted(pairs, key=lambda q: q.residual),
+                                                lambda q: q.exponent, omega0)]
 
     if autonomous and classes:
         nearest = min(range(len(classes)), key=lambda i: abs(classes[i].exponent))
@@ -582,21 +622,31 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     exact standard eigenproblem of :func:`hill_matrix`, solved as a real
     matrix in the cos/sin basis, whose eigenvectors are mapped back to
     complex harmonics (a linearization that is not real raises
-    ``ValueError``).  Of each class's copies it keeps the one whose
-    eigenvector centroid sum_j j*|v_j|^2 / sum_j |v_j|^2, over every state and
-    memory component, lies in (-1/2, 1/2]; of the two copies of a negative
-    real multiplier, at -1/2 and +1/2 within ``MERGE_TOL``, the +1/2 one.
+    ``ValueError``).  Where every entry between an even and an odd harmonic
+    is an exact zero (:func:`_parity_blocks`; the linearization of a
+    half-wave symmetric cycle), the two parity blocks are solved apart and
+    their eigenvectors embedded back into the full layout, so the
+    candidates, ``n_raw`` and the class count are those of the whole
+    matrix; any other problem is one block.  Of each class's copies it keeps
+    the one whose eigenvector centroid sum_j j*|v_j|^2 / sum_j |v_j|^2, over
+    every state and memory component, lies in (-1/2, 1/2]; of the two copies
+    of a negative real multiplier, at -1/2 and +1/2 within ``MERGE_TOL``, the
+    +1/2 one.
     Delay, sampled and truncated kernels go through
-    :func:`contour_eigenvalues` on the exact R(lambda).  Candidates are
+    :func:`contour_eigenvalues` on the exact R(lambda); where the scalar
+    lemma of :func:`_contour_real_extent` proves the enclosed root real, its
+    candidate drops the quadrature's imaginary rounding.  Candidates are
     grouped into classes modulo i*omega0 before the polish, except for a
     time-invariant problem (``n_harmonics == 0``), whose exponents are not
     folded.  One member of each class is polished against the exact
     R(lambda) by :func:`refine_eigenpair`, which certifies it at a residual
     below ``CERTIFICATE_TOL``, or below the rounding floor of R(lambda) where
-    that is larger.  The certified plus the bound-filtered candidates must
-    number the Hill states, or the contour root count; an unmatched contour
-    count moves the rectangle to the next of ``CONTOUR_SHIFTS`` with twice
-    the nodes, at most ``CONTOUR_DOUBLINGS`` times.  An unmatched count, or a
+    that is larger, and moved into the canonical strip, so ``pairs`` and
+    ``canonical_strip`` share one eigenvector per class.  The certified plus
+    the bound-filtered candidates must number the Hill states, or the contour
+    root count; an unmatched contour count moves the rectangle to the next
+    of ``CONTOUR_SHIFTS`` with twice the nodes, at most ``CONTOUR_DOUBLINGS``
+    times.  An unmatched count, or a
     matched contour count with no certified class, raises
     :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
     time-translation class as trivial, and a spectrum without one raises it
@@ -607,15 +657,23 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     if _hill_applies(p):
         hill = hill_matrix(p)
         n_states = len(hill) // (2 * p.n_harmonics + 1)  # state and memory components
-        pep = solve_pep([-real_form(hill, n_states, p.n_harmonics), np.eye(len(hill))])
-        diag = {"route": "hill", "n_raw": len(pep.eigenpairs), "n_infinite": pep.n_infinite}
-        amps = unpack_real_coefficients(np.array([v for _, v, _ in pep.eigenpairs]).T,
+        rf = real_form(hill, n_states, p.n_harmonics)
+        eigenpairs, n_infinite = [], 0  # (eigenvalue, eigenvector in the full packed layout)
+        for block in _parity_blocks(rf, n_states, p.n_harmonics):
+            pep = solve_pep([-rf[np.ix_(block, block)], np.eye(len(block))])
+            n_infinite += pep.n_infinite
+            embedded = np.zeros((len(pep.eigenpairs), len(hill)), dtype=complex)
+            embedded[:, block] = [v for _, v, _ in pep.eigenpairs]
+            eigenpairs += zip([lam for lam, _, _ in pep.eigenpairs], embedded)
+        eigenpairs.sort(key=lambda t: (t[0].real, t[0].imag))  # the order of one whole solve
+        diag = {"route": "hill", "n_raw": len(eigenpairs), "n_infinite": n_infinite}
+        amps = unpack_real_coefficients(np.array([v for _, v in eigenpairs]).T,
                                         n_states, p.n_harmonics)  # complex harmonics
         weight = np.sum(np.abs(amps) ** 2, axis=0)
         centroid = np.arange(-p.n_harmonics, p.n_harmonics + 1) @ weight / weight.sum(axis=0)
         vecs = amps.reshape(len(hill), -1)[:p.size].T
         # centroids in (-1/2, 1/2], the edges moved up by MERGE_TOL: of a tie the +1/2 copy stays
-        cands = [(pep.eigenpairs[i][0], vecs[i])
+        cands = [(eigenpairs[i][0], vecs[i])
                  for i in np.flatnonzero(np.abs(centroid - MERGE_TOL) <= 0.5)]
         spec = _polished_spectrum(p, cands, diag, autonomous)
         found = spec.diagnostics["n_certified"] + spec.diagnostics["n_bound_filtered"]
@@ -623,11 +681,14 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
             raise IncompleteSpectrum(f"{found} of {n_states} Hill classes certified or filtered")
         return spec
     re_lo, re_hi = _contour_real_extent(p)
+    real_root = _scalar_window_lemma(p)
     for doubling in range(CONTOUR_DOUBLINGS + 1):
         nodes = CONTOUR_NODES << doubling
         mid = CONTOUR_SHIFTS[doubling] * p.omega0
         rect = (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2)
         count, lams = contour_eigenvalues(p, rect, nodes)
+        if real_root:  # proven real: drop the quadrature's imaginary rounding
+            lams = lams.real + 0j
         n_enclosed = round(count.real)
         if abs(count - n_enclosed) >= COUNT_TOL:
             continue
@@ -646,7 +707,12 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
 
 def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
                        autonomous: bool) -> FloquetSpectrum:
-    """Bound filter, classes, one polish per class; ``n_certified`` counts every copy."""
+    """Bound filter, classes, one polish per class; ``n_certified`` counts every copy.
+
+    Each certified pair is moved into the canonical strip before
+    :func:`canonicalize_spectrum` sees it, so the spectrum's ``pairs`` and
+    ``canonical_strip`` share one eigenvector per class.
+    """
     floor = -p.critical_exponent + BOUND_MARGIN  # -inf without a decay bound
     survivors = [(lam, vec) for lam, vec in candidates if lam.real > floor]
     below = [[lam.real, lam.imag] for lam, _ in candidates if lam.real <= floor]
@@ -667,7 +733,7 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
         if pair is None:
             diag["n_unrefined"] += 1
             continue
-        polished.append(pair)
+        polished.append(_in_strip(pair, omega0, p.period))  # one eigenvector per class
         diag["n_certified"] += n_copies
 
     spec = canonicalize_spectrum(polished, omega0, autonomous=autonomous,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import LimitCycle, SystemModel, linearize, solve_cycle
+from .cycles import LimitCycle, SystemModel, cycle_tail, linearize, solve_cycle
 from .errors import MatchedLine, NoConvergence, NoCycle, SingularJacobian
 from .floquet import (
     FloquetEigenpair,
@@ -270,7 +270,10 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     not unstable, the degenerate zero cycle is returned with the
     equilibrium spectrum; otherwise :class:`NoCycle` is raised
     (non-periodic attractor regime).  ``diagnostics["cycle_seed"]`` names
-    the seed that converged, or ``"rest"``.  ``n_harmonics`` < 1 raises
+    the seed that converged, or ``"rest"``; a spectrum with a cycle also
+    holds ``diagnostics["cycle_tail"]``, the cycle's trailing-harmonic ratio
+    (:func:`~memflo.cycles.cycle_tail`), which warns above
+    ``RESOLUTION_WARN_RATIO``.  ``n_harmonics`` < 1 raises
     ``ValueError``: the phase condition pins a first harmonic.
     """
     if n_harmonics < 1:
@@ -288,7 +291,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
             continue
         if cycle_amplitude(cycle) > CYCLE_AMPLITUDE_TOL:
             spectrum = floquet_spectrum(linearize(system, cycle), autonomous=True)
-            spectrum.diagnostics["cycle_seed"] = name
+            spectrum.diagnostics.update(cycle_seed=name, cycle_tail=cycle_tail(cycle.harmonics))
             return cycle, spectrum
 
     eq = particle_equilibrium_spectrum(m)

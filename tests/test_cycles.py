@@ -277,6 +277,22 @@ def test_resolution_warning_on_underresolved_cycle():
         assert any(issubclass(w.category, SpectralResolutionWarning) for w in captured)
 
 
+def test_particle_spectrum_records_the_cycle_tail():
+    # the ratio the resolution warning reads, per spectrum: harmonics 3 and 4 over the peak
+    m = BrownianParticleModel(alpha=1.5, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralResolutionWarning)
+        cyc, spec = particle_spectrum(m, n_harmonics=4)
+    a = np.abs(cyc.harmonics.amplitudes)
+    want = a[:, [0, 1, 7, 8]].max() / a.max()
+    assert spec.diagnostics["cycle_tail"] == want > C.RESOLUTION_WARN_RATIO
+    # a resolved cycle reads a small tail; the rest state has no cycle and no tail
+    _, fine = particle_spectrum(m, n_harmonics=16)
+    assert fine.diagnostics["cycle_tail"] < C.RESOLUTION_WARN_RATIO
+    rest = BrownianParticleModel(alpha=0.05, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    assert "cycle_tail" not in particle_spectrum(rest, n_harmonics=4)[1].diagnostics
+
+
 # --- linearize --------------------------------------------------------------------
 
 
@@ -324,6 +340,52 @@ def test_linearize_particle_effective_friction_blocks():
     for h in (-2, 0, 2):
         got = blocks[4:, 2:4, nh + h, nh]  # coefficient h sits on diagonal h of each block
         assert np.max(np.abs(got - gamma_h.coefficient(h))) < 1e-10
+
+
+def _odd_jacobian_harmonics(prob):
+    """Entries of the Toeplitz Jacobian at an odd harmonic distance j - l."""
+    m = 2 * prob.n_harmonics + 1
+    h = np.arange(m)
+    odd = (h[:, None] - h[None, :]) % 2 == 1
+    return prob.jacobian.reshape(prob.dim, m, prob.dim, m).transpose(0, 2, 1, 3)[:, :, odd]
+
+
+def test_linearize_zeroes_odd_jacobian_harmonics_of_a_half_wave_cycle(monkeypatch):
+    # z(t + T/2) = -z(t) on the particle cycle and its Jacobian is even in z, so A(t)
+    # is T/2-periodic: its odd harmonics are rounding, and linearize makes them exact zeros
+    m = BrownianParticleModel(alpha=0.55, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0 / 0.9))
+    cyc, _ = particle_spectrum(m, n_harmonics=12)
+    system = particle_system(m)
+    prob = C.linearize(system, cyc)
+    assert not np.any(_odd_jacobian_harmonics(prob))
+    monkeypatch.setattr(C, "_half_wave_symmetric", lambda *args: False)
+    unsplit = C.linearize(system, cyc)
+    assert 0 < np.max(np.abs(_odd_jacobian_harmonics(unsplit))) < 1e-13
+    assert np.max(np.abs(prob.jacobian - unsplit.jacobian)) < 1e-13
+
+
+def quadratic_forced_model():
+    """x'' + 0.5 x' + 4 x + x^2 = cos t: a mean and even harmonics, and an odd Jacobian."""
+    def rhs(z, t):
+        return np.array([z[1], -4.0 * z[0] - 0.5 * z[1] - z[0] ** 2 + np.cos(t)])
+
+    def jac(z, t):
+        one = np.ones_like(z[0])
+        return np.array([[0 * one, one], [-4.0 - 2 * z[0], -0.5 * one]])
+
+    return C.SystemModel(2, rhs, jac, validate=True)
+
+
+def test_cycle_without_half_wave_symmetry_keeps_odd_harmonics_in_one_block(pep_blocks):
+    model = quadratic_forced_model()
+    cyc = C.solve_cycle(model, zero_guess(2, 8, 2 * math.pi))
+    a = np.abs(cyc.harmonics.amplitudes)
+    assert a[0, 8] > 1e-2 and a[0, 10] > 1e-3  # the mean and the second harmonic of x
+    prob = C.linearize(model, cyc)
+    assert np.max(np.abs(_odd_jacobian_harmonics(prob))) > 1e-2
+    spec = F.floquet_spectrum(prob)
+    assert [len(c) for c, _ in pep_blocks] == [2 * 17]  # the whole real Hill matrix
+    assert len(spec.canonical_strip) == 2 and spec.stability == "Stable"
 
 
 @pytest.mark.parametrize("instantaneous", [False, True])

@@ -122,7 +122,8 @@ def test_scalar_spectrum_matches_quadratic_oracle_across_rates():
 
 def test_scalar_window_edge_encloses_exactly_the_admissible_root():
     # the contour's left edge (a - k)/2 leaves out the window roots below -k: one real
-    # root right of a is enclosed and certified at the first pass, none is filtered
+    # root right of a is enclosed and certified at the first pass, none is filtered; the
+    # lemma proves that root real, so its imaginary part is an exact zero
     for a in np.linspace(-2.0, 2.0, 9):
         for s in (0.0, 0.5, 2.0, 10.0, 20.0, 35.0, 50.0):
             spec = F.floquet_spectrum(scalar_problem(float(a), 3.0, s=s))
@@ -133,7 +134,7 @@ def test_scalar_window_edge_encloses_exactly_the_admissible_root():
             assert d["n_bound_filtered"] == 0
             assert len(spec.canonical_strip) == 1
             lam = spec.canonical_strip[0].exponent
-            assert abs(lam.imag) <= 1e-12 and lam.real >= a - 1e-12
+            assert lam.imag == 0.0 and lam.real >= a - 1e-12  # the lemma proves it real
 
 
 # --- Hill matrix ---------------------------------------------------------------------
@@ -800,3 +801,56 @@ def test_contour_retry_reuses_the_real_extent(monkeypatch):
     spec = F.floquet_spectrum(F.FloquetProblem(jac, mt, 2 * math.pi, 2, 1))
     assert spec.diagnostics["contour"]["nodes_per_side"] > F.CONTOUR_NODES  # it retried
     assert len(calls) == 1
+
+
+# --- Hill parity blocks --------------------------------------------------------------
+
+HALF_WAVE_ORBITS = {  # every particle cycle is half-wave symmetric: z(t + T/2) = -z(t)
+    "circular": M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0)),
+    "polarized": M.BrownianParticleModel(alpha=0.55, beta=1.0, g=0.1, k=1.0,
+                                         omega_bar=(2.0, 2.0 / 0.9)),
+    "fast-memory": M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.0, k=1e8,
+                                           omega_bar=(2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("n", [4, 12, 20])
+@pytest.mark.parametrize("orbit", sorted(HALF_WAVE_ORBITS))
+def test_half_wave_cycle_solves_its_hill_matrix_as_two_parity_blocks(
+        pep_blocks, monkeypatch, orbit, n):
+    m = HALF_WAVE_ORBITS[orbit]
+    cycle, spec = M.particle_spectrum(m, n_harmonics=n)
+    # six states; harmonic 0 and the cos/sin pairs of the even h, then those of the odd h
+    assert [len(c) for c, _ in pep_blocks] == [6 * (1 + 2 * (n // 2)), 6 * 2 * ((n + 1) // 2)]
+    assert spec.diagnostics["n_raw"] == 6 * (2 * n + 1)
+    h = hb.real_form(F.hill_matrix(C.linearize(M.particle_system(m), cycle)), 6, n)
+    whole = scipy.linalg.eig(h, right=False)
+    split = np.array([lam for _, pep in pep_blocks for lam, _, _ in pep.eigenpairs])
+    rows, cols = linear_sum_assignment(np.abs(whole[:, None] - split[None, :]))
+    assert np.max(np.abs(whole[rows] - split[cols])) <= 1e-10 * np.linalg.norm(h, 1)
+    # without the exact zeros the whole matrix is one block, as before the split
+    pep_blocks.clear()
+    monkeypatch.setattr(C, "_half_wave_symmetric", lambda *args: False)
+    ref = F.floquet_spectrum(C.linearize(M.particle_system(m), cycle), autonomous=True)
+    assert [len(c) for c, _ in pep_blocks] == [6 * (2 * n + 1)]
+    assert ref.diagnostics["n_raw"] == spec.diagnostics["n_raw"]
+    assert len(ref.canonical_strip) == len(spec.canonical_strip)
+    # relative to ||H||_1, the scale of the rounding in every eigenvalue: at k = 1e8
+    # even the slow classes are certified at the floor 1e3*eps*||R||_1, near 1e-8
+    for want in ref.exponents:
+        assert np.min(np.abs(spec.exponents - want)) <= 1e-12 * np.linalg.norm(h, 1)
+
+
+def test_rest_spectrum_solves_one_block(pep_blocks):
+    spec = M.particle_equilibrium_spectrum(HALF_WAVE_ORBITS["circular"])
+    assert [len(c) for c, _ in pep_blocks] == [6]
+    assert spec.diagnostics["n_certified"] + spec.diagnostics["n_bound_filtered"] == 6
+
+
+@pytest.mark.parametrize("orbit", sorted(HALF_WAVE_ORBITS))
+def test_each_class_eigenvector_is_stored_once(orbit):
+    # a class polished outside the strip is moved into it once; the strip reuses that pair
+    _, spec = M.particle_spectrum(HALF_WAVE_ORBITS[orbit], n_harmonics=12)
+    for q in spec.canonical_strip:
+        assert any(q.eigenvector is p.eigenvector for p in spec.pairs)
+    assert all(-spec.omega0 / 2 < p.exponent.imag <= spec.omega0 / 2 for p in spec.pairs)
