@@ -115,7 +115,7 @@ class SweepConfig:
         return {k: v for k, v in self.parameters.items() if not isinstance(v, LinearRange)}
 
 
-@dataclass
+@dataclass(slots=True)
 class RowResult:
     params: tuple
     max_re_lambda: float | None

@@ -14,10 +14,17 @@ on the Galerkin matrix kron(I, omega0 D) - P A(t) S, A = df/dz on the grid.
 For autonomous systems the fundamental frequency is an unknown (its column
 is D u) and one first-harmonic imaginary part, on the component with the
 largest first-harmonic magnitude in the seed, is pinned to zero to fix the
-time origin.  The caller supplies the seed in harmonic form.  Only
-:func:`linearize` keeps the complex band -2N..2N of A, which becomes the
-Toeplitz operator of the variational problem; on a half-wave symmetric
-cycle its odd harmonics are exact zeros.
+time origin.  The caller supplies the seed in harmonic form.  A half-wave
+symmetric seed (even harmonics exactly zero, f(-z, t + T/2) = -f(z, t)
+bitwise on its grid) is solved in the odd-harmonic subspace: the Newton
+matrix, the omega0 column and the phase row take the rows and columns of
+the odd-harmonic slots only, and the even harmonics stay exact zeros.  The
+residual is always evaluated on every slot; when the odd slots converge,
+the full residual must be below the tolerance too, or the iteration goes on
+over all slots.  Only :func:`linearize` keeps the complex band -2N..2N of A,
+which becomes the Toeplitz operator of the variational problem; on a
+half-wave symmetric cycle, by the same test, its odd harmonics are exact
+zeros.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .hb import (
     HarmonicVector,
     MatrixHarmonics,
     _grid_basis,
+    _odd_slots,
     pack_real_coefficients,
     sample_times,
     toeplitz_from_periodic,
@@ -54,7 +62,6 @@ __all__ = [
 
 RESOLUTION_WARN_RATIO = 1e-8
 NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
-HALF_WAVE_TOL = 1e3 * np.finfo(float).eps  # even harmonics at rounding level against the peak
 
 
 @dataclass
@@ -102,7 +109,7 @@ class SystemModel:
                 raise ValueError("rhs_jacobian disagrees with finite differences of rhs")
 
 
-@dataclass
+@dataclass(slots=True)
 class LimitCycle:
     """Converged periodic steady state in harmonic form."""
 
@@ -123,19 +130,28 @@ def rotate_phase(hv: HarmonicVector, phi: float) -> HarmonicVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _real_grid(nh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _real_grid(nh: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Synthesis S, analysis P and derivative D (at omega0 = 1) of the packed basis.
 
     On ``sample_times(2N, T)``, whatever T, packed coefficients u of shape
     (dim, 2N+1) have the samples ``u @ S.T`` and the derivative ``u @ D.T``,
-    and samples x have the packed harmonics ``x @ P.T``.
+    and samples x have the packed harmonics ``x @ P.T``.  With ``odd`` set,
+    the same grid restricted to the odd-harmonic slots
+    (:func:`~memflo.hb._odd_slots`): the columns of S, the rows of P and
+    both of D.
     """
-    forward = _grid_basis(nh, 4 * nh + 1)
-    unpack = unpack_real_coefficients(np.eye(2 * nh + 1), 1, nh)  # d(amplitudes)/du
-    h = np.arange(-nh, nh + 1)
-    grid = (np.ascontiguousarray((forward.shape[1] * forward.conj().T @ unpack[0]).real),
-            pack_real_coefficients(forward[None]),
-            pack_real_coefficients((1j * h)[:, None] * unpack))
+    if odd:
+        slots = _odd_slots(nh)
+        synthesis, analysis, derivative = _real_grid(nh)
+        grid = (np.ascontiguousarray(synthesis[:, slots]), analysis[slots],
+                derivative[np.ix_(slots, slots)])
+    else:
+        forward = _grid_basis(nh, 4 * nh + 1)
+        unpack = unpack_real_coefficients(np.eye(2 * nh + 1), 1, nh)  # d(amplitudes)/du
+        h = np.arange(-nh, nh + 1)
+        grid = (np.ascontiguousarray((forward.shape[1] * forward.conj().T @ unpack[0]).real),
+                pack_real_coefficients(forward[None]),
+                pack_real_coefficients((1j * h)[:, None] * unpack))
     for mat in grid:
         mat.setflags(write=False)
     return grid
@@ -151,17 +167,35 @@ def _residual(model: SystemModel, u: np.ndarray, omega0: float) -> np.ndarray:
     return (omega0 * coeffs @ derivative.T - f @ analysis.T).reshape(-1)
 
 
-def _newton_matrix(model: SystemModel, u: np.ndarray, omega0: float) -> np.ndarray:
-    """Jacobian of :func:`_residual` in u: kron(I, omega0 D) - P A(t) S."""
+def _newton_matrix(model: SystemModel, u: np.ndarray, omega0: float,
+                   odd: bool = False) -> np.ndarray:
+    """Jacobian of :func:`_residual` in u: kron(I, omega0 D) - P A(t) S.
+
+    With ``odd`` set, only its rows and columns on the odd-harmonic slots of
+    each component, in the same order.
+    """
     n = model.dim
     coeffs = u.reshape(n, -1)
-    m = coeffs.shape[1]
-    synthesis, analysis, derivative = _real_grid((m - 1) // 2)
-    times = sample_times(m - 1, 2 * np.pi / omega0)
-    a = np.reshape(model.rhs_jacobian(coeffs @ synthesis.T, times), (n, n, -1))
+    nh = (coeffs.shape[1] - 1) // 2
+    times = sample_times(2 * nh, 2 * np.pi / omega0)
+    a = np.reshape(model.rhs_jacobian(coeffs @ _real_grid(nh)[0].T, times), (n, n, -1))
+    synthesis, analysis, derivative = _real_grid(nh, odd)
+    m = len(derivative)
     blocks = (analysis * a[:, :, None, :]) @ synthesis  # P diag(A_rc) S; a constant A broadcasts
     return (np.kron(np.eye(n), omega0 * derivative)
             - blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m))
+
+
+def _newton_rows(dim: int, nh: int, odd: bool, autonomous: bool) -> np.ndarray:
+    """Unknowns of the Newton system, as indices into (u, omega0).
+
+    The packed slots of every component, all of them or the odd-harmonic
+    ones, then omega0 for an autonomous model.  The same indices pick the
+    system's rows from (residual, phase condition).
+    """
+    size = dim * (2 * nh + 1)
+    rows = np.flatnonzero(np.tile(_odd_slots(nh), dim)) if odd else np.arange(size)
+    return np.append(rows, size) if autonomous else rows
 
 
 def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
@@ -177,9 +211,16 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     the phase condition Im a_{anchor,1} = 0 closes the system; the anchor is
     the component with the largest first-harmonic magnitude in the seed, so
     an autonomous guess needs at least one harmonic (``ValueError``).
-    Raises :class:`NoConvergence` with the residual trace when the iteration
-    stalls or runs past ``max_iter`` steps and :class:`SingularJacobian` when
-    the Newton system is singular.
+    When the guess is half-wave symmetric (:func:`_half_wave_symmetric`,
+    tested once per solve), Newton runs on the odd-harmonic slots only
+    (6*2*ceil(N/2) + 1 unknowns for the particle instead of 6*(2N+1) + 1)
+    and the even harmonics of the result are exact zeros.  Once the odd
+    slots converge, the full residual is read; above ``NEWTON_TOL`` the same
+    iteration goes on over all slots.  ``LimitCycle.residual`` is always the
+    norm of the full residual, phase condition included.  Raises
+    :class:`NoConvergence` with the residual trace when the iteration stalls
+    or runs past ``max_iter`` steps and :class:`SingularJacobian` when the
+    Newton system is singular.
     """
     n = model.dim
     hv = initial_guess.harmonics
@@ -198,39 +239,48 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
             hv = rotate_phase(hv, -np.angle(pivot))
         anchor_slot = anchor * m + 2  # packed index of Im a_{anchor,1}
     u = pack_real_coefficients(hv.amplitudes)
+    odd = _half_wave_symmetric(model, u, 2 * np.pi / omega0)
+    rows = _newton_rows(n, nh, odd, model.autonomous)
 
     def full_residual(uvec, w0):
         rr = _residual(model, uvec, w0)
         return np.append(rr, uvec[anchor_slot]) if model.autonomous else rr
 
     rr = full_residual(u, omega0)
-    norm = float(np.linalg.norm(rr))
+    norm = float(np.linalg.norm(rr[rows]))
     trace = [norm]
     for _ in range(max_iter):
+        if odd and norm < NEWTON_TOL:
+            # converged on the odd slots: read every slot, and go on over all
+            # of them if the even ones are not balanced too
+            odd, rows = False, np.arange(rr.size)
+            norm = float(np.linalg.norm(rr))
         if norm < NEWTON_TOL:
             break
-        jr = _newton_matrix(model, u, omega0)
+        jr = _newton_matrix(model, u, omega0, odd)
+        k = len(jr)
         if model.autonomous:
             # d(residual)/d(omega0): only the derivative term depends on omega0
-            dw = (u.reshape(n, m) @ _real_grid(nh)[2].T).reshape(-1)
+            dw = (u.reshape(n, m) @ _real_grid(nh)[2].T).reshape(-1)[rows[:k]]
             jr = np.block([[jr, dw[:, None]],
-                           [np.zeros((1, jr.shape[1] + 1))]])
-            jr[-1, anchor_slot] = 1.0
+                           [np.zeros((1, k + 1))]])
+            jr[-1, np.searchsorted(rows, anchor_slot)] = 1.0
         try:
-            delta = np.linalg.solve(jr, -rr)
+            delta = np.linalg.solve(jr, -rr[rows])
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
 
         step = 1.0
         accepted = False
         for _ in range(20):
-            u_new = u + step * delta[:n * m]
-            w_new = omega0 + step * delta[n * m] if model.autonomous else omega0
+            u_new = u.copy()
+            u_new[rows[:k]] += step * delta[:k]
+            w_new = omega0 + step * delta[k] if model.autonomous else omega0
             if w_new <= 0:
                 step *= 0.5
                 continue
             rr_new = full_residual(u_new, w_new)
-            norm_new = float(np.linalg.norm(rr_new))
+            norm_new = float(np.linalg.norm(rr_new[rows]))
             if norm_new < norm:
                 u, omega0, rr, norm = u_new, w_new, rr_new, norm_new
                 accepted = True
@@ -276,24 +326,26 @@ def _warn_if_underresolved(hv: HarmonicVector):
             SpectralResolutionWarning, stacklevel=2)
 
 
-def _half_wave_symmetric(model: SystemModel, hv: HarmonicVector, states: np.ndarray,
-                         times: np.ndarray, samples: np.ndarray) -> bool:
-    """Whether A(t) = df/dz along the cycle is T/2-periodic, so its odd harmonics vanish.
+def _half_wave_symmetric(model: SystemModel, u: np.ndarray, period: float) -> bool:
+    """Whether the packed harmonics ``u`` and the model are half-wave symmetric.
 
-    Two conditions: the cycle's even harmonics, mean included, lie below
-    ``HALF_WAVE_TOL`` of its peak, so z(t + T/2) = -z(t); and the Jacobian is
-    even along it, A(-z, t + T/2) = A(z, t) exactly on the grid ``states``,
-    ``times``, where ``samples`` holds A(z, t).  A threshold on A itself would
-    not do: entries of size ~rate hide O(1) ones, and entries that are
-    themselves rounding fail a per-element ratio.
+    Two exact conditions: the even-harmonic slots of u, the mean included,
+    are zeros, so z(t + T/2) = -z(t); and f(-z, t + T/2) = -f(z, t) holds
+    bitwise on the collocation grid of u.  For a model with that symmetry the
+    harmonic-balance residual of such a u has no even harmonics, the Newton
+    matrix couples odd harmonics only to odd ones, and A(t) = df/dz along the
+    cycle is T/2-periodic, so its odd harmonics vanish.  A forced model whose
+    forcing rounds differently half a period on fails the test and is solved
+    over all slots.
     """
-    n = hv.n_harmonics
-    a = np.abs(hv.amplitudes)
-    if a[:, n % 2::2].max() > HALF_WAVE_TOL * a.max():  # harmonic h sits at column h + N
+    coeffs = u.reshape(model.dim, -1)
+    nh = (coeffs.shape[1] - 1) // 2
+    if np.any(coeffs[:, ~_odd_slots(nh)]):
         return False
-    mirrored = model.rhs_jacobian(-states, times + hv.period / 2)
-    return np.array_equal(np.broadcast_to(np.reshape(mirrored, samples.shape[:2] + (-1,)),
-                                          samples.shape), samples)
+    states = coeffs @ _real_grid(nh)[0].T
+    times = sample_times(2 * nh, period)
+    return np.array_equal(np.asarray(model.rhs(-states, times + period / 2)),
+                          -np.asarray(model.rhs(states, times)))
 
 
 def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
@@ -301,19 +353,21 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
 
     The Jacobian sampled along the cycle becomes the Toeplitz operator; the
     model's memory rate becomes the problem's decay bound.  On a half-wave
-    symmetric cycle (:func:`_half_wave_symmetric`) the odd harmonics of the
-    Jacobian are set to exact zeros: they are rounding, and their exact zeros
-    let :func:`~memflo.floquet.floquet_spectrum` solve the even and the odd
+    symmetric cycle (:func:`_half_wave_symmetric`, the test that
+    :func:`solve_cycle` runs on its guess; every particle cycle passes it)
+    the odd harmonics of the Jacobian are set to exact zeros: they are
+    rounding, and their exact zeros let
+    :func:`~memflo.floquet.floquet_spectrum` solve the even and the odd
     harmonics as two uncoupled blocks.
     """
     n, nh = model.dim, cycle.harmonics.n_harmonics
     times = sample_times(2 * nh, cycle.period)
-    coeffs = pack_real_coefficients(cycle.harmonics.amplitudes).reshape(n, -1)
-    states = coeffs @ _real_grid(nh)[0].T
+    u = pack_real_coefficients(cycle.harmonics.amplitudes)
+    states = u.reshape(n, -1) @ _real_grid(nh)[0].T
     samples = model.rhs_jacobian(states, times)
     samples = np.broadcast_to(np.reshape(samples, (n, n, -1)), (n, n, len(times)))
     a_mh = MatrixHarmonics.from_time_grid(samples, cycle.period, 2 * nh)
-    if _half_wave_symmetric(model, cycle.harmonics, states, times, samples):
+    if _half_wave_symmetric(model, u, cycle.period):
         even = a_mh.coeffs.copy()
         even[:, :, 1::2] = 0.0  # column i holds harmonic i - 2N: the odd ones
         a_mh = MatrixHarmonics(n, n, 2 * nh, even, a_mh.omega0)

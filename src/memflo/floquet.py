@@ -48,7 +48,13 @@ import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundViolation, IncompleteSpectrum
-from .hb import HarmonicVector, real_form, stacked_diff_matrix, unpack_real_coefficients
+from .hb import (
+    HarmonicVector,
+    _odd_slots,
+    real_form,
+    stacked_diff_matrix,
+    unpack_real_coefficients,
+)
 from .kernels import (
     ExponentialDecay,
     FiniteSupportSampled,
@@ -153,7 +159,7 @@ class FloquetProblem:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class FloquetEigenpair:
     exponent: complex
     multiplier: complex
@@ -163,7 +169,7 @@ class FloquetEigenpair:
     trivial: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class FloquetSpectrum:
     """Computed exponents, one canonical representative per splitting class."""
 
@@ -325,7 +331,7 @@ def _parity_blocks(rf: np.ndarray, n_states: int, n_harmonics: int) -> list[np.n
     blocks: the Floquet-Bloch split of the T/2-periodic problem (Deconinck &
     Kutz, JCP 2006).  Otherwise, and at N = 0, the matrix is one block.
     """
-    odd = np.tile((np.arange(2 * n_harmonics + 1) + 1) // 2 % 2 == 1, n_states)
+    odd = np.tile(_odd_slots(n_harmonics), n_states)
     if odd.any() and not rf[np.ix_(odd, ~odd)].any() and not rf[np.ix_(~odd, odd)].any():
         return [np.flatnonzero(~odd), np.flatnonzero(odd)]
     return [np.arange(len(rf))]

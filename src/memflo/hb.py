@@ -98,7 +98,7 @@ class TimeSamples:
         return sample_times(self.n_harmonics, self.period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HarmonicVector:
     """Truncated complex-exponential Fourier representation of a periodic signal.
 
@@ -302,6 +302,17 @@ def unpack_real_coefficients(u: np.ndarray, dim: int, n_harmonics: int) -> np.nd
     amps[:, n_harmonics + 1:] = re + im
     amps[:, :n_harmonics] = (re - im)[:, ::-1]
     return amps
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_slots(n_harmonics: int) -> np.ndarray:
+    """Mask of the packed slots of odd harmonics: 2h - 1 and 2h (Re and Im a_h) for odd h.
+
+    Slot 0, the mean, and the pairs of the even h are the rest.
+    """
+    mask = (np.arange(2 * n_harmonics + 1) + 1) // 2 % 2 == 1
+    mask.setflags(write=False)
+    return mask
 
 
 def real_form(mat: np.ndarray, dim: int, n_harmonics: int) -> np.ndarray:

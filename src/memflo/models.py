@@ -259,6 +259,14 @@ def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
     return _rest_spectrum(particle_system(m), m.omega_bar[0])
 
 
+def _seeds(m: BrownianParticleModel, n_harmonics: int, warm: LimitCycle | None):
+    """The named seeds of :func:`particle_spectrum` in order, each built when it is reached."""
+    yield "warm", warm
+    yield "rotating", circular_cycle_guess(m, n_harmonics)
+    yield "polarized-x", polarized_cycle_guess(m, n_harmonics, 0)
+    yield "polarized-y", polarized_cycle_guess(m, n_harmonics, 1)
+
+
 def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
                       seed: LimitCycle | None = None) -> tuple[LimitCycle, FloquetSpectrum]:
     """Limit cycle and its exponent classes for the particle model.
@@ -279,10 +287,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be at least 1, got {n_harmonics}")
     system = particle_system(m)
-    seeds = (("warm", seed), ("rotating", circular_cycle_guess(m, n_harmonics)),
-             ("polarized-x", polarized_cycle_guess(m, n_harmonics, 0)),
-             ("polarized-y", polarized_cycle_guess(m, n_harmonics, 1)))
-    for name, candidate in seeds:
+    for name, candidate in _seeds(m, n_harmonics, seed):
         if candidate is None:
             continue
         try:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,12 @@ import memflo
 
 from memflo import cli
 from memflo.errors import ConfigError
-from memflo.models import Memory1DModel, model1d_asymptotic_exponent
+from memflo.models import (
+    BrownianParticleModel,
+    Memory1DModel,
+    model1d_asymptotic_exponent,
+    particle_spectrum,
+)
 from memflo.oracles import quadratic_memory_exponent
 
 
@@ -270,6 +276,21 @@ def test_parallel_jobs_match_serial(tmp_path):
     serial = cli.emit(cli.run(cfg, jobs=1), "csv")
     parallel = cli.emit(cli.run(cfg, jobs=3), "csv")
     assert serial == parallel
+
+
+def test_per_op_records_have_slots_and_survive_pickling(tmp_path):
+    # a sweep keeps every row with its cycle and spectrum, and --jobs pickles rows
+    # between processes: the records carry no per-instance dict and read back whole
+    cfg_text = ("model = particle\nmode = spectrum\nalpha = 1.0\nbeta = 1.0\n"
+                "g = 0.1\nk = 1.0\nn_harmonics = 4\n")
+    row = cli.run(cli.parse_config(write(tmp_path, "p.cfg", cfg_text))).rows[0]
+    cycle, spec = particle_spectrum(
+        BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0), n_harmonics=4)
+    for record in (row, cycle, cycle.harmonics, spec, spec.pairs[0]):
+        assert not hasattr(record, "__dict__")
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        assert pickle.dumps(back) == pickle.dumps(record)  # every field, arrays included
 
 
 # --- entry point ----------------------------------------------------------------

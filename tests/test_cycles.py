@@ -266,6 +266,16 @@ def test_newton_matrix_equals_complex_toeplitz_chain(name, nh):
     assert np.max(np.abs(jac - chain)) <= 1e-12 * np.max(np.abs(chain))
 
 
+@pytest.mark.parametrize("name, nh", NEWTON_CASES)
+def test_odd_newton_matrix_is_the_odd_slot_block_of_the_full_one(name, nh):
+    model, u, omega0 = _newton_case(name, nh)
+    rows = C._newton_rows(model.dim, nh, True, False)
+    assert len(rows) == model.dim * 2 * ((nh + 1) // 2)
+    full = C._newton_matrix(model, u, omega0)
+    odd = C._newton_matrix(model, u, omega0, odd=True)
+    assert np.max(np.abs(odd - full[np.ix_(rows, rows)])) <= 1e-14 * np.max(np.abs(full))
+
+
 def test_resolution_warning_on_underresolved_cycle():
     # the second cycle has only odd harmonics: at N = 4 harmonic 4 is a rounding
     # zero while harmonic 3 is 8% of the peak
@@ -376,9 +386,11 @@ def quadratic_forced_model():
     return C.SystemModel(2, rhs, jac, validate=True)
 
 
-def test_cycle_without_half_wave_symmetry_keeps_odd_harmonics_in_one_block(pep_blocks):
+def test_cycle_without_half_wave_symmetry_keeps_odd_harmonics_in_one_block(
+        pep_blocks, solve_rows):
     model = quadratic_forced_model()
     cyc = C.solve_cycle(model, zero_guess(2, 8, 2 * math.pi))
+    assert solve_rows and set(solve_rows) == {2 * 17}  # cycle Newton over every slot
     a = np.abs(cyc.harmonics.amplitudes)
     assert a[0, 8] > 1e-2 and a[0, 10] > 1e-3  # the mean and the second harmonic of x
     prob = C.linearize(model, cyc)
@@ -386,6 +398,23 @@ def test_cycle_without_half_wave_symmetry_keeps_odd_harmonics_in_one_block(pep_b
     spec = F.floquet_spectrum(prob)
     assert [len(c) for c, _ in pep_blocks] == [2 * 17]  # the whole real Hill matrix
     assert len(spec.canonical_strip) == 2 and spec.stability == "Stable"
+
+
+def test_odd_slot_newton_goes_on_over_all_slots_when_the_even_ones_are_unbalanced(
+        monkeypatch, solve_rows):
+    # claim the symmetry for a model without it: the odd solve converges, the guard
+    # reads the mean and second harmonic of x^2 in the full residual, and Newton goes on
+    model = quadratic_forced_model()
+    want = C.solve_cycle(model, zero_guess(2, 8, 2 * math.pi))
+    solve_rows.clear()
+    monkeypatch.setattr(C, "_half_wave_symmetric", lambda *args: True)
+    cyc = C.solve_cycle(model, zero_guess(2, 8, 2 * math.pi))
+    odd = 2 * 2 * 4  # the cos/sin pairs of h = 1, 3, 5, 7 in both states
+    assert solve_rows[0] == odd and solve_rows[-1] == 2 * 17
+    assert cyc.residual <= C.NEWTON_TOL
+    assert np.linalg.norm(C.hb_residual(model, cyc)) <= C.NEWTON_TOL
+    a = cyc.harmonics.amplitudes
+    assert np.max(np.abs(a - want.harmonics.amplitudes)) <= 1e-12 * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("instantaneous", [False, True])

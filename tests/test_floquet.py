@@ -841,6 +841,37 @@ def test_half_wave_cycle_solves_its_hill_matrix_as_two_parity_blocks(
         assert np.min(np.abs(spec.exponents - want)) <= 1e-12 * np.linalg.norm(h, 1)
 
 
+@pytest.mark.parametrize("n", [4, 12, 20])
+@pytest.mark.parametrize("orbit", sorted(HALF_WAVE_ORBITS))
+def test_half_wave_cycle_newton_runs_on_the_odd_slots(solve_rows, monkeypatch, orbit, n):
+    m = HALF_WAVE_ORBITS[orbit]
+    system = M.particle_system(m)
+    cycle, _ = M.particle_spectrum(m, n_harmonics=n)
+    even = (np.arange(-n, n + 1) % 2) == 0
+    assert not np.any(cycle.harmonics.amplitudes[:, even])  # the mean included
+    assert cycle.residual <= C.NEWTON_TOL
+    assert np.linalg.norm(C.hb_residual(system, cycle)) <= C.NEWTON_TOL
+    # from a shrunken seed, so that Newton iterates even where the seed is the cycle:
+    # six states, the cos/sin pairs of the odd h, and omega0
+    guess = M.circular_cycle_guess(m, n)
+    guess = C.LimitCycle(guess.period, hb.HarmonicVector(
+        6, n, 0.8 * guess.harmonics.amplitudes, guess.harmonics.omega0, real_signal=True),
+        math.inf)
+    solve_rows.clear()
+    odd = C.solve_cycle(system, guess)
+    assert solve_rows and set(solve_rows) == {6 * 2 * ((n + 1) // 2) + 1}
+    assert not np.any(odd.harmonics.amplitudes[:, even])
+    # the all-slot solve of the same seed
+    solve_rows.clear()
+    monkeypatch.setattr(C, "_half_wave_symmetric", lambda *args: False)
+    full = C.solve_cycle(system, guess)
+    assert set(solve_rows) == {6 * (2 * n + 1) + 1}
+    a = full.harmonics.amplitudes
+    assert np.max(np.abs(odd.harmonics.amplitudes - a)) <= 1e-12 * np.max(np.abs(a))
+    assert odd.period == pytest.approx(full.period, rel=1e-12)
+    assert odd.residual <= C.NEWTON_TOL
+
+
 def test_rest_spectrum_solves_one_block(pep_blocks):
     spec = M.particle_equilibrium_spectrum(HALF_WAVE_ORBITS["circular"])
     assert [len(c) for c, _ in pep_blocks] == [6]

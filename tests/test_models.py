@@ -118,6 +118,22 @@ def test_particle_cycle_is_exact_circle_at_unit_ratio():
     assert a.max() < 1e-10
 
 
+def test_particle_spectrum_builds_each_seed_only_when_it_is_reached(monkeypatch):
+    built = []
+    orbit_guess = M._orbit_guess
+    monkeypatch.setattr(M, "_orbit_guess", lambda *args: built.append(args) or orbit_guess(*args))
+    m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    cyc, _ = M.particle_spectrum(m, n_harmonics=8)
+    assert len(built) == 1  # the rotating seed converges
+    built.clear()
+    _, spec = M.particle_spectrum(m, n_harmonics=8, seed=cyc)
+    assert spec.diagnostics["cycle_seed"] == "warm" and built == []
+    # where the rotating seed fails, the polarized-x one is built next, and y is not
+    m = M.BrownianParticleModel(alpha=0.5, beta=1.0, g=0.1, k=3.0, omega_bar=(2.0, 2.0 / 0.95))
+    _, spec = M.particle_spectrum(m, n_harmonics=12)
+    assert spec.diagnostics["cycle_seed"] == "polarized-x" and len(built) == 2
+
+
 @pytest.mark.parametrize("k", [1e6, 1e8, 1e10])
 def test_particle_near_memoryless_matches_monodromy(k):
     # the fast memory classes near -k pass the relative seed gate and are
