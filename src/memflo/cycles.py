@@ -182,8 +182,10 @@ def _newton_matrix(model: SystemModel, u: np.ndarray, omega0: float,
     synthesis, analysis, derivative = _real_grid(nh, odd)
     m = len(derivative)
     blocks = (analysis * a[:, :, None, :]) @ synthesis  # P diag(A_rc) S; a constant A broadcasts
-    return (np.kron(np.eye(n), omega0 * derivative)
-            - blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m))
+    out = -blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    for i in range(n):  # kron(I, omega0 D), one diagonal block per component
+        out[i * m:(i + 1) * m, i * m:(i + 1) * m] += omega0 * derivative
+    return out
 
 
 def _newton_rows(dim: int, nh: int, odd: bool, autonomous: bool) -> np.ndarray:

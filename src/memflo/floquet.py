@@ -44,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundViolation, IncompleteSpectrum
@@ -362,6 +361,8 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     block of the real form of :func:`hill_matrix`, with the block's own
     identity: twice for a half-wave symmetric cycle, once otherwise.
     """
+    import scipy.linalg
+
     coeffs = [np.atleast_2d(np.asarray(c)) for c in coeffs]
     degree = len(coeffs) - 1
     if degree < 1:
@@ -452,9 +453,13 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
     on each of nodes // CONTOUR_NODES equal panels, give the argument-principle
     count (1/2 pi i) contour-integral tr(R^-1 R') (Delves & Lyness, Math. Comp.
     1967), then, if it is within COUNT_TOL of a positive integer, the moments of
-    R^-1, ``CONTOUR_NODES`` inverses at a time, whose block Hankel pencil cut
-    to that rank has the eigenvalues (Beyn, LAA 2012).  R must be analytic on
-    and inside the rectangle.
+    R^-1, whose block Hankel pencil cut to that rank has the eigenvalues (Beyn,
+    LAA 2012).  R and R' are assembled once per node into (4*nodes, n, n)
+    stacks, n = ``p.size``, and R is inverted as one batch; the count and the
+    moments both read that stack of inverses.  Each stack holds 4*nodes*n^2
+    complex values while the function runs: 2 KB for a memory1d row (n = 1,
+    32 nodes per side), 0.8 MB for a delay of 20 at 512 nodes per side with
+    n = 5.  R must be analytic on and inside the rectangle.
     """
     corners = [complex(rect[i], rect[j]) for i, j in ((0, 2), (1, 2), (1, 3), (0, 3))]
     panels = nodes // CONTOUR_NODES
@@ -463,20 +468,21 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
     sides = list(zip(corners, corners[1:] + corners[:1]))
     z = np.concatenate([a + (b - a) * t for a, b in sides])
     dz = np.concatenate([(b - a) * w for a, b in sides]) / (2j * np.pi)
-    count = sum(c * np.trace(np.linalg.solve(assemble_residual_matrix(p, zj),
-                                              residual_matrix_dlambda(p, zj)))
-                for c, zj in zip(dz, z))
+    r = np.empty((len(z), p.size, p.size), dtype=complex)
+    dr = np.empty_like(r)
+    for j, zj in enumerate(z):
+        r[j] = assemble_residual_matrix(p, zj)
+        dr[j] = residual_matrix_dlambda(p, zj)
+    inv = np.linalg.inv(r)
+    count = dz @ np.einsum("jab,jba->j", inv, dr)  # tr(R^-1 R') at each node
     k = max(0, round(count.real))
     if k == 0 or abs(count - k) >= COUNT_TOL:  # nothing enclosed, or the count is unresolved
         return count, np.empty(0, dtype=complex)
     center = sum(corners) / 4
     scale = abs(corners[2] - center)
-    # moments as deep as the rank loop can reach, summed over CONTOUR_NODES nodes at a time
+    # moments as deep as the rank loop can reach
     weights = dz * ((z - center) / scale) ** np.arange(2 * k + 2)[:, None]
-    mom = 0
-    for j in range(0, len(z), CONTOUR_NODES):
-        inv = [np.linalg.inv(assemble_residual_matrix(p, zj)) for zj in z[j:j + CONTOUR_NODES]]
-        mom += np.tensordot(weights[:, j:j + CONTOUR_NODES], inv, axes=(1, 0))
+    mom = np.tensordot(weights, inv, axes=(1, 0))
     for depth in range(-(-k // p.size), k + 2):  # deepen until the Hankel has rank k
         h0 = np.block([[mom[i + j] for j in range(depth)] for i in range(depth)])
         u, s, vh = np.linalg.svd(h0)

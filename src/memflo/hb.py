@@ -255,7 +255,7 @@ def toeplitz_from_periodic(mh: MatrixHarmonics, n_harmonics: int | None = None) 
 def stacked_diff_matrix(dim: int, n_harmonics: int, omega0: float) -> np.ndarray:
     """Differentiation operator on the component-major flat layout."""
     h = np.arange(-n_harmonics, n_harmonics + 1)
-    return np.kron(np.eye(dim), np.diag(1j * h * omega0))
+    return np.diag(np.tile(1j * h * omega0, dim))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import BoundViolation
 
@@ -238,6 +237,8 @@ def _spline_transfers(splines: list, truncation: float | None, zeta: complex,
     all splines.  Raises :class:`~memflo.errors.BoundViolation` where a
     transfer is not finite.
     """
+    from scipy.linalg import expm
+
     x = splines[0].x
     coeffs = []
     for spline in splines:

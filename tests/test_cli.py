@@ -335,17 +335,22 @@ def test_selfcheck_passes():
 
 def test_import_loads_no_heavy_scipy_submodule():
     # a fresh interpreter, as this process already holds them: integrators, splines,
-    # special functions and optimizers are imported where they run, not by the package;
-    # particle rows below g/k and on a polarized cycle integrate nothing in time
+    # special functions, optimizers and dense linear algebra are imported where they run,
+    # not by the package; particle rows below g/k and on a polarized cycle integrate
+    # nothing in time, and a finite-window memory1d row runs no SciPy at all (the particle
+    # rows solve their Hill matrices with scipy.linalg, so it is not checked after them)
     heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special", "scipy.optimize")
+    window_row = ("from memflo.models import Memory1DModel, model1d_exponent\n"
+                  "model1d_exponent(Memory1DModel(0.5, 3.0, 2.0))\n")
     particle_rows = (
         "from memflo.models import BrownianParticleModel as P, particle_spectrum\n"
         "particle_spectrum(P(0.05, 1.0, 0.1, 1.0), n_harmonics=12)\n"
         "particle_spectrum(P(0.5, 1.0, 0.1, 3.0, (2.0, 2.0 / 0.95)), n_harmonics=20)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(memflo.__file__).parent.parent))
-    for work in ("", particle_rows):
+    no_linalg = heavy + ("scipy.linalg",)
+    for work, absent in (("", no_linalg), (window_row, no_linalg), (particle_rows, heavy)):
         code = ("import sys, memflo, memflo.cli, memflo.oracles\n" + work +
-                f"print([m for m in {heavy!r} if m in sys.modules])")
+                f"print([m for m in {absent!r} if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -617,6 +617,44 @@ def test_contour_route_counts_a_repeated_exponent_with_its_multiplicity():
     assert np.allclose(double.exponents, single.exponents, atol=1e-9)
 
 
+def test_contour_route_certifies_a_long_delay_after_doubling():
+    # y' = -y + y(t-20)/2: lam = -1 + W_k(10 e^20)/20; e^{-20 lam} oscillates along the
+    # contour with period 2 pi/20 and reaches e^100 on its left edge, so the count
+    # resolves only at 512 nodes per side, the fourth doubling
+    p = delay_problem(2, 2 * math.pi, tau=20.0)
+    spec = F.floquet_spectrum(p)
+    diag = spec.diagnostics
+    assert diag["contour"]["nodes_per_side"] == 512
+    assert diag["n_enclosed"] == diag["n_certified"] == len(spec.canonical_strip) == 17
+    want = [-1.0 + complex(lambertw(10.0 * math.exp(20.0), k)) / 20.0 for k in range(-40, 41)]
+    want = [w - 1j * p.omega0 * F._strip_steps(w.imag, p.omega0) for w in want]
+    assert max(min(abs(got - w) for w in want) for got in spec.exponents) < 1e-9
+
+
+def test_contour_assembles_once_per_node(monkeypatch):
+    # the root count and the Hankel moments read one stack of inverses: 4 sides of 32
+    # nodes make 128 assemblies of R and of R'
+    calls = {"r": 0, "dr": 0}
+    assemble, dlambda = F.assemble_residual_matrix, F.residual_matrix_dlambda
+
+    def counting_r(p, lam):
+        calls["r"] += 1
+        return assemble(p, lam)
+
+    def counting_dr(p, lam):
+        calls["dr"] += 1
+        return dlambda(p, lam)
+
+    monkeypatch.setattr(F, "assemble_residual_matrix", counting_r)
+    monkeypatch.setattr(F, "residual_matrix_dlambda", counting_dr)
+    p = scalar_problem(0.0, 3.0, s=2.0)
+    re_lo, re_hi = F._contour_real_extent(p)
+    count, lams = F.contour_eigenvalues(p, (re_lo, re_hi, -0.375, 0.625), 32)
+    assert calls == {"r": 128, "dr": 128}
+    assert abs(count - 1) < F.COUNT_TOL
+    assert lams == pytest.approx([window_root(0.0, 3.0, 2.0)], abs=1e-9)
+
+
 def test_contour_route_that_encloses_no_exponent_is_incomplete():
     # y' = -10y + 1e-6 y(t-1): the root near -9.98 lies left of the edge at Re = -5
     with pytest.raises(IncompleteSpectrum, match="no exponent"):
