@@ -110,7 +110,10 @@ class FloquetProblem:
     :func:`~memflo.hb.toeplitz_from_periodic` builds it.  ``memory_rate`` is
     the decay rate of exponential memory that the state already carries (the
     Jacobian holds its states); it bounds the admissible exponents like the
-    critical exponent of ``transfer`` does.
+    critical exponent of ``transfer`` does.  The lambda-independent parts of
+    R(lambda) and R'(lambda), ``omegas``, ``linear_operator`` and
+    ``identity``, are built on first use and then shared, read-only, by
+    every contour node and Newton step.
     """
 
     jacobian: np.ndarray
@@ -136,9 +139,12 @@ class FloquetProblem:
     def omega0(self) -> float:
         return 2 * np.pi / self.period
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
-        return np.arange(-self.n_harmonics, self.n_harmonics + 1) * self.omega0
+        """Harmonic frequencies h*omega0, h = -N..N, built once, read-only."""
+        out = np.arange(-self.n_harmonics, self.n_harmonics + 1) * self.omega0
+        out.flags.writeable = False
+        return out
 
     @property
     def size(self) -> int:
@@ -154,6 +160,13 @@ class FloquetProblem:
     def linear_operator(self) -> np.ndarray:
         """A - D: the lambda-independent part of -R(lambda), built once, read-only."""
         out = self.jacobian - stacked_diff_matrix(self.dim, self.n_harmonics, self.omega0)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """The complex identity in R'(lambda) = I - Q'(lambda), built once, read-only."""
+        out = np.eye(self.size, dtype=complex)
         out.flags.writeable = False
         return out
 
@@ -230,19 +243,24 @@ def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarra
 
 
 def assemble_residual_matrix(p: FloquetProblem, lam: complex) -> np.ndarray:
-    """R(lambda) on the component-major layout; eigenpairs satisfy R r = 0."""
+    """R(lambda) = lambda*I - (A - D) - Q(lambda); eigenpairs satisfy R r = 0.
+
+    A new array on the component-major layout.  It starts from the cached
+    ``p.linear_operator`` and adds lambda through a strided view of its
+    diagonal; Q reads the cached ``p.omegas``.
+    """
     r = -p.linear_operator
-    r[np.diag_indices(p.size)] += complex(lam)
+    r.reshape(-1)[::p.size + 1] += complex(lam)
     if p.transfer is not None:
-        r = r - memory_matrix(p.transfer, lam, p.omegas)
+        r -= memory_matrix(p.transfer, lam, p.omegas)
     return r
 
 
 def residual_matrix_dlambda(p: FloquetProblem, lam: complex) -> np.ndarray:
-    d = np.eye(p.size, dtype=complex)
-    if p.transfer is not None:
-        d = d - memory_matrix_dlambda(p.transfer, lam, p.omegas)
-    return d
+    """R'(lambda) = I - Q'(lambda), a new array built on the cached ``p.identity``."""
+    if p.transfer is None:
+        return p.identity.copy()
+    return p.identity - memory_matrix_dlambda(p.transfer, lam, p.omegas)
 
 
 def eigenpair_residual(p: FloquetProblem, exponent: complex, vector: np.ndarray) -> float:
@@ -504,6 +522,8 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
     steps, until the residual ||R(lambda) x|| / ||x|| is certified: below
     ``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1
     where that is larger (fast memory puts entries of size ~rate in R).
+    The Newton matrix's lambda column R'(lambda) x is x itself on a
+    memoryless problem, so no identity is built there.
     Returns the certified pair, or None on failure (no certified iterate, a
     singular step, or an iterate where the transfer raises
     ``BoundViolation``).  The candidate's residual is measured at the first
@@ -529,7 +549,7 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
                 break
             jac = np.zeros((size + 1, size + 1), dtype=complex)
             jac[:size, :size] = rmat
-            jac[:size, size] = residual_matrix_dlambda(p, lam) @ x
+            jac[:size, size] = x if p.transfer is None else residual_matrix_dlambda(p, lam) @ x
             jac[size, idx] = 1.0
             rhs = -np.concatenate([r, [x[idx] - 1.0]])
             delta = np.linalg.solve(jac, rhs)

@@ -51,18 +51,31 @@ __all__ = [
 ]
 
 
+def _require_finite(params: dict, inf_ok: tuple[str, ...] = ()) -> None:
+    """Reject, by name, a NaN parameter or an infinite one not listed in ``inf_ok``."""
+    for name, value in params.items():
+        if math.isnan(value):
+            raise ValueError(f"{name} is NaN")
+        if math.isinf(value) and name not in inf_ok:
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # --- 1-D memory system -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Memory1DModel:
-    """dy/dt = a*y + integral over the last s time units of e^{-k(t-tau)} y(tau)."""
+    """dy/dt = a*y + integral over the last s time units of e^{-k(t-tau)} y(tau).
+
+    s = inf is the infinite memory; every other parameter must be finite.
+    """
 
     a: float
     k: float
     s: float = math.inf
 
     def __post_init__(self):
+        _require_finite({"a": self.a, "k": self.k, "s": self.s}, inf_ok=("s",))
         if self.k <= 0:
             raise ValueError("decay rate k must be positive")
         if self.s < 0:
@@ -112,13 +125,14 @@ def model1d_convergence(m: Memory1DModel, s_values) -> list[tuple[float, complex
 # --- planar particle with friction memory ------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BrownianParticleModel:
     """Planar particle in an anisotropic harmonic well with retarded friction.
 
     The friction coefficient gamma(v) = -alpha + beta*|v|^2 + g/k acts through
     an exponential retardation of rate k (the inverse correlation time);
-    k = inf is the instantaneous (memoryless) friction, where g/k = 0.
+    k = inf is the instantaneous (memoryless) friction, where g/k = 0.  Every
+    other parameter must be finite.
     """
 
     alpha: float
@@ -128,6 +142,9 @@ class BrownianParticleModel:
     omega_bar: tuple[float, float] = (2.0, 2.0)
 
     def __post_init__(self):
+        wx, wy = self.omega_bar
+        _require_finite({"alpha": self.alpha, "beta": self.beta, "g": self.g, "k": self.k,
+                         "omega_bar[0]": wx, "omega_bar[1]": wy}, inf_ok=("k",))
         if self.k <= 0:
             raise ValueError("inverse correlation time k must be positive")
         if self.omega_bar[0] <= 0 or self.omega_bar[1] <= 0:
@@ -324,12 +341,13 @@ def cycle_amplitude(cycle: LimitCycle) -> float:
 # --- delay-line resonator -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TlResonatorModel:
     """Series resistances R + Ra terminating a shorted ideal line.
 
     ``tau_f`` is the one-way propagation delay and ``Z0`` the characteristic
-    impedance; the active element may present a negative resistance.
+    impedance; the active element may present a negative resistance.  Every
+    parameter must be finite.
     """
 
     R: float
@@ -338,6 +356,7 @@ class TlResonatorModel:
     tau_f: float = 1.0
 
     def __post_init__(self):
+        _require_finite({"R": self.R, "Ra": self.Ra, "Z0": self.Z0, "tau_f": self.tau_f})
         if self.R < 0:
             raise ValueError("loss resistance must be nonnegative")
         if self.Z0 <= 0:

@@ -1,11 +1,13 @@
 """CLI harness tests: config schema, determinism, serialization, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from memflo.errors import ConfigError
 from memflo.models import (
     BrownianParticleModel,
     Memory1DModel,
+    TlResonatorModel,
     model1d_asymptotic_exponent,
     particle_spectrum,
 )
@@ -187,6 +190,19 @@ def test_non_integral_n_roots_is_an_error_row(tmp_path, n_roots):
     assert row.error_code == "valueerror" and row.n_classes is None
 
 
+@pytest.mark.parametrize("model, entries", [
+    ("memory1d", "a = nan\nk = 3.0\ns = 2.0\n"),
+    ("tl", "R = 1.0\nRa = -0.5\nZ0 = inf\n"),
+    ("particle", "alpha = nan\nbeta = 1.0\ng = 0.1\nk = 1.0\nn_harmonics = 4\n")])
+def test_non_finite_parameter_is_a_valueerror_row(tmp_path, model, entries):
+    # rejected when the model is built, before any solver runs into the NaN
+    cfg_text = f"model = {model}\nmode = spectrum\n{entries}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = cli.run(cli.parse_config(write(tmp_path, "n.cfg", cfg_text))).rows[0]
+    assert row.error_code == "valueerror" and row.n_classes is None
+
+
 def test_particle_instantaneous_friction_row(tmp_path):
     # k = inf is the 4-state memoryless particle; g/k = 0 drops out of the friction
     cfg_text = ("model = particle\nmode = spectrum\nalpha = 1.0\nbeta = 1.0\n"
@@ -286,11 +302,17 @@ def test_per_op_records_have_slots_and_survive_pickling(tmp_path):
     row = cli.run(cli.parse_config(write(tmp_path, "p.cfg", cfg_text))).rows[0]
     cycle, spec = particle_spectrum(
         BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0), n_harmonics=4)
-    for record in (row, cycle, cycle.harmonics, spec, spec.pairs[0]):
+    models = (Memory1DModel(0.0, 3.0, 2.0), TlResonatorModel(1.0, -0.5),
+              BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0))
+    for record in (row, cycle, cycle.harmonics, spec, spec.pairs[0]) + models:
         assert not hasattr(record, "__dict__")
         back = pickle.loads(pickle.dumps(record))
         assert type(back) is type(record)
         assert pickle.dumps(back) == pickle.dumps(record)  # every field, arrays included
+    for model in models:  # a sweep derives its points' models by replace
+        field = dataclasses.fields(model)[0].name
+        moved = dataclasses.replace(model, **{field: 0.25})
+        assert getattr(moved, field) == 0.25 and type(moved) is type(model)
 
 
 # --- entry point ----------------------------------------------------------------

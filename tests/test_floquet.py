@@ -655,6 +655,93 @@ def test_contour_assembles_once_per_node(monkeypatch):
     assert lams == pytest.approx([window_root(0.0, 3.0, 2.0)], abs=1e-9)
 
 
+def test_problem_constants_are_built_once_and_read_only():
+    p = scalar_problem(0.0, 3.0, s=2.0, n_harmonics=3)
+    omegas, identity = p.omegas, p.identity
+    assert p.omegas is omegas and p.identity is identity
+    assert not omegas.flags.writeable and not identity.flags.writeable
+    assert np.array_equal(omegas, np.arange(-3, 4) * p.omega0)
+    assert np.array_equal(identity, np.eye(7))
+
+
+def time_varying_problem(n=3, period=2 * math.pi):
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[0.0]], 2 * math.pi / period),
+                                    n_harmonics=n)
+    return F.FloquetProblem(jac, K.MemoryTransfer(modulated_sampled_kernel(period)), period,
+                            n, 1)
+
+
+@pytest.mark.parametrize("build", [lambda: scalar_problem(0.0, 3.0, s=2.0, n_harmonics=2),
+                                   lambda: delay_problem(3, 2.0, dim=2),
+                                   lambda: time_varying_problem()],
+                         ids=["memory1d_window", "delay", "time_varying_sampled"])
+def test_contour_node_matrices_equal_their_definitions_exactly(monkeypatch, build):
+    # R = lambda*I - (A - D) - Q(lambda) and R' = I - Q'(lambda), each term built afresh
+    # from the problem's fields, at every node of the first contour
+    p = build()
+    seen = []
+    assemble, dlambda = F.assemble_residual_matrix, F.residual_matrix_dlambda
+
+    def recording_r(q, lam):
+        out = assemble(q, lam)
+        seen.append(("r", lam, out.copy()))
+        return out
+
+    def recording_dr(q, lam):
+        out = dlambda(q, lam)
+        seen.append(("dr", lam, out.copy()))
+        return out
+
+    monkeypatch.setattr(F, "assemble_residual_matrix", recording_r)
+    monkeypatch.setattr(F, "residual_matrix_dlambda", recording_dr)
+    re_lo, re_hi = F._contour_real_extent(p)
+    mid = F.CONTOUR_SHIFTS[0] * p.omega0
+    F.contour_eigenvalues(p, (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2),
+                          F.CONTOUR_NODES)
+    assert [kind for kind, _, _ in seen] == ["r", "dr"] * 4 * F.CONTOUR_NODES
+    omegas = np.arange(-p.n_harmonics, p.n_harmonics + 1) * (2 * math.pi / p.period)
+    ops = p.jacobian - hb.stacked_diff_matrix(p.dim, p.n_harmonics, 2 * math.pi / p.period)
+    eye = np.eye(p.size, dtype=complex)
+    for kind, lam, got in seen:
+        if kind == "r":
+            want = lam * eye - ops - K.memory_matrix(p.transfer, lam, omegas)
+        else:
+            want = eye - K.memory_matrix_dlambda(p.transfer, lam, omegas)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build", [lambda: scalar_problem(0.0, 3.0, s=2.0, n_harmonics=2),
+                                   lambda: memoryless_problem(0.5, n_harmonics=2)],
+                         ids=["memory", "memoryless"])
+def test_changing_a_returned_residual_matrix_leaves_the_next_call_unchanged(build):
+    p = build()
+    lam = 0.3 + 0.2j
+    for assemble in (F.assemble_residual_matrix, F.residual_matrix_dlambda):
+        first = assemble(p, lam)
+        want = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(assemble(p, lam), want)
+
+
+def test_refine_builds_no_identity_on_a_memoryless_problem(monkeypatch):
+    # the lambda column R'(lambda) x of the bordered Newton matrix is x itself
+    p, _ = periodic_2d_problem(n_harmonics=6)
+    pair = F.floquet_spectrum(p).canonical_strip[0]
+    rng = np.random.default_rng(5)
+    vec = pair.eigenvector.flat + 1e-4 * (rng.normal(size=p.size) + 1j * rng.normal(size=p.size))
+    sizes = []
+    eye = np.eye
+
+    def recording_eye(n, *args, **kwargs):
+        sizes.append(n)
+        return eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", recording_eye)
+    out = F.refine_eigenpair(p, pair.exponent + 1e-4, vec)
+    assert out is not None and abs(out.exponent - pair.exponent) < 1e-10
+    assert p.size not in sizes
+
+
 def test_contour_route_that_encloses_no_exponent_is_incomplete():
     # y' = -10y + 1e-6 y(t-1): the root near -9.98 lies left of the edge at Re = -5
     with pytest.raises(IncompleteSpectrum, match="no exponent"):

@@ -89,6 +89,17 @@ def test_model1d_convergence_is_fast(a, s_grid=np.arange(2.0, 21.0)):
 # --- particle --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"a": math.nan, "k": 3.0}, "a"), ({"a": math.inf, "k": 3.0}, "a"),
+    ({"a": 0.0, "k": math.nan}, "k"), ({"a": 0.0, "k": math.inf}, "k"),
+    ({"a": 0.0, "k": 3.0, "s": math.nan}, "s")])
+def test_model1d_rejects_non_finite_parameters_by_name(kwargs, name):
+    # s = inf is the infinite memory and stays admissible
+    with pytest.raises(ValueError, match=f"^{name} "):
+        M.Memory1DModel(**kwargs)
+    assert M.Memory1DModel(0.0, 3.0, math.inf).s == math.inf
+
+
 def test_particle_class_count_and_trivial_mode():
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
     cyc, spec = M.particle_spectrum(m, n_harmonics=30)
@@ -154,6 +165,18 @@ def test_particle_near_memoryless_matches_monodromy(k):
     for w in oracle:
         gap = min(abs(g_val - w) for g_val in got)
         assert gap / abs(w) < 1e-3
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"alpha": math.nan}, "alpha"), ({"beta": math.inf}, "beta"), ({"g": math.nan}, "g"),
+    ({"k": math.nan}, "k"), ({"omega_bar": (2.0, math.inf)}, r"omega_bar\[1\]"),
+    ({"omega_bar": (math.nan, 2.0)}, r"omega_bar\[0\]")])
+def test_particle_rejects_non_finite_parameters_by_name(kwargs, name):
+    # k = inf is the instantaneous friction and stays admissible
+    base = {"alpha": 1.0, "beta": 1.0, "g": 0.1, "k": 1.0}
+    with pytest.raises(ValueError, match=f"^{name} "):
+        M.BrownianParticleModel(**dict(base, **kwargs))
+    assert M.BrownianParticleModel(**dict(base, k=math.inf)).k == math.inf
 
 
 def test_particle_equilibrium_boundary_at_g_over_k():
@@ -458,6 +481,16 @@ def test_tl_without_roots_is_an_error(n_roots):
     # an empty spectrum would read Marginal with no exponent behind the verdict
     with pytest.raises(ValueError, match="n_roots"):
         M.tl_spectrum(M.TlResonatorModel(R=1.0, Ra=-0.5, Z0=1.0, tau_f=1.0), n_roots=n_roots)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"R": math.nan, "Ra": 0.0}, "R"), ({"R": math.inf, "Ra": 0.0}, "R"),
+    ({"R": 1.0, "Ra": math.nan}, "Ra"), ({"R": 1.0, "Ra": -0.5, "Z0": math.inf}, "Z0"),
+    ({"R": 1.0, "Ra": -0.5, "tau_f": math.nan}, "tau_f")])
+def test_tl_rejects_non_finite_parameters_by_name(kwargs, name):
+    # Z0 = inf would read a Marginal spectrum with exponent 0 and no error
+    with pytest.raises(ValueError, match=f"^{name} "):
+        M.TlResonatorModel(**kwargs)
 
 
 def test_tl_reflection_pole_rejected():
