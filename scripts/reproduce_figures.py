@@ -1,39 +1,35 @@
 #!/usr/bin/env python3
-"""Run every figure-reproduction config into out/.
+"""Run every figure-reproduction config (``figs/*.cfg``) into out/.
+
+Usage: python3 scripts/reproduce_figures.py [JOBS]
 
 Each config is a plain CLI run; plotting is left to downstream tools that
-consume the CSV/JSON.
+consume the CSV/JSON.  BLAS and OpenMP are pinned to one thread, as in the
+test suite, so a rerun reproduces the committed files bit for bit.
 """
 
-import pathlib
-import sys
-import time
+import os
 
-from memflo.cli import main as memflo_main
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_name] = "1"  # before numpy loads
+
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+from memflo.cli import main as memflo_main  # noqa: E402
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
-CONFIGS = [
-    "figs/fig1.cfg",
-    "figs/fig2.cfg",
-    "figs/fig3.cfg",
-    "figs/fig4.cfg",
-    "figs/fig4_k3.cfg",
-    "figs/fig4_k10.cfg",
-    "figs/fig4_k100.cfg",
-    "figs/tl_bifurcation.cfg",
-]
 
 
 def run_all(jobs: int = 1) -> int:
-    import os
-
     os.chdir(HERE)  # configs name their outputs relative to the repo root
     (HERE / "out").mkdir(exist_ok=True)
     worst = 0
-    for cfg in CONFIGS:
+    for cfg in sorted(HERE.glob("figs/*.cfg")):
         t0 = time.time()
-        print(f"== {cfg}")
-        code = memflo_main(["run", str(HERE / cfg), "--jobs", str(jobs)])
+        print(f"== {cfg.relative_to(HERE)}")
+        code = memflo_main(["run", str(cfg), "--jobs", str(jobs)])
         print(f"   exit {code} in {time.time() - t0:.1f}s")
         worst = max(worst, code)
     return worst

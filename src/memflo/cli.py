@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
+import itertools
 import json
 import math
 import sys
@@ -45,6 +47,7 @@ from .models import (
 __all__ = ["SweepConfig", "SweepResult", "RowResult", "parse_config", "run", "emit", "main"]
 
 CSV_HEADER = "param1,param2,max_re_lambda,verdict,n_classes,cycle_residual,error_code"
+_FIELDS = CSV_HEADER.split(",")  # a row's grid point, then RowResult fields by name
 
 _MODEL_PARAMS = {
     "memory1d": {"a", "k", "s"},
@@ -236,11 +239,12 @@ def _tl_row(params: dict, n_harmonics: int, mode: str, warm):
 
 
 def _particle_row(params: dict, n_harmonics: int, mode: str, warm):
-    omega1 = float(params.get("omega1", 2.0))
+    omega1, ratio = float(params.get("omega1", 2.0)), float(params.get("ratio", 1.0))
+    if not 0 < ratio < math.inf:  # omega1 / ratio is the second well frequency
+        raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
     model = BrownianParticleModel(
         float(params.get("alpha", 1.0)), float(params.get("beta", 1.0)),
-        float(params.get("g", 0.0)), float(params.get("k", 1.0)),
-        (omega1, omega1 / float(params.get("ratio", 1.0))))
+        float(params.get("g", 0.0)), float(params.get("k", 1.0)), (omega1, omega1 / ratio))
     cycle, spec = particle_spectrum(model, n_harmonics=n_harmonics, seed=warm)
     amp = cycle_amplitude(cycle)
     extra = {"cycle_amplitude": amp, "period": cycle.period,
@@ -253,11 +257,10 @@ def _particle_row(params: dict, n_harmonics: int, mode: str, warm):
 _EVALUATORS = {"memory1d": _memory1d_row, "tl": _tl_row, "particle": _particle_row}
 
 
-def _evaluate(model: str, params: dict, n_harmonics: int, mode: str,
+def _evaluate(model: str, point: tuple, params: dict, n_harmonics: int, mode: str,
               warm=None) -> tuple[RowResult, object]:
     """One grid point as a row; input and solver failures become error codes."""
     t0 = time.perf_counter()
-    point = (params.get("_p1"), params.get("_p2"))
     try:
         spec, residual, extra, warm_next = _EVALUATORS[model](params, n_harmonics, mode, warm)
     except (MemfloError, ValueError) as exc:
@@ -277,39 +280,33 @@ def _code(exc) -> str:
     }.get(type(exc), type(exc).__name__.lower())
 
 
-def _grid(config: SweepConfig):
-    """Row-major grid over the ranged parameters; chains share warm starts."""
+def _grid(config: SweepConfig) -> list[list[tuple[tuple, dict]]]:
+    """Warm-start chains of (point, params) pairs whose concatenation is row-major.
+
+    A 2-D sweep has one chain per value of its first ranged parameter, a 1-D
+    particle sweep is one chain, and every other point is a chain of its own.
+    """
     ranged = config.ranged_names()
     fixed = config.fixed_values()
-    if not ranged:
-        return [[(0, dict(fixed, _p1=None, _p2=None))]]
-    first = config.parameters[ranged[0]].values()
-    if len(ranged) == 1:
-        points = [dict(fixed, **{ranged[0]: v}, _p1=float(v), _p2=None) for v in first]
-        if config.model == "particle":
-            return [[(i, pt) for i, pt in enumerate(points)]]  # one warm-start chain
-        return [[(i, pt)] for i, pt in enumerate(points)]
-    second = config.parameters[ranged[1]].values()
-    chains = []
-    idx = 0
-    for v1 in first:
-        chain = []
-        for v2 in second:
-            pt = dict(fixed, **{ranged[0]: float(v1), ranged[1]: float(v2)},
-                      _p1=float(v1), _p2=float(v2))
-            chain.append((idx, pt))
-            idx += 1
-        chains.append(chain)
-    return chains
+    axes = [config.parameters[name].values().tolist() for name in ranged]
+    pairs = [((*values, None, None)[:2], fixed | dict(zip(ranged, values)))
+             for values in itertools.product(*axes)]  # points padded to (param1, param2)
+    if len(axes) == 2:
+        size = len(axes[1])
+    elif axes and config.model == "particle":
+        size = len(pairs)
+    else:
+        size = 1
+    return [pairs[i:i + size] for i in range(0, len(pairs), size)]
 
 
-def _run_chain(model: str, mode: str, n_harmonics: int, chain) -> list[tuple[int, RowResult]]:
-    out = []
+def _run_chain(model: str, mode: str, n_harmonics: int, chain) -> list[RowResult]:
+    rows = []
     warm = None
-    for idx, params in chain:
-        row, warm = _evaluate(model, params, n_harmonics, mode, warm)
-        out.append((idx, row))
-    return out
+    for point, params in chain:
+        row, warm = _evaluate(model, point, params, n_harmonics, mode, warm)
+        rows.append(row)
+    return rows
 
 
 def _bisect_value(row: RowResult) -> float:
@@ -375,27 +372,21 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
         fixed = config.fixed_values()
 
         def point_eval(v: float) -> RowResult:
-            params = dict(fixed, **{name: v}, _p1=v, _p2=None)
-            return _evaluate(config.model, params, config.n_harmonics, config.mode)[0]
+            return _evaluate(config.model, (v, None), fixed | {name: v},
+                             config.n_harmonics, config.mode)[0]
 
         rows, history, boundary = _bisect_scalar(point_eval, values, config.bisect_tol)
         meta["bisect"] = {"parameter": name, "history": history, "boundary": boundary,
                           "tolerance": config.bisect_tol}
     else:
         chains = _grid(config)
-        indexed: list = []
+        run_chain = functools.partial(_run_chain, config.model, config.mode, config.n_harmonics)
         if jobs > 1 and len(chains) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_chain, config.model, config.mode,
-                                       config.n_harmonics, chain) for chain in chains]
-                for fut in futures:
-                    indexed.extend(fut.result())
+                per_chain = list(pool.map(run_chain, chains))
         else:
-            for chain in chains:
-                indexed.extend(_run_chain(config.model, config.mode,
-                                          config.n_harmonics, chain))
-        indexed.sort(key=lambda t: t[0])
-        rows = [row for _, row in indexed]
+            per_chain = map(run_chain, chains)
+        rows = [row for chain_rows in per_chain for row in chain_rows]
 
     meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started))
     meta["total_walltime_ms"] = (time.time() - started) * 1e3
@@ -429,37 +420,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fields(row: RowResult) -> list:
+    """A row's values in ``CSV_HEADER`` order: its grid point, then the named fields."""
+    return [*row.params, *(getattr(row, name) for name in _FIELDS[2:])]
+
+
 def emit(result: SweepResult, fmt: str) -> bytes:
     """Serialize rows; CSV has the fixed header, JSON a stable field order."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in result.rows:
-            p1 = r.params[0] if r.params else None
-            p2 = r.params[1] if len(r.params) > 1 else None
-            lines.append(",".join([
-                _fmt(float(p1) if p1 is not None else None),
-                _fmt(float(p2) if p2 is not None else None),
-                _fmt(r.max_re_lambda),
-                r.verdict or "",
-                _fmt(r.n_classes),
-                _fmt(r.cycle_residual),
-                r.error_code or "",
-            ]))
+        lines = [CSV_HEADER] + [",".join(map(_fmt, _fields(r))) for r in result.rows]
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        rows = []
-        for r in result.rows:
-            rows.append({
-                "param1": r.params[0] if r.params else None,
-                "param2": r.params[1] if len(r.params) > 1 else None,
-                "max_re_lambda": r.max_re_lambda,
-                "verdict": r.verdict,
-                "n_classes": r.n_classes,
-                "cycle_residual": r.cycle_residual,
-                "error_code": r.error_code,
-                "extra": r.extra,
-            })
-        doc = {"header": CSV_HEADER.split(","), "rows": rows, "metadata": result.metadata}
+        rows = [dict(zip(_FIELDS, _fields(r)), extra=r.extra) for r in result.rows]
+        doc = {"header": _FIELDS, "rows": rows, "metadata": result.metadata}
         return (json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n").encode()
     raise ConfigError(f"unknown output format {fmt!r}")
 

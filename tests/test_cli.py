@@ -193,14 +193,22 @@ def test_non_integral_n_roots_is_an_error_row(tmp_path, n_roots):
 @pytest.mark.parametrize("model, entries", [
     ("memory1d", "a = nan\nk = 3.0\ns = 2.0\n"),
     ("tl", "R = 1.0\nRa = -0.5\nZ0 = inf\n"),
-    ("particle", "alpha = nan\nbeta = 1.0\ng = 0.1\nk = 1.0\nn_harmonics = 4\n")])
+    ("particle", "alpha = nan\nbeta = 1.0\ng = 0.1\nk = 1.0\nn_harmonics = 4\n"),
+    ("particle", "alpha = 1.0\nratio = 0\nn_harmonics = 4\n")])  # omega1 / ratio
 def test_non_finite_parameter_is_a_valueerror_row(tmp_path, model, entries):
     # rejected when the model is built, before any solver runs into the NaN
-    cfg_text = f"model = {model}\nmode = spectrum\n{entries}"
+    path = write(tmp_path, "n.cfg", f"model = {model}\nmode = spectrum\n{entries}")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        row = cli.run(cli.parse_config(write(tmp_path, "n.cfg", cfg_text))).rows[0]
+        row = cli.run(cli.parse_config(path)).rows[0]
+        assert cli.main(["run", path, "--out", str(tmp_path / "n.csv")]) == 2
     assert row.error_code == "valueerror" and row.n_classes is None
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.0, -1.0, math.inf, math.nan])
+def test_particle_ratio_error_names_ratio(ratio):
+    with pytest.raises(ValueError, match="ratio"):
+        cli._particle_row({"ratio": ratio}, 4, "spectrum", None)
 
 
 def test_particle_instantaneous_friction_row(tmp_path):
@@ -251,6 +259,20 @@ def test_csv_numbers_round_trip_exactly():
         assert float(fields[0]) == v
         assert float(fields[2]) == v
         assert float(fields[5]) == v
+
+
+def test_csv_cells_are_the_json_values_formatted(tmp_path):
+    # one field list: the same header in both encodings, and each CSV cell is _fmt
+    # of its JSON value (Ra = 0 is an error row, so empty cells are covered)
+    cfg_text = "model = tl\nmode = sweep\nRa = range(-0.5, 0.5, 3)\nR = 1.0\n"
+    result = cli.run(cli.parse_config(write(tmp_path, "tl.cfg", cfg_text)))
+    header, *lines = cli.emit(result, "csv").decode().splitlines()
+    doc = json.loads(cli.emit(result, "json"))
+    assert doc["header"] == header.split(",")
+    assert len(lines) == len(doc["rows"]) == 3
+    for line, row in zip(lines, doc["rows"]):
+        assert list(row) == doc["header"] + ["extra"]
+        assert line.split(",") == [cli._fmt(row[name]) for name in doc["header"]]
 
 
 def test_json_round_trip_preserves_values(tmp_path):

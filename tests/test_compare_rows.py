@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_rows.py"
+from memflo import cli
+
+REPO = Path(__file__).resolve().parent.parent
+SCRIPT = REPO / "scripts" / "compare_rows.py"
 _spec = importlib.util.spec_from_file_location("compare_rows", SCRIPT)
 compare_rows = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_rows)
@@ -166,3 +169,14 @@ def test_tl_rows_stay_exact(tmp_path):
     c = _csv_checkout(tmp_path / "c", "memory1d", old)
     d = _csv_checkout(tmp_path / "d", "memory1d", "1,0.5,-0.10000000000001,Stable,1,,")
     assert compare_rows.main([str(c), str(d)]) == 0
+
+
+def test_committed_outputs_match_a_fresh_run(tmp_path, capsys):
+    # every figs/*.cfg rerun into a scratch out/ keeps the committed out/ rows
+    (tmp_path / "out").mkdir()
+    for cfg_path in sorted((REPO / "figs").glob("*.cfg")):
+        config = cli.parse_config(str(cfg_path))
+        config.output_path = str(tmp_path / config.output_path)
+        cli.run(config)
+    code = compare_rows.main([str(REPO), str(tmp_path)])
+    assert code == 0, capsys.readouterr().out
