@@ -60,7 +60,6 @@ from .kernels import (
     MemoryTransfer,
     critical_exponent,
     memory_matrix,
-    memory_matrix_dlambda,
     truncation_error_bound,
 )
 
@@ -70,7 +69,7 @@ __all__ = [
     "FloquetSpectrum",
     "PepResult",
     "assemble_residual_matrix",
-    "residual_matrix_dlambda",
+    "residual_matrices",
     "eigenpair_residual",
     "hill_matrix",
     "solve_pep",
@@ -111,9 +110,8 @@ class FloquetProblem:
     the decay rate of exponential memory that the state already carries (the
     Jacobian holds its states); it bounds the admissible exponents like the
     critical exponent of ``transfer`` does.  The lambda-independent parts of
-    R(lambda) and R'(lambda), ``omegas``, ``linear_operator`` and
-    ``identity``, are built on first use and then shared, read-only, by
-    every contour node and Newton step.
+    R(lambda), ``omegas`` and ``linear_operator``, are built on first use and
+    then shared, read-only, by every contour node and Newton step.
     """
 
     jacobian: np.ndarray
@@ -160,13 +158,6 @@ class FloquetProblem:
     def linear_operator(self) -> np.ndarray:
         """A - D: the lambda-independent part of -R(lambda), built once, read-only."""
         out = self.jacobian - stacked_diff_matrix(self.dim, self.n_harmonics, self.omega0)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def identity(self) -> np.ndarray:
-        """The complex identity in R'(lambda) = I - Q'(lambda), built once, read-only."""
-        out = np.eye(self.size, dtype=complex)
         out.flags.writeable = False
         return out
 
@@ -245,22 +236,30 @@ def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarra
 def assemble_residual_matrix(p: FloquetProblem, lam: complex) -> np.ndarray:
     """R(lambda) = lambda*I - (A - D) - Q(lambda); eigenpairs satisfy R r = 0.
 
-    A new array on the component-major layout.  It starts from the cached
-    ``p.linear_operator`` and adds lambda through a strided view of its
-    diagonal; Q reads the cached ``p.omegas``.
+    A new array on the component-major layout, the R of :func:`residual_matrices`.
     """
+    return residual_matrices(p, lam)[0]
+
+
+def residual_matrices(p: FloquetProblem, lam: complex) -> tuple[np.ndarray, np.ndarray | None]:
+    """R(lambda) and R'(lambda) = I - Q'(lambda) as new arrays; R' is None without memory.
+
+    A memoryless problem has R' = I, so no identity is built.  Otherwise Q
+    and Q' come from one :func:`~memflo.kernels.memory_matrix` call on the
+    cached ``p.omegas``.  R starts from the cached ``p.linear_operator``;
+    lambda, and the 1 of R', are added through a strided view of the
+    diagonal.
+    """
+    step = p.size + 1  # of the diagonal in the flattened matrix
     r = -p.linear_operator
-    r.reshape(-1)[::p.size + 1] += complex(lam)
-    if p.transfer is not None:
-        r -= memory_matrix(p.transfer, lam, p.omegas)
-    return r
-
-
-def residual_matrix_dlambda(p: FloquetProblem, lam: complex) -> np.ndarray:
-    """R'(lambda) = I - Q'(lambda), a new array built on the cached ``p.identity``."""
+    r.reshape(-1)[::step] += complex(lam)
     if p.transfer is None:
-        return p.identity.copy()
-    return p.identity - memory_matrix_dlambda(p.transfer, lam, p.omegas)
+        return r, None
+    q, dq = memory_matrix(p.transfer, lam, p.omegas)
+    r -= q
+    dr = -dq
+    dr.reshape(-1)[::step] += 1.0
+    return r, dr
 
 
 def eigenpair_residual(p: FloquetProblem, exponent: complex, vector: np.ndarray) -> float:
@@ -458,7 +457,7 @@ def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
     mu2 = np.linalg.eigvalsh(0.5 * (op + op.conj().T))[-1]
     hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
     if _scalar_window_lemma(p):
-        return (p.jacobian[0, 0].real - p.transfer.kernel.rate) / 2, hi
+        return float(p.jacobian[0, 0].real - p.transfer.kernel.rate) / 2, hi
     kc = p.critical_exponent
     return (-kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH), hi
 
@@ -472,9 +471,10 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
     count (1/2 pi i) contour-integral tr(R^-1 R') (Delves & Lyness, Math. Comp.
     1967), then, if it is within COUNT_TOL of a positive integer, the moments of
     R^-1, whose block Hankel pencil cut to that rank has the eigenvalues (Beyn,
-    LAA 2012).  R and R' are assembled once per node into (4*nodes, n, n)
-    stacks, n = ``p.size``, and R is inverted as one batch; the count and the
-    moments both read that stack of inverses.  Each stack holds 4*nodes*n^2
+    LAA 2012).  One :func:`residual_matrices` call per node, so one kernel
+    evaluation, fills the (4*nodes, n, n) stacks of R and R', n = ``p.size``,
+    and R is inverted as one batch; the count and the moments both read that
+    stack of inverses.  Each stack holds 4*nodes*n^2
     complex values while the function runs: 2 KB for a memory1d row (n = 1,
     32 nodes per side), 0.8 MB for a delay of 20 at 512 nodes per side with
     n = 5.  R must be analytic on and inside the rectangle.
@@ -489,8 +489,7 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
     r = np.empty((len(z), p.size, p.size), dtype=complex)
     dr = np.empty_like(r)
     for j, zj in enumerate(z):
-        r[j] = assemble_residual_matrix(p, zj)
-        dr[j] = residual_matrix_dlambda(p, zj)
+        r[j], dr[j] = residual_matrices(p, zj)
     inv = np.linalg.inv(r)
     count = dz @ np.einsum("jab,jba->j", inv, dr)  # tr(R^-1 R') at each node
     k = max(0, round(count.real))
@@ -522,8 +521,9 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
     steps, until the residual ||R(lambda) x|| / ||x|| is certified: below
     ``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1
     where that is larger (fast memory puts entries of size ~rate in R).
-    The Newton matrix's lambda column R'(lambda) x is x itself on a
-    memoryless problem, so no identity is built there.
+    Each iterate's R and R' come from one :func:`residual_matrices` call;
+    the Newton matrix's lambda column R'(lambda) x is x itself on a
+    memoryless problem.
     Returns the certified pair, or None on failure (no certified iterate, a
     singular step, or an iterate where the transfer raises
     ``BoundViolation``).  The candidate's residual is measured at the first
@@ -538,7 +538,7 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
     size = p.size
     try:
         for it in range(51):  # the residual at the seed and after each of 50 steps
-            rmat = assemble_residual_matrix(p, lam)
+            rmat, drmat = residual_matrices(p, lam)
             r = rmat @ x
             res = np.linalg.norm(r) / np.linalg.norm(x)
             if it == 0 and res >= 0.1 and res >= 1e-6 * np.linalg.norm(rmat, 1):
@@ -549,7 +549,7 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
                 break
             jac = np.zeros((size + 1, size + 1), dtype=complex)
             jac[:size, :size] = rmat
-            jac[:size, size] = x if p.transfer is None else residual_matrix_dlambda(p, lam) @ x
+            jac[:size, size] = x if drmat is None else drmat @ x
             jac[size, idx] = 1.0
             rhs = -np.concatenate([r, [x[idx] - 1.0]])
             delta = np.linalg.solve(jac, rhs)

@@ -13,10 +13,13 @@ where Gm(u) are the Fourier coefficients of G in t.  Time-invariant kernels
 have only the m = 0 term and the coupling is diagonal over harmonics.
 
 The asymptotic decay rate of the kernel tail (its critical exponent) bounds
-every admissible exponent from below: Re(lambda) > -min_t k_c(t).  Every
-transfer and lambda-derivative raises :class:`~memflo.errors.BoundViolation`
-where it cannot be evaluated: at or below that abscissa when untruncated, and
-wherever its value would overflow.
+every admissible exponent from below: Re(lambda) > -min_t k_c(t).  One
+evaluation per (lambda, harmonic) gives a transfer and its lambda-derivative
+together: one c*s and one exponential for a window, one e^{-zeta*tau} for a
+delay, one ``expm`` per panel length for a sampled kernel.  It raises
+:class:`~memflo.errors.BoundViolation` where either cannot be evaluated: at
+or below that abscissa when untruncated, and wherever its value would
+overflow.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "transfer_dlambda",
     "truncation_error_bound",
     "memory_matrix",
-    "memory_matrix_dlambda",
 ]
 
 DOMAIN_MARGIN = 1e-9
@@ -194,35 +196,37 @@ def _check_overflow(x: complex) -> None:
         raise BoundViolation(f"transfer is not finite: exponent {x.real:.6g} above 600")
 
 
-def _window_factor(c: complex, sbar: float | None) -> complex:
-    """integral_0^sbar e^{-c u} du; sbar = None means the full half line."""
-    if sbar is None:
-        return 1.0 / c
-    x = c * sbar
-    if abs(x) < 1e-6:
-        return sbar * (1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0)
-    _check_overflow(-x)
-    return -np.expm1(-x) / c
+# Taylor coefficients in -x of (1 - e^{-x})/x and of minus its x-derivative
+_WINDOW_TAYLOR = [(1 / math.factorial(n + 1), (n + 1) / math.factorial(n + 2)) for n in range(11)]
 
 
-def _window_factor_dc(c: complex, sbar: float | None) -> complex:
-    """Derivative of :func:`_window_factor` with respect to c."""
+def _window_factor(c: complex, sbar: float | None) -> tuple[complex, complex]:
+    """integral_0^sbar e^{-c u} du and its c-derivative; sbar = None means the full half line.
+
+    Below |c*sbar| = 0.1 both are Taylor polynomials in c*sbar, exact to
+    rounding there; the derivative's closed form cancels to a relative error
+    of about eps/|c*sbar|^2 (2e-14 at the switch).
+    """
     if sbar is None:
-        return -1.0 / (c * c)
+        return 1.0 / c, -1.0 / (c * c)
     x = c * sbar
-    if abs(x) < 1e-6:
-        return -sbar * sbar * (0.5 - x / 3.0 + x * x / 8.0)
+    if abs(x) < 0.1:
+        f = df = 0.0
+        for a, b in reversed(_WINDOW_TAYLOR):
+            f = f * -x + a
+            df = df * -x + b
+        return sbar * f, -sbar * sbar * df
     _check_overflow(-x)
     e = np.exp(-x)
-    return (sbar * e * c - (1.0 - e)) / (c * c)
+    return -np.expm1(-x) / c, (sbar * e * c - (1.0 - e)) / (c * c)
 
 
 # --- exact transfers of sampled kernels --------------------------------------
 
 
-def _spline_transfers(splines: list, truncation: float | None, zeta: complex,
-                      power: int) -> list[np.ndarray]:
-    """integral_0^U (-u)^power s(u) e^{-zeta u} du, exact for each cubic spline s.
+def _spline_transfers(splines: list, truncation: float | None,
+                      zeta: complex) -> list[tuple[np.ndarray, np.ndarray]]:
+    """integral_0^U (-u)^p s(u) e^{-zeta u} du, p = 0 and 1, exact for each cubic spline s.
 
     The splines share their knots.  U is the support, cut to the window.  On
     the knot panel [x_i, x_i + h] the polynomial part is sum_q a_qi
@@ -231,23 +235,23 @@ def _spline_transfers(splines: list, truncation: float | None, zeta: complex,
     phi_{q+1}(zeta h).  expm of [[z, 1, 0, ...], [0, 0, 1, ...], ...],
     z = zeta h, has the first row (e^z, phi_1(z), ...) (Sidje, Expokit, ACM
     TOMS 1998); shifted by -z I it holds e^{-z} phi_q(z), which a decaying
-    panel cannot overflow.  The knots are uniform, so all full panels share
-    one h; a window ending inside a panel adds it cut short.  The panel
-    weights depend on zeta and the knots only, so they are computed once for
-    all splines.  Raises :class:`~memflo.errors.BoundViolation` where a
-    transfer is not finite.
+    panel cannot overflow.  The factor -u = -x_i - (u - x_i) of p = 1 raises
+    the degree by one, so one ``expm`` gives the moments of both transfers.
+    The knots are uniform, so all full panels share one h; a window ending
+    inside a panel adds it cut short.  The panel weights depend on zeta and
+    the knots only, so they are computed once for all splines.  Returns the
+    (p = 0, p = 1) pair of each spline.  Raises
+    :class:`~memflo.errors.BoundViolation` where a transfer is not finite.
     """
     from scipy.linalg import expm
 
     x = splines[0].x
-    coeffs = []
+    coeffs = []  # p = 0 and p = 1 of each spline in turn
     for spline in splines:
         a = spline.c[::-1]  # a[q, i] multiplies (u - x_i)^q
-        if power:  # -u = -x_i - (u - x_i) raises the degree by one
-            zero = np.zeros_like(a[:1])
-            a = -np.concatenate([a * x[:-1, None, None], zero]) - np.concatenate([zero, a])
-        coeffs.append(a)
-    n = len(coeffs[0])
+        zero = np.zeros_like(a[:1])
+        coeffs += [a, -np.concatenate([a * x[:-1, None, None], zero]) - np.concatenate([zero, a])]
+    n = len(coeffs[1])
 
     def moments(h: float) -> np.ndarray:  # I_q(h), q < n
         aug = np.diag(np.ones(n, dtype=complex), 1) - zeta * h * np.eye(n + 1)
@@ -262,13 +266,13 @@ def _spline_transfers(splines: list, truncation: float | None, zeta: complex,
         full = shift[:n_full] * moments(x[1] - x[0])[:, None]
         cut = moments(upper - x[n_full]) if upper > x[n_full] else None
         for a in coeffs:
-            total = np.tensordot(full, a[:, :n_full], axes=2)
+            total = np.tensordot(full[:len(a)], a[:, :n_full], axes=2)
             if cut is not None:
-                total += shift[n_full] * np.tensordot(cut, a[:, n_full], 1)
+                total += shift[n_full] * np.tensordot(cut[:len(a)], a[:, n_full], 1)
             if not np.all(np.isfinite(total)):
                 raise BoundViolation(f"sampled-kernel transfer is not finite at zeta = {zeta:.6g}")
             totals.append(total)
-    return totals
+    return list(zip(totals[::2], totals[1::2]))
 
 
 # --- transfer evaluation ----------------------------------------------------
@@ -281,30 +285,33 @@ def transfer_at(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
     coupling; the full harmonic-coupled operator is produced by
     :func:`memory_matrix`.
     """
-    return _transfer(mt, lam, omega_j, 0)
+    return _transfer(mt, lam, omega_j)[0]
 
 
 def transfer_dlambda(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
     """d(transfer)/d(lambda); analytic for closed-form kernels."""
-    return _transfer(mt, lam, omega_j, 1)
+    return _transfer(mt, lam, omega_j)[1]
 
 
-def _transfer(mt: MemoryTransfer, lam: complex, omega_j: float, power: int) -> np.ndarray:
-    """integral (-u)^power K(u) e^{-(lam + i omega_j) u} du: the transfer or its derivative."""
+def _transfer(mt: MemoryTransfer, lam: complex,
+              omega_j: float) -> tuple[np.ndarray, np.ndarray]:
+    """integral (-u)^p K(u) e^{-(lam + i omega_j) u} du for p = 0 and 1: the transfer and
+    its lambda-derivative, from one evaluation of the kernel's exponential."""
     _check_domain(mt, lam)
     zeta = complex(lam) + 1j * omega_j
     k = mt.kernel
     if isinstance(k, ExponentialDecay):
-        factor = _window_factor_dc if power else _window_factor
-        return k.coefficient * factor(k.rate + zeta, mt.truncation)
+        f, df = _window_factor(k.rate + zeta, mt.truncation)
+        return k.coefficient * f, k.coefficient * df
     if isinstance(k, Delay):
         if mt.truncation is not None and mt.truncation < k.delay:
-            return np.zeros_like(k.weight, dtype=complex)
+            return np.zeros((2, *k.weight.shape), dtype=complex)  # both vanish
         x = -zeta * k.delay
         _check_overflow(x)
-        return (-k.delay) ** power * k.weight * complex(np.exp(x))
+        e = complex(np.exp(x))
+        return k.weight * e, -k.delay * k.weight * e
     if isinstance(k, FiniteSupportSampled):
-        return _spline_transfers([k.splines[0]], mt.truncation, zeta, power)[0]
+        return _spline_transfers([k.splines[0]], mt.truncation, zeta)[0]
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
@@ -340,34 +347,25 @@ def truncation_error_bound(mt: MemoryTransfer, s_bar: float, s: float) -> float:
 # --- assembly onto the component-major harmonic layout ----------------------
 
 
-def memory_matrix(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.ndarray:
-    """Full memory coupling on the component-major layout for given lambda.
+def memory_matrix(mt: MemoryTransfer, lam: complex,
+                  omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Q'): the memory coupling on the component-major layout and its lambda-derivative.
 
-    ``omegas`` lists the harmonic frequencies in ascending order.
-    """
-    return _memory_coupling(mt, lam, omegas, 0)
-
-
-def memory_matrix_dlambda(mt: MemoryTransfer, lam: complex, omegas: np.ndarray) -> np.ndarray:
-    return _memory_coupling(mt, lam, omegas, 1)
-
-
-def _memory_coupling(mt: MemoryTransfer, lam: complex, omegas: np.ndarray,
-                     power: int) -> np.ndarray:
-    """:func:`memory_matrix` (power 0) or its lambda-derivative (power 1).
-
-    Column h couples to row j = h + m through integral (-u)^power Gm(u)
-    e^{-(lam+i w_h) u} du; only sampled kernels have t-coefficients m != 0.
+    ``omegas`` lists the harmonic frequencies in ascending order.  Column h
+    couples to row j = h + m through integral (-u)^p Gm(u) e^{-(lam+i w_h) u}
+    du, p = 0 in Q and 1 in Q'; only sampled kernels have t-coefficients
+    m != 0.  Both come from one kernel evaluation per harmonic.
     """
     k, size = mt.kernel, len(omegas)
-    out = np.zeros((k.dim * size, k.dim * size), dtype=complex)
+    q, dq = np.zeros((2, k.dim * size, k.dim * size), dtype=complex)
     for h, w in enumerate(omegas):
         if isinstance(k, FiniteSupportSampled):
             ms = [m for m in k.splines if 0 <= h + m < size]
             blocks = _spline_transfers([k.splines[m] for m in ms], mt.truncation,
-                                       complex(lam) + 1j * w, power)
-            for m, block in zip(ms, blocks):
-                out[h + m::size, h::size] = block
+                                       complex(lam) + 1j * w)
+            for m, (block, dblock) in zip(ms, blocks):
+                q[h + m::size, h::size] = block
+                dq[h + m::size, h::size] = dblock
         else:
-            out[h::size, h::size] = _transfer(mt, lam, w, power)
-    return out
+            q[h::size, h::size], dq[h::size, h::size] = _transfer(mt, lam, w)
+    return q, dq

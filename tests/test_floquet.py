@@ -130,6 +130,7 @@ def test_scalar_window_edge_encloses_exactly_the_admissible_root():
             d = spec.diagnostics
             assert d["route"] == "contour"
             assert d["contour"]["re"][0] == pytest.approx((a - 3.0) / 2, abs=1e-15)
+            assert all(type(v) is float for v in d["contour"]["re"] + d["contour"]["im"])
             assert d["n_enclosed"] == 1 and d["contour"]["nodes_per_side"] == 32
             assert d["n_bound_filtered"] == 0
             assert len(spec.canonical_strip) == 1
@@ -633,35 +634,33 @@ def test_contour_route_certifies_a_long_delay_after_doubling():
 
 def test_contour_assembles_once_per_node(monkeypatch):
     # the root count and the Hankel moments read one stack of inverses: 4 sides of 32
-    # nodes make 128 assemblies of R and of R'
-    calls = {"r": 0, "dr": 0}
-    assemble, dlambda = F.assemble_residual_matrix, F.residual_matrix_dlambda
+    # nodes make 128 assemblies of R and R' together, each from one kernel evaluation
+    calls = {"residual_matrices": 0, "memory_matrix": 0}
+    originals = {name: getattr(F, name) for name in calls}
 
-    def counting_r(p, lam):
-        calls["r"] += 1
-        return assemble(p, lam)
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return counted
 
-    def counting_dr(p, lam):
-        calls["dr"] += 1
-        return dlambda(p, lam)
-
-    monkeypatch.setattr(F, "assemble_residual_matrix", counting_r)
-    monkeypatch.setattr(F, "residual_matrix_dlambda", counting_dr)
+    for name in calls:
+        monkeypatch.setattr(F, name, counting(name))
     p = scalar_problem(0.0, 3.0, s=2.0)
     re_lo, re_hi = F._contour_real_extent(p)
     count, lams = F.contour_eigenvalues(p, (re_lo, re_hi, -0.375, 0.625), 32)
-    assert calls == {"r": 128, "dr": 128}
+    assert calls == {"residual_matrices": 128, "memory_matrix": 128}
     assert abs(count - 1) < F.COUNT_TOL
     assert lams == pytest.approx([window_root(0.0, 3.0, 2.0)], abs=1e-9)
 
 
 def test_problem_constants_are_built_once_and_read_only():
     p = scalar_problem(0.0, 3.0, s=2.0, n_harmonics=3)
-    omegas, identity = p.omegas, p.identity
-    assert p.omegas is omegas and p.identity is identity
-    assert not omegas.flags.writeable and not identity.flags.writeable
+    omegas, ops = p.omegas, p.linear_operator
+    assert p.omegas is omegas and p.linear_operator is ops
+    assert not omegas.flags.writeable and not ops.flags.writeable
     assert np.array_equal(omegas, np.arange(-3, 4) * p.omega0)
-    assert np.array_equal(identity, np.eye(7))
+    assert np.array_equal(ops, p.jacobian - hb.stacked_diff_matrix(1, 3, p.omega0))
 
 
 def time_varying_problem(n=3, period=2 * math.pi):
@@ -680,34 +679,26 @@ def test_contour_node_matrices_equal_their_definitions_exactly(monkeypatch, buil
     # from the problem's fields, at every node of the first contour
     p = build()
     seen = []
-    assemble, dlambda = F.assemble_residual_matrix, F.residual_matrix_dlambda
+    matrices = F.residual_matrices
 
-    def recording_r(q, lam):
-        out = assemble(q, lam)
-        seen.append(("r", lam, out.copy()))
-        return out
+    def recording(q, lam):
+        r, dr = matrices(q, lam)
+        seen.append((lam, r.copy(), dr.copy()))
+        return r, dr
 
-    def recording_dr(q, lam):
-        out = dlambda(q, lam)
-        seen.append(("dr", lam, out.copy()))
-        return out
-
-    monkeypatch.setattr(F, "assemble_residual_matrix", recording_r)
-    monkeypatch.setattr(F, "residual_matrix_dlambda", recording_dr)
+    monkeypatch.setattr(F, "residual_matrices", recording)
     re_lo, re_hi = F._contour_real_extent(p)
     mid = F.CONTOUR_SHIFTS[0] * p.omega0
     F.contour_eigenvalues(p, (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2),
                           F.CONTOUR_NODES)
-    assert [kind for kind, _, _ in seen] == ["r", "dr"] * 4 * F.CONTOUR_NODES
+    assert len(seen) == 4 * F.CONTOUR_NODES
     omegas = np.arange(-p.n_harmonics, p.n_harmonics + 1) * (2 * math.pi / p.period)
     ops = p.jacobian - hb.stacked_diff_matrix(p.dim, p.n_harmonics, 2 * math.pi / p.period)
     eye = np.eye(p.size, dtype=complex)
-    for kind, lam, got in seen:
-        if kind == "r":
-            want = lam * eye - ops - K.memory_matrix(p.transfer, lam, omegas)
-        else:
-            want = eye - K.memory_matrix_dlambda(p.transfer, lam, omegas)
-        assert np.array_equal(got, want)
+    for lam, r, dr in seen:
+        q, dq = K.memory_matrix(p.transfer, lam, omegas)
+        assert np.array_equal(r, lam * eye - ops - q)
+        assert np.array_equal(dr, eye - dq)
 
 
 @pytest.mark.parametrize("build", [lambda: scalar_problem(0.0, 3.0, s=2.0, n_harmonics=2),
@@ -716,7 +707,10 @@ def test_contour_node_matrices_equal_their_definitions_exactly(monkeypatch, buil
 def test_changing_a_returned_residual_matrix_leaves_the_next_call_unchanged(build):
     p = build()
     lam = 0.3 + 0.2j
-    for assemble in (F.assemble_residual_matrix, F.residual_matrix_dlambda):
+    builds = [F.assemble_residual_matrix]
+    if p.transfer is not None:
+        builds.append(lambda q, z: F.residual_matrices(q, z)[1])
+    for assemble in builds:
         first = assemble(p, lam)
         want = first.copy()
         first[...] = 7.0
@@ -789,7 +783,7 @@ def test_sampled_time_varying_memory_matrix_matches_closed_form():
     mt = K.MemoryTransfer(kern)
     omegas = np.arange(-3, 4) * 1.0
     lam = 0.3 + 0.2j
-    mat = K.memory_matrix(mt, lam, omegas)
+    mat = K.memory_matrix(mt, lam, omegas)[0]
     window = K.MemoryTransfer(K.ExponentialDecay([[1.0]], 2.0), truncation=1.5)
     diag = np.array([K.transfer_at(window, lam, w)[0, 0] for w in omegas])
     assert np.max(np.abs(np.diag(mat) - diag)) < 1e-9
@@ -806,13 +800,12 @@ def test_time_varying_memory_matrix_shares_panel_weights_bit_for_bit(truncation)
     mt = K.MemoryTransfer(kern, truncation)
     omegas = np.arange(-3, 4) * 1.0
     lam = 0.3 + 0.2j
-    for power, build in ((0, K.memory_matrix), (1, K.memory_matrix_dlambda)):
-        mat = build(mt, lam, omegas)
-        for h, w in enumerate(omegas):
-            for m, spline in kern.splines.items():
-                if 0 <= h + m < len(omegas):
-                    alone = K._spline_transfers([spline], truncation, lam + 1j * w, power)[0]
-                    assert mat[h + m, h] == alone[0, 0]
+    q, dq = K.memory_matrix(mt, lam, omegas)
+    for h, w in enumerate(omegas):
+        for m, spline in kern.splines.items():
+            if 0 <= h + m < len(omegas):
+                alone, dalone = K._spline_transfers([spline], truncation, lam + 1j * w)[0]
+                assert q[h + m, h] == alone[0, 0] and dq[h + m, h] == dalone[0, 0]
 
 
 def test_contour_route_certifies_time_varying_sampled_kernel():

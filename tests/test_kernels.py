@@ -1,6 +1,8 @@
 """Kernel-family tests: transfers, decay bounds, truncation, exact spline transfers."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,30 +131,96 @@ OVERFLOWING = {
 
 
 @pytest.mark.parametrize("family", OVERFLOWING)
-@pytest.mark.parametrize("transfer, matrix", [(K.transfer_at, K.memory_matrix),
-                                              (K.transfer_dlambda, K.memory_matrix_dlambda)],
+@pytest.mark.parametrize("transfer", [K.transfer_at, K.transfer_dlambda],
                          ids=["transfer", "dlambda"])
-def test_transfer_overflow_is_a_bound_violation(transfer, matrix, family):
+def test_transfer_overflow_is_a_bound_violation(transfer, family):
     mt, lam = OVERFLOWING[family]
     with pytest.raises(BoundViolation, match="not finite"):
         transfer(mt, lam, 0.0)
     with pytest.raises(BoundViolation, match="not finite"):
-        matrix(mt, lam, np.array([-1.0, 0.0, 1.0]))
+        K.memory_matrix(mt, lam, np.array([-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("truncation, panel_lengths", [(None, 1), (0.77, 2)])
+def test_sampled_transfer_pair_takes_one_expm_per_panel_length(monkeypatch, truncation,
+                                                               panel_lengths):
+    # the full panels share one length, and a window ending inside a panel adds a second
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    u = np.linspace(0.0, 1.5, 200)
+    mt = K.MemoryTransfer(K.FiniteSupportSampled(CUBIC(u)[None, :, None, None], 1.5), truncation)
+    q, dq = K.memory_matrix(mt, 0.5 - 3j, np.array([0.0]))
+    assert np.isfinite(q).all() and np.isfinite(dq).all()
+    # moments I_0..I_4 cover the cubic and the degree-raised quartic
+    assert calls == [(6, 6)] * panel_lengths
 
 
 # --- derivative and analyticity --------------------------------------------------
+
+
+ANALYTIC = [exp_transfer(2.0, truncation=3.0), K.MemoryTransfer(K.Delay([[0.7]], 1.3)),
+            K.MemoryTransfer(K.FiniteSupportSampled(
+                CUBIC(np.linspace(0.0, 1.5, 40))[None, :, None, None], 1.5), truncation=1.1)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=-1.5, max_value=2.0), st.floats(min_value=-4.0, max_value=4.0),
        st.floats(min_value=-3.0, max_value=3.0))
 def test_transfer_analytic_in_lambda(re, im, omega_j):
-    mt = exp_transfer(2.0, truncation=3.0)
+    # central differences of the transfer against its derivative: exponential, delay, sampled
     lam = complex(re, im)
     h = 1e-5
-    fd = (K.transfer_at(mt, lam + h, omega_j) - K.transfer_at(mt, lam - h, omega_j)) / (2 * h)
-    an = K.transfer_dlambda(mt, lam, omega_j)
-    assert abs(fd[0, 0] - an[0, 0]) < 1e-6 * (1 + abs(an[0, 0]))
+    for mt in ANALYTIC:
+        fd = (K.transfer_at(mt, lam + h, omega_j) - K.transfer_at(mt, lam - h, omega_j)) / (2 * h)
+        an = K.transfer_dlambda(mt, lam, omega_j)
+        assert abs(fd[0, 0] - an[0, 0]) < 1e-6 * (1 + abs(an[0, 0]))
+
+
+def window_reference(c, s):
+    """(1 - e^{-c s})/c and its c-derivative for |c s| < 1, summed exactly in rationals.
+
+    (1 - e^{-c s})/c = sum_k (-1)^k s^{k+1} c^k/(k+1)!; 40 terms leave under 1e-40.
+    """
+    c = (Fraction(c.real), Fraction(c.imag))
+    s = Fraction(s)
+    f, df = [Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]
+    power = (Fraction(1), Fraction(0))  # c^k
+    for k in range(40):
+        a = (-1) ** k * s ** (k + 1) / math.factorial(k + 1)  # of c^k in f
+        da = (-1) ** (k + 1) * (k + 1) * s ** (k + 2) / math.factorial(k + 2)  # of c^k in f'
+        for acc, coeff in ((f, a), (df, da)):
+            acc[0] += coeff * power[0]
+            acc[1] += coeff * power[1]
+        power = (power[0] * c[0] - power[1] * c[1], power[0] * c[1] + power[1] * c[0])
+    return complex(float(f[0]), float(f[1])), complex(float(df[0]), float(df[1]))
+
+
+@pytest.mark.parametrize("switch", [1e-6, 0.1])
+@pytest.mark.parametrize("side", [0.999, 1.001])
+@pytest.mark.parametrize("phase", [0.0, 1.0, math.pi / 2, math.pi])
+def test_window_transfer_agrees_with_its_closed_form_across_the_series_switch(switch, side,
+                                                                             phase):
+    # the s = 0 rows run the Taylor branch |c*s| < 0.1: below it the derivative's closed
+    # form would cancel to about eps/|c*s|^2 relative, 1e-4 at |c*s| = 1e-6
+    s, rate = 2.0, 3.0
+    c_target = cmath.rect(side * switch / s, phase)
+    lam, omega_j = -rate + c_target.real, c_target.imag
+    mt = exp_transfer(rate, truncation=s)
+    c = rate + (complex(lam) + 1j * omega_j)  # as the kernel forms it
+    f, df = window_reference(c, s)
+    # the closed forms above the switch: the transfer to rounding, the derivative to its
+    # cancellation eps/|c*s|^2; the series below it to rounding
+    df_tol = 4e-16 / abs(c * s) ** 2 if abs(c * s) >= 0.1 else 1e-15
+    assert abs(K.transfer_at(mt, lam, omega_j)[0, 0] - f) <= 1e-15 * abs(f)
+    assert abs(K.transfer_dlambda(mt, lam, omega_j)[0, 0] - df) <= df_tol * abs(df)
 
 
 def test_transfer_dlambda_untruncated_closed_form():
@@ -226,8 +294,9 @@ def test_sampled_time_invariant_memory_matrix_is_blockdiagonal():
     values = np.exp(-k * u)[None, :, None, None]
     mt = K.MemoryTransfer(K.FiniteSupportSampled(values, 3.0))
     omegas = np.arange(-2, 3) * 1.0
-    mat = K.memory_matrix(mt, 0.1, omegas)
-    off = mat - np.diag(np.diag(mat))
-    assert np.max(np.abs(off)) == 0.0
+    mat, dmat = K.memory_matrix(mt, 0.1, omegas)
+    for m in (mat, dmat):
+        assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
     for j, w in enumerate(omegas):
         assert mat[j, j] == pytest.approx(K.transfer_at(mt, 0.1, w)[0, 0], abs=1e-12)
+        assert dmat[j, j] == pytest.approx(K.transfer_dlambda(mt, 0.1, w)[0, 0], abs=1e-12)

@@ -57,9 +57,9 @@ def test_model1d_transfers_stay_in_the_float_range(monkeypatch):
     transfer = K._transfer
 
     def recorded(*args):
-        value = transfer(*args)
-        moduli.append(float(np.max(np.abs(value))))
-        return value
+        value, dvalue = transfer(*args)
+        moduli.append(max(float(np.max(np.abs(v))) for v in (value, dvalue)))
+        return value, dvalue
 
     monkeypatch.setattr(K, "_transfer", recorded)
     M.model1d_exponent(M.Memory1DModel(0.0, 3.0, 10.0))
@@ -408,14 +408,14 @@ def test_particle_spectrum_has_no_infinite_eigenvalues():
 
 def test_particle_spectrum_assembles_once_per_representative(monkeypatch):
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
-    assemble = F.assemble_residual_matrix
+    matrices = F.residual_matrices
     calls = []
 
     def counting(p, lam):
         calls.append(lam)
-        return assemble(p, lam)
+        return matrices(p, lam)
 
-    monkeypatch.setattr(F, "assemble_residual_matrix", counting)
+    monkeypatch.setattr(F, "residual_matrices", counting)
     _, spec = M.particle_spectrum(m, n_harmonics=12)
     diag = spec.diagnostics
     assert diag["n_seed_rejected"] == diag["n_unrefined"] == 0
