@@ -27,11 +27,11 @@ from .floquet import (
     FloquetEigenpair,
     FloquetProblem,
     FloquetSpectrum,
-    assemble_residual_matrix,
     canonicalize_spectrum,
     floquet_spectrum,
     hill_matrix,
     refine_eigenpair,
+    residual_matrices,
     solve_pep,
     splitting_shift,
 )
@@ -51,7 +51,7 @@ from .kernels import (
     KernelSpec,
     MemoryTransfer,
     critical_exponent,
-    transfer_at,
+    memory_matrix,
     truncation_error_bound,
 )
 from .models import (

@@ -1,5 +1,9 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["MemfloError", "BoundViolation", "NoConvergence", "IncompleteSpectrum",
+           "SingularJacobian", "NoCycle", "MatchedLine", "ConfigError",
+           "SpectralResolutionWarning"]
+
 
 class MemfloError(Exception):
     """Base class for all package-specific failures."""

@@ -68,9 +68,7 @@ __all__ = [
     "FloquetEigenpair",
     "FloquetSpectrum",
     "PepResult",
-    "assemble_residual_matrix",
     "residual_matrices",
-    "eigenpair_residual",
     "hill_matrix",
     "solve_pep",
     "contour_eigenvalues",
@@ -233,22 +231,18 @@ def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarra
     return FloquetEigenpair(complex(exponent), mult, hv, float(residual), bound_ok=ok)
 
 
-def assemble_residual_matrix(p: FloquetProblem, lam: complex) -> np.ndarray:
-    """R(lambda) = lambda*I - (A - D) - Q(lambda); eigenpairs satisfy R r = 0.
-
-    A new array on the component-major layout, the R of :func:`residual_matrices`.
-    """
-    return residual_matrices(p, lam)[0]
-
-
 def residual_matrices(p: FloquetProblem, lam: complex) -> tuple[np.ndarray, np.ndarray | None]:
-    """R(lambda) and R'(lambda) = I - Q'(lambda) as new arrays; R' is None without memory.
+    """R(lambda) = lambda*I - (A - D) - Q(lambda) and R'(lambda) = I - Q'(lambda).
 
-    A memoryless problem has R' = I, so no identity is built.  Otherwise Q
-    and Q' come from one :func:`~memflo.kernels.memory_matrix` call on the
-    cached ``p.omegas``.  R starts from the cached ``p.linear_operator``;
-    lambda, and the 1 of R', are added through a strided view of the
-    diagonal.
+    Eigenpairs satisfy R r = 0.  Both are new arrays on the component-major
+    layout, and this is the one assembly of R: a caller that wants R alone
+    takes ``residual_matrices(p, lam)[0]``, so it raises
+    :class:`~memflo.errors.BoundViolation` where only Q' would overflow.  R'
+    is None without memory: a memoryless problem has R' = I, so no identity
+    is built.  Otherwise Q and Q' come from one
+    :func:`~memflo.kernels.memory_matrix` call on the cached ``p.omegas``.  R
+    starts from the cached ``p.linear_operator``; lambda, and the 1 of R',
+    are added through a strided view of the diagonal.
     """
     step = p.size + 1  # of the diagonal in the flattened matrix
     r = -p.linear_operator
@@ -260,12 +254,6 @@ def residual_matrices(p: FloquetProblem, lam: complex) -> tuple[np.ndarray, np.n
     dr = -dq
     dr.reshape(-1)[::step] += 1.0
     return r, dr
-
-
-def eigenpair_residual(p: FloquetProblem, exponent: complex, vector: np.ndarray) -> float:
-    vec = np.asarray(vector, dtype=complex)
-    return float(np.linalg.norm(assemble_residual_matrix(p, exponent) @ vec)
-                 / np.linalg.norm(vec))
 
 
 def shift_harmonics(hv: HarmonicVector, m: int) -> HarmonicVector:
@@ -290,8 +278,9 @@ def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair,
     """
     lam = pair.exponent + 1j * steps * p.omega0
     hv = shift_harmonics(pair.eigenvector, -steps)
-    res = eigenpair_residual(p, lam, hv.flat)
-    return make_eigenpair(p, lam, hv.flat, res)
+    vec = hv.flat
+    res = float(np.linalg.norm(residual_matrices(p, lam)[0] @ vec) / np.linalg.norm(vec))
+    return make_eigenpair(p, lam, vec, res)
 
 
 # --- eigenproblem routes ---------------------------------------------------
@@ -726,7 +715,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
             continue
         diag = {"route": "contour", "n_raw": len(lams), "n_enclosed": n_enclosed,
                 "contour": {"re": list(rect[:2]), "im": list(rect[2:]), "nodes_per_side": nodes}}
-        cands = [(lam, np.linalg.svd(assemble_residual_matrix(p, lam))[2][-1].conj())
+        cands = [(lam, np.linalg.svd(residual_matrices(p, lam)[0])[2][-1].conj())
                  for lam in lams]
         spec = _polished_spectrum(p, cands, diag, autonomous)
         d = spec.diagnostics

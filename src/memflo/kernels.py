@@ -11,6 +11,8 @@ couples harmonic amplitudes through one-sided Laplace transforms of G in u:
 
 where Gm(u) are the Fourier coefficients of G in t.  Time-invariant kernels
 have only the m = 0 term and the coupling is diagonal over harmonics.
+:func:`memory_matrix` assembles that coupling on the harmonic layout; it is
+the module's one transfer evaluation.
 
 The asymptotic decay rate of the kernel tail (its critical exponent) bounds
 every admissible exponent from below: Re(lambda) > -min_t k_c(t).  One
@@ -40,8 +42,6 @@ __all__ = [
     "KernelSpec",
     "MemoryTransfer",
     "critical_exponent",
-    "transfer_at",
-    "transfer_dlambda",
     "truncation_error_bound",
     "memory_matrix",
 ]
@@ -278,25 +278,10 @@ def _spline_transfers(splines: list, truncation: float | None,
 # --- transfer evaluation ----------------------------------------------------
 
 
-def transfer_at(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
-    """Memory transfer matrix multiplying the amplitude at one harmonic.
-
-    For time-varying sampled kernels this returns the time-averaged (m = 0)
-    coupling; the full harmonic-coupled operator is produced by
-    :func:`memory_matrix`.
-    """
-    return _transfer(mt, lam, omega_j)[0]
-
-
-def transfer_dlambda(mt: MemoryTransfer, lam: complex, omega_j: float) -> np.ndarray:
-    """d(transfer)/d(lambda); analytic for closed-form kernels."""
-    return _transfer(mt, lam, omega_j)[1]
-
-
 def _transfer(mt: MemoryTransfer, lam: complex,
               omega_j: float) -> tuple[np.ndarray, np.ndarray]:
-    """integral (-u)^p K(u) e^{-(lam + i omega_j) u} du for p = 0 and 1: the transfer and
-    its lambda-derivative, from one evaluation of the kernel's exponential."""
+    """integral (-u)^p K(u) e^{-(lam + i omega_j) u} du for p = 0 and 1 of a closed-form
+    kernel: the transfer and its lambda-derivative, from one evaluation of its exponential."""
     _check_domain(mt, lam)
     zeta = complex(lam) + 1j * omega_j
     k = mt.kernel
@@ -310,8 +295,6 @@ def _transfer(mt: MemoryTransfer, lam: complex,
         _check_overflow(x)
         e = complex(np.exp(x))
         return k.weight * e, -k.delay * k.weight * e
-    if isinstance(k, FiniteSupportSampled):
-        return _spline_transfers([k.splines[0]], mt.truncation, zeta)[0]
     raise TypeError(f"unsupported kernel {type(k).__name__}")
 
 
@@ -354,7 +337,10 @@ def memory_matrix(mt: MemoryTransfer, lam: complex,
     ``omegas`` lists the harmonic frequencies in ascending order.  Column h
     couples to row j = h + m through integral (-u)^p Gm(u) e^{-(lam+i w_h) u}
     du, p = 0 in Q and 1 in Q'; only sampled kernels have t-coefficients
-    m != 0.  Both come from one kernel evaluation per harmonic.
+    m != 0.  Both come from one kernel evaluation per harmonic.  This is the
+    one transfer evaluation: one harmonic's dim x dim transfer pair is
+    ``memory_matrix(mt, lam, np.array([w]))``, for a time-varying sampled
+    kernel its time-averaged (m = 0) coupling.
     """
     k, size = mt.kernel, len(omegas)
     q, dq = np.zeros((2, k.dim * size, k.dim * size), dtype=complex)

@@ -257,23 +257,19 @@ def polarized_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
     return _orbit_guess(m, n_harmonics, omega, first)
 
 
-def _rest_spectrum(system: SystemModel, omega0: float) -> FloquetSpectrum:
+def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
     """Exponents of the resting state at the origin.
 
     The linearization is the system Jacobian at z = 0, time invariant, so
     the problem has no harmonics besides the zeroth and its exponents are
     plain eigenvalues, not folded into a strip.
     """
+    system, omega0 = particle_system(m), m.omega_bar[0]
     a = system.rhs_jacobian(np.zeros(system.dim), 0.0)
     jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, omega0), n_harmonics=0)
     problem = FloquetProblem(jac, None, 2 * math.pi / omega0, 0, system.dim,
                              memory_rate=system.memory_rate)
     return floquet_spectrum(problem)
-
-
-def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
-    """Exponents of the resting state at the origin."""
-    return _rest_spectrum(particle_system(m), m.omega_bar[0])
 
 
 def _seeds(m: BrownianParticleModel, n_harmonics: int, warm: LimitCycle | None):
@@ -390,7 +386,7 @@ def tl_spectrum(m: TlResonatorModel, n_roots: int = 5) -> FloquetSpectrum:
         raise MatchedLine("matched termination: every reflection vanishes")
     period = 2 * m.tau_f
     omega0 = 2 * math.pi / period
-    base = cmath.log(-gamma0 if gamma0 != 0 else 0)  # principal branch
+    base = cmath.log(-gamma0)  # principal branch
     pairs = []
     for k in range(n_roots):
         lam = (base + 2j * math.pi * k) / (2 * m.tau_f)

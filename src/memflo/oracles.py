@@ -235,7 +235,9 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     samples = np.exp(-2.0 * np.linspace(0.0, 4.0, 200))[None, :, None, None]
     sampled = kernels.MemoryTransfer(kernels.FiniteSupportSampled(samples, 4.0))
     closed = kernels.MemoryTransfer(kernels.ExponentialDecay([[1.0]], 2.0), truncation=4.0)
-    err = abs(kernels.transfer_at(sampled, 0.3, 1.7) - kernels.transfer_at(closed, 0.3, 1.7))[0, 0]
+    one = np.array([1.7])  # a single harmonic
+    err = abs(kernels.memory_matrix(sampled, 0.3, one)[0]
+              - kernels.memory_matrix(closed, 0.3, one)[0])[0, 0]
     checks.append(("sampled-kernel transfer vs exponential closed form", err < 1e-8,
                    f"|G - ref| = {err:.2e}"))
 

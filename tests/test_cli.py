@@ -1,6 +1,8 @@
 """CLI harness tests: config schema, determinism, serialization, exit codes."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -24,6 +26,9 @@ from memflo.models import (
     particle_spectrum,
 )
 from memflo.oracles import quadratic_memory_exponent
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -154,6 +159,18 @@ def test_tl_bisection_finds_threshold(tmp_path):
     boundary = result.metadata["bisect"]["boundary"]
     assert boundary == pytest.approx(-1.0, abs=1e-6)
     assert result.metadata["bisect"]["history"]  # bracket trail is kept
+
+
+def test_committed_fig4_boundaries_lie_at_the_rest_state_hopf_point():
+    # below the boundary a row has no cycle, so fig4 bisects the birth of the cycle from
+    # the rest state, whose friction -alpha + g/k changes sign at alpha = g/k
+    cfg_paths = sorted((REPO / "figs").glob("fig4*.cfg"))
+    assert len(cfg_paths) == 4
+    for cfg_path in cfg_paths:
+        cfg = cli.parse_config(str(cfg_path))
+        boundary = json.loads((REPO / cfg.output_path).read_text())["metadata"]["bisect"]
+        hopf = cfg.parameters["g"] / cfg.parameters["k"]
+        assert abs(boundary["boundary"] - hopf) <= cfg.bisect_tol, cfg_path.name
 
 
 def test_bisection_solves_each_point_once(tmp_path, monkeypatch):
@@ -398,6 +415,21 @@ def test_import_loads_no_heavy_scipy_submodule():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # each module's __all__ names only what the module holds, and the package root
+    # imports only names that their module exports
+    root = Path(memflo.__file__)
+    for path in sorted(root.parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        mod = importlib.import_module(f"memflo.{path.stem}")
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], path.name
+    for node in ast.parse(root.read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            exported = importlib.import_module(f"memflo.{node.module}").__all__
+            assert [a.name for a in node.names if a.name not in exported] == [], node.module
 
 
 def test_memory1d_row_with_an_overflowing_multiplier(tmp_path):

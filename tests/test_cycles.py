@@ -451,7 +451,7 @@ def test_trivial_exponent_from_cycle_derivative():
     system = particle_system(m)
     prob = C.linearize(system, cyc)
     dz = hb.differentiate(cyc.harmonics)
-    r0 = F.assemble_residual_matrix(prob, 0.0)
+    r0 = F.residual_matrices(prob, 0.0)[0]
     defect = np.linalg.norm(r0 @ dz.flat)
     assert defect < 1e-6 * np.linalg.norm(dz.flat)
 

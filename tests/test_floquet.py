@@ -62,14 +62,14 @@ def test_assemble_memoryless_constant_diagonal():
     a = 0.7
     p = memoryless_problem(a, n_harmonics=2)
     lam = 0.3 + 0.1j
-    r = F.assemble_residual_matrix(p, lam)
+    r = F.residual_matrices(p, lam)[0]
     expected = np.diag([lam + 1j * h - a for h in range(-2, 3)])
     assert np.max(np.abs(r - expected)) < 1e-14
 
 
 def test_assemble_scalar_memory_root_is_singular():
     p = scalar_problem(0.0, 3.0, n_harmonics=2)
-    r = F.assemble_residual_matrix(p, LAM_A0_K3)
+    r = F.residual_matrices(p, LAM_A0_K3)[0]
     assert np.linalg.svd(r, compute_uv=False)[-1] < 1e-5
 
 
@@ -81,7 +81,7 @@ def test_assemble_delay_diagonal():
     mt = K.MemoryTransfer(K.Delay([[1.0]], 0.5))
     p = F.FloquetProblem(jac, mt, period, n, 1)
     lam = 0.2 + 0.3j
-    r = F.assemble_residual_matrix(p, lam)
+    r = F.residual_matrices(p, lam)[0]
     for idx, h in enumerate(range(-n, n + 1)):
         want = lam + 1j * h - np.exp(-(lam + 1j * h) * 0.5)
         assert r[idx, idx] == pytest.approx(want, abs=1e-14)
@@ -151,7 +151,7 @@ def test_hill_matrix_schur_complement_is_minus_residual():
         shifted = h - lam * np.eye(len(h))
         schur = shifted[:size, :size] - shifted[:size, size:] @ np.linalg.solve(
             shifted[size:, size:], shifted[size:, :size])
-        r = F.assemble_residual_matrix(p, lam)
+        r = F.residual_matrices(p, lam)[0]
         assert np.max(np.abs(schur + r)) < 1e-12
 
 
@@ -707,7 +707,7 @@ def test_contour_node_matrices_equal_their_definitions_exactly(monkeypatch, buil
 def test_changing_a_returned_residual_matrix_leaves_the_next_call_unchanged(build):
     p = build()
     lam = 0.3 + 0.2j
-    builds = [F.assemble_residual_matrix]
+    builds = [lambda q, z: F.residual_matrices(q, z)[0]]
     if p.transfer is not None:
         builds.append(lambda q, z: F.residual_matrices(q, z)[1])
     for assemble in builds:
@@ -785,7 +785,7 @@ def test_sampled_time_varying_memory_matrix_matches_closed_form():
     lam = 0.3 + 0.2j
     mat = K.memory_matrix(mt, lam, omegas)[0]
     window = K.MemoryTransfer(K.ExponentialDecay([[1.0]], 2.0), truncation=1.5)
-    diag = np.array([K.transfer_at(window, lam, w)[0, 0] for w in omegas])
+    diag = np.array([K.memory_matrix(window, lam, np.array([w]))[0][0, 0] for w in omegas])
     assert np.max(np.abs(np.diag(mat) - diag)) < 1e-9
     assert np.max(np.abs(np.diag(mat, -1) - diag[:-1] / 4)) < 1e-9
     assert np.max(np.abs(np.diag(mat, 1) - diag[1:] / 4)) < 1e-9

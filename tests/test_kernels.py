@@ -17,6 +17,11 @@ def exp_transfer(k, truncation=None, c=1.0):
     return K.MemoryTransfer(K.ExponentialDecay([[c]], k), truncation=truncation)
 
 
+def transfer(mt, lam, omega_j):
+    """One harmonic's (transfer, lambda-derivative) pair of dim x dim blocks."""
+    return K.memory_matrix(mt, lam, np.array([omega_j]))
+
+
 # --- critical exponent ---------------------------------------------------------
 
 
@@ -42,36 +47,36 @@ def test_exponential_rejects_nonpositive_rate():
 
 
 def test_transfer_unit_exponential_at_origin():
-    val = K.transfer_at(exp_transfer(1.0), 0.0, 0.0)
+    val = transfer(exp_transfer(1.0), 0.0, 0.0)[0]
     assert val[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("s", [0.5, 2.0, 7.0])
 def test_transfer_truncated_exponential_window(s):
-    val = K.transfer_at(exp_transfer(3.0, truncation=s), 0.0, 0.0)
+    val = transfer(exp_transfer(3.0, truncation=s), 0.0, 0.0)[0]
     assert val[0, 0] == pytest.approx((1 - math.exp(-3 * s)) / 3, abs=1e-14)
 
 
 def test_transfer_delay_pure_phase():
     mt = K.MemoryTransfer(K.Delay([[1.0]], 2.0))
-    val = K.transfer_at(mt, 0.0, math.pi)
+    val = transfer(mt, 0.0, math.pi)[0]
     assert val[0, 0] == pytest.approx(1.0, abs=1e-12)  # e^{-2 pi i}
 
 
 def test_transfer_matrix_coefficient_scales():
     c = np.array([[1.0, 2.0], [0.0, -1.0]])
     mt = K.MemoryTransfer(K.ExponentialDecay(c, 2.0))
-    val = K.transfer_at(mt, 1.0, 0.5)
+    val = transfer(mt, 1.0, 0.5)[0]
     assert np.allclose(val, c / (2.0 + 1.0 + 0.5j), atol=1e-14)
 
 
 def test_transfer_domain_guard():
     with pytest.raises(BoundViolation):
-        K.transfer_at(exp_transfer(3.0), -3.0, 0.0)
+        transfer(exp_transfer(3.0), -3.0, 0.0)
     with pytest.raises(BoundViolation):
-        K.transfer_at(exp_transfer(3.0), -3.5, 1.0)
+        transfer(exp_transfer(3.0), -3.5, 1.0)
     # truncated window is entire
-    K.transfer_at(exp_transfer(3.0, truncation=1.0), -3.5, 1.0)
+    transfer(exp_transfer(3.0, truncation=1.0), -3.5, 1.0)
 
 
 def test_transfer_sampled_matches_exponential():
@@ -81,8 +86,8 @@ def test_transfer_sampled_matches_exponential():
     values = np.exp(-k * u)[None, :, None, None]
     mt = K.MemoryTransfer(K.FiniteSupportSampled(values, support))
     lam, om = 0.3, 1.7
-    got = K.transfer_at(mt, lam, om)[0, 0]
-    want = K.transfer_at(exp_transfer(k, truncation=support), lam, om)[0, 0]
+    got = transfer(mt, lam, om)[0][0, 0]
+    want = transfer(exp_transfer(k, truncation=support), lam, om)[0][0, 0]
     assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -113,8 +118,8 @@ def test_sampled_transfer_is_exact_for_a_cubic(zeta, truncation):
     kern = K.FiniteSupportSampled(CUBIC(u)[None, :, None, None], support)
     mt = K.MemoryTransfer(kern, truncation)
     upper = support if truncation is None else truncation
-    for power, transfer in enumerate((K.transfer_at, K.transfer_dlambda)):
-        got = transfer(mt, zeta.real, zeta.imag)[0, 0]
+    for power, block in enumerate(transfer(mt, zeta.real, zeta.imag)):
+        got = block[0, 0]
         want = cubic_transfer_reference(complex(zeta), upper, power)
         assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -131,14 +136,12 @@ OVERFLOWING = {
 
 
 @pytest.mark.parametrize("family", OVERFLOWING)
-@pytest.mark.parametrize("transfer", [K.transfer_at, K.transfer_dlambda],
-                         ids=["transfer", "dlambda"])
-def test_transfer_overflow_is_a_bound_violation(transfer, family):
+@pytest.mark.parametrize("omegas", [[0.0], [-1.0, 0.0, 1.0]],
+                         ids=["one-harmonic", "three-harmonics"])
+def test_transfer_overflow_is_a_bound_violation(omegas, family):
     mt, lam = OVERFLOWING[family]
     with pytest.raises(BoundViolation, match="not finite"):
-        transfer(mt, lam, 0.0)
-    with pytest.raises(BoundViolation, match="not finite"):
-        K.memory_matrix(mt, lam, np.array([-1.0, 0.0, 1.0]))
+        K.memory_matrix(mt, lam, np.array(omegas))
 
 
 @pytest.mark.parametrize("truncation, panel_lengths", [(None, 1), (0.77, 2)])
@@ -179,8 +182,8 @@ def test_transfer_analytic_in_lambda(re, im, omega_j):
     lam = complex(re, im)
     h = 1e-5
     for mt in ANALYTIC:
-        fd = (K.transfer_at(mt, lam + h, omega_j) - K.transfer_at(mt, lam - h, omega_j)) / (2 * h)
-        an = K.transfer_dlambda(mt, lam, omega_j)
+        fd = (transfer(mt, lam + h, omega_j)[0] - transfer(mt, lam - h, omega_j)[0]) / (2 * h)
+        an = transfer(mt, lam, omega_j)[1]
         assert abs(fd[0, 0] - an[0, 0]) < 1e-6 * (1 + abs(an[0, 0]))
 
 
@@ -219,14 +222,15 @@ def test_window_transfer_agrees_with_its_closed_form_across_the_series_switch(sw
     # the closed forms above the switch: the transfer to rounding, the derivative to its
     # cancellation eps/|c*s|^2; the series below it to rounding
     df_tol = 4e-16 / abs(c * s) ** 2 if abs(c * s) >= 0.1 else 1e-15
-    assert abs(K.transfer_at(mt, lam, omega_j)[0, 0] - f) <= 1e-15 * abs(f)
-    assert abs(K.transfer_dlambda(mt, lam, omega_j)[0, 0] - df) <= df_tol * abs(df)
+    got, dgot = transfer(mt, lam, omega_j)
+    assert abs(got[0, 0] - f) <= 1e-15 * abs(f)
+    assert abs(dgot[0, 0] - df) <= df_tol * abs(df)
 
 
 def test_transfer_dlambda_untruncated_closed_form():
     mt = exp_transfer(2.0)
     lam, om = 0.4, 1.0
-    got = K.transfer_dlambda(mt, lam, om)[0, 0]
+    got = transfer(mt, lam, om)[1][0, 0]
     assert got == pytest.approx(-1.0 / (2.0 + lam + 1j * om) ** 2, abs=1e-14)
 
 
@@ -268,8 +272,8 @@ def test_truncation_bound_sampled_kernel_integrates_its_norm():
 @pytest.mark.parametrize("sbar", [1.0, 2.0, 4.0])
 def test_truncated_transfer_converges_within_bound(sbar):
     k = 2.0
-    full = K.transfer_at(exp_transfer(k), 0.0, 1.0)
-    part = K.transfer_at(exp_transfer(k, truncation=sbar), 0.0, 1.0)
+    full = transfer(exp_transfer(k), 0.0, 1.0)[0]
+    part = transfer(exp_transfer(k, truncation=sbar), 0.0, 1.0)[0]
     gap = np.linalg.norm(full - part, 2)
     bound = K.truncation_error_bound(exp_transfer(k), sbar, math.inf)
     assert gap <= bound * (1 + 1e-12)
@@ -279,8 +283,8 @@ def test_truncated_transfer_gap_is_decreasing():
     k = 1.5
     gaps = []
     for sbar in (0.5, 1.0, 2.0, 4.0, 8.0):
-        full = K.transfer_at(exp_transfer(k), 0.0, 0.3)
-        part = K.transfer_at(exp_transfer(k, truncation=sbar), 0.0, 0.3)
+        full = transfer(exp_transfer(k), 0.0, 0.3)[0]
+        part = transfer(exp_transfer(k, truncation=sbar), 0.0, 0.3)[0]
         gaps.append(np.linalg.norm(full - part, 2))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -297,6 +301,7 @@ def test_sampled_time_invariant_memory_matrix_is_blockdiagonal():
     mat, dmat = K.memory_matrix(mt, 0.1, omegas)
     for m in (mat, dmat):
         assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
-    for j, w in enumerate(omegas):
-        assert mat[j, j] == pytest.approx(K.transfer_at(mt, 0.1, w)[0, 0], abs=1e-12)
-        assert dmat[j, j] == pytest.approx(K.transfer_dlambda(mt, 0.1, w)[0, 0], abs=1e-12)
+    for j, w in enumerate(omegas):  # each block is its harmonic's transfer computed alone
+        alone, dalone = transfer(mt, 0.1, w)
+        assert np.array_equal(mat[j, j], alone[0, 0])
+        assert np.array_equal(dmat[j, j], dalone[0, 0])
