@@ -86,6 +86,8 @@ class SweepConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_harmonics < 1:
             raise ConfigError("n_harmonics must be at least 1")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output must be a file name, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if not (math.isfinite(self.bisect_tol) and self.bisect_tol > 0):

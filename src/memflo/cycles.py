@@ -62,6 +62,7 @@ __all__ = [
 
 RESOLUTION_WARN_RATIO = 1e-8
 NEWTON_TOL = 1e-10  # harmonic-balance residual norm at convergence
+NEWTON_MAX_ITER = 60  # Newton steps before solve_cycle gives up
 
 
 @dataclass
@@ -205,8 +206,7 @@ def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
     return _residual(model, pack_real_coefficients(cycle.harmonics.amplitudes), cycle.omega0)
 
 
-def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
-                max_iter: int = 60) -> LimitCycle:
+def solve_cycle(model: SystemModel, initial_guess: LimitCycle) -> LimitCycle:
     """Damped Newton iteration on the harmonic-balance residual.
 
     For autonomous models the fundamental frequency joins the unknowns and
@@ -221,7 +221,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     iteration goes on over all slots.  ``LimitCycle.residual`` is always the
     norm of the full residual, phase condition included.  Raises
     :class:`NoConvergence` with the residual trace when the iteration stalls
-    or runs past ``max_iter`` steps and :class:`SingularJacobian` when the
+    or runs past ``NEWTON_MAX_ITER`` steps and :class:`SingularJacobian` when the
     Newton system is singular.
     """
     n = model.dim
@@ -251,7 +251,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle,
     rr = full_residual(u, omega0)
     norm = float(np.linalg.norm(rr[rows]))
     trace = [norm]
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if odd and norm < NEWTON_TOL:
             # converged on the odd slots: read every slot, and go on over all
             # of them if the even ones are not balanced too

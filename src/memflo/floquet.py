@@ -55,6 +55,7 @@ from .hb import (
     unpack_real_coefficients,
 )
 from .kernels import (
+    DOMAIN_MARGIN,
     ExponentialDecay,
     FiniteSupportSampled,
     MemoryTransfer,
@@ -85,7 +86,6 @@ STABILITY_TOL = 1e-6
 MERGE_TOL = 1e-8
 TRIVIAL_FACTOR = 1e-3
 CERTIFICATE_TOL = 1e-10     # residual that certifies a pair, unless R's rounding floor is above it
-BOUND_MARGIN = 1e-9
 CONTOUR_NODES = 32          # Gauss-Legendre nodes per rectangle side, first pass
 CONTOUR_DOUBLINGS = 4       # node doublings before an unmatched count is an incomplete spectrum
 CONTOUR_MARGIN = 1.0        # rectangle clearance beyond the root and decay bounds
@@ -166,7 +166,6 @@ class FloquetEigenpair:
     multiplier: complex
     eigenvector: HarmonicVector | None
     residual: float
-    bound_ok: bool = True
     trivial: bool = False
 
 
@@ -222,13 +221,11 @@ def floquet_multiplier(exponent: complex, period: float) -> complex:
 
 def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarray,
                    residual: float) -> FloquetEigenpair:
-    """Package an eigenpair: gauge-normalized vector, multiplier, bound flag."""
+    """Package an eigenpair: gauge-normalized vector and multiplier, no bound test."""
     vec = _gauge_normalize(np.asarray(vector, dtype=complex))
     hv = HarmonicVector.from_flat(vec, problem.dim, problem.n_harmonics, problem.omega0)
-    mult = floquet_multiplier(exponent, problem.period)
-    kc = problem.critical_exponent
-    ok = (not math.isfinite(kc)) or exponent.real > -kc + BOUND_MARGIN
-    return FloquetEigenpair(complex(exponent), mult, hv, float(residual), bound_ok=ok)
+    return FloquetEigenpair(complex(exponent), floquet_multiplier(exponent, problem.period),
+                            hv, float(residual))
 
 
 def residual_matrices(p: FloquetProblem, lam: complex) -> tuple[np.ndarray, np.ndarray | None]:
@@ -269,15 +266,14 @@ def shift_harmonics(hv: HarmonicVector, m: int) -> HarmonicVector:
     return HarmonicVector(hv.dim, hv.n_harmonics, a, hv.omega0)
 
 
-def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair,
-                    steps: int = 1) -> FloquetEigenpair:
-    """The same eigenspace presented at exponent + i*steps*omega0.
+def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair) -> FloquetEigenpair:
+    """The same eigenspace presented at exponent + i*omega0.
 
     Its residual measures how well the truncated operator preserves the
     exponent-shift invariance of the underlying problem.
     """
-    lam = pair.exponent + 1j * steps * p.omega0
-    hv = shift_harmonics(pair.eigenvector, -steps)
+    lam = pair.exponent + 1j * p.omega0
+    hv = shift_harmonics(pair.eigenvector, -1)
     vec = hv.flat
     res = float(np.linalg.norm(residual_matrices(p, lam)[0] @ vec) / np.linalg.norm(vec))
     return make_eigenpair(p, lam, vec, res)
@@ -452,15 +448,18 @@ def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
 
 
 def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, float],
-                        nodes: int) -> tuple[complex, np.ndarray]:
-    """Unrounded root count of det R in ``rect`` and the enclosed eigenvalues.
+                        nodes: int) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Unrounded root count of det R in ``rect``, the enclosed eigenvalues and eigenvectors.
 
     ``nodes`` points per side, the ``CONTOUR_NODES``-point Gauss-Legendre rule
     on each of nodes // CONTOUR_NODES equal panels, give the argument-principle
     count (1/2 pi i) contour-integral tr(R^-1 R') (Delves & Lyness, Math. Comp.
     1967), then, if it is within COUNT_TOL of a positive integer, the moments of
-    R^-1, whose block Hankel pencil cut to that rank has the eigenvalues (Beyn,
-    LAA 2012).  One :func:`residual_matrices` call per node, so one kernel
+    R^-1, whose block Hankel pencil cut to that rank k has the eigenvalues (Beyn,
+    LAA 2012, section 3).  Eigenvector i, row i of the (k, n) array, is the
+    first block row of U_k s_i, U_k the Hankel's leading left singular vectors
+    and s_i the pencil's eigenvector; an unresolved count gives a (0, n) array.
+    One :func:`residual_matrices` call per node, so one kernel
     evaluation, fills the (4*nodes, n, n) stacks of R and R', n = ``p.size``,
     and R is inverted as one batch; the count and the moments both read that
     stack of inverses.  Each stack holds 4*nodes*n^2
@@ -483,7 +482,7 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
     count = dz @ np.einsum("jab,jba->j", inv, dr)  # tr(R^-1 R') at each node
     k = max(0, round(count.real))
     if k == 0 or abs(count - k) >= COUNT_TOL:  # nothing enclosed, or the count is unresolved
-        return count, np.empty(0, dtype=complex)
+        return count, np.empty(0, dtype=complex), np.empty((0, p.size), dtype=complex)
     center = sum(corners) / 4
     scale = abs(corners[2] - center)
     # moments as deep as the rank loop can reach
@@ -496,7 +495,8 @@ def contour_eigenvalues(p: FloquetProblem, rect: tuple[float, float, float, floa
             break
     h1 = np.block([[mom[i + j + 1] for j in range(depth)] for i in range(depth)])
     b = (u[:, :k].conj().T @ h1 @ vh[:k].conj().T) / s[:k]
-    return count, center + scale * np.linalg.eigvals(b)
+    w, c = np.linalg.eig(b)
+    return count, center + scale * w, (u[:p.size, :k] @ c).T
 
 
 # --- Newton polish ----------------------------------------------------------
@@ -545,8 +545,8 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
             step = 1.0
             kc = p.critical_exponent
             if p.transfer is not None and p.transfer.truncation is None and math.isfinite(kc):
-                # keep the iterate inside the transfer domain
-                while step > 1e-6 and (lam + step * delta[size]).real <= -kc + 2 * BOUND_MARGIN:
+                # keep the iterate inside the transfer domain, a margin clear of its edge
+                while step > 1e-6 and (lam + step * delta[size]).real <= -kc + 2 * DOMAIN_MARGIN:
                     step *= 0.5
             x = x + step * delta[:size]
             lam = lam + step * delta[size]
@@ -592,17 +592,14 @@ def _least_stable_first(classes) -> list[FloquetEigenpair]:
 
 
 def _in_strip(pair: FloquetEigenpair, omega0: float | None, period: float) -> FloquetEigenpair:
-    """``pair`` itself when Im(lambda) lies in (-omega0/2, omega0/2], else its shifted copy.
-
-    The copy keeps the residual and the bound flag; ``omega0=None`` folds nothing.
-    """
+    """``pair`` itself when Im(lambda) lies in (-omega0/2, omega0/2], else its shifted
+    copy with the same residual; ``omega0=None`` folds nothing."""
     m = _strip_steps(pair.exponent.imag, omega0) if omega0 is not None else 0
     if not m:
         return pair
     lam = pair.exponent - 1j * m * omega0
     vec = shift_harmonics(pair.eigenvector, m) if pair.eigenvector is not None else None
-    return FloquetEigenpair(lam, floquet_multiplier(lam, period), vec, pair.residual,
-                            bound_ok=pair.bound_ok)
+    return FloquetEigenpair(lam, floquet_multiplier(lam, period), vec, pair.residual)
 
 
 def canonicalize_spectrum(pairs, omega0: float | None, autonomous: bool = False,
@@ -654,7 +651,8 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     of a negative real multiplier, at -1/2 and +1/2 within ``MERGE_TOL``, the
     +1/2 one.
     Delay, sampled and truncated kernels go through
-    :func:`contour_eigenvalues` on the exact R(lambda); where the scalar
+    :func:`contour_eigenvalues` on the exact R(lambda), whose Hankel pencil
+    gives each candidate with its eigenvector; where the scalar
     lemma of :func:`_contour_real_extent` proves the enclosed root real, its
     candidate drops the quadrature's imaginary rounding.  Candidates are
     grouped into classes modulo i*omega0 before the polish, except for a
@@ -679,15 +677,14 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         hill = hill_matrix(p)
         n_states = len(hill) // (2 * p.n_harmonics + 1)  # state and memory components
         rf = real_form(hill, n_states, p.n_harmonics)
-        eigenpairs, n_infinite = [], 0  # (eigenvalue, eigenvector in the full packed layout)
+        eigenpairs = []  # (eigenvalue, eigenvector in the full packed layout)
         for block in _parity_blocks(rf, n_states, p.n_harmonics):
             pep = solve_pep([-rf[np.ix_(block, block)], np.eye(len(block))])
-            n_infinite += pep.n_infinite
             embedded = np.zeros((len(pep.eigenpairs), len(hill)), dtype=complex)
             embedded[:, block] = [v for _, v, _ in pep.eigenpairs]
             eigenpairs += zip([lam for lam, _, _ in pep.eigenpairs], embedded)
         eigenpairs.sort(key=lambda t: (t[0].real, t[0].imag))  # the order of one whole solve
-        diag = {"route": "hill", "n_raw": len(eigenpairs), "n_infinite": n_infinite}
+        diag = {"route": "hill", "n_raw": len(eigenpairs)}
         amps = unpack_real_coefficients(np.array([v for _, v in eigenpairs]).T,
                                         n_states, p.n_harmonics)  # complex harmonics
         weight = np.sum(np.abs(amps) ** 2, axis=0)
@@ -707,7 +704,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         nodes = CONTOUR_NODES << doubling
         mid = CONTOUR_SHIFTS[doubling] * p.omega0
         rect = (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2)
-        count, lams = contour_eigenvalues(p, rect, nodes)
+        count, lams, vecs = contour_eigenvalues(p, rect, nodes)
         if real_root:  # proven real: drop the quadrature's imaginary rounding
             lams = lams.real + 0j
         n_enclosed = round(count.real)
@@ -715,9 +712,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
             continue
         diag = {"route": "contour", "n_raw": len(lams), "n_enclosed": n_enclosed,
                 "contour": {"re": list(rect[:2]), "im": list(rect[2:]), "nodes_per_side": nodes}}
-        cands = [(lam, np.linalg.svd(residual_matrices(p, lam)[0])[2][-1].conj())
-                 for lam in lams]
-        spec = _polished_spectrum(p, cands, diag, autonomous)
+        spec = _polished_spectrum(p, list(zip(lams, vecs)), diag, autonomous)
         d = spec.diagnostics
         if n_enclosed == d["n_certified"] + d["n_bound_filtered"]:
             if not d["n_certified"]:  # every exponent lies left of the rectangle
@@ -730,11 +725,14 @@ def _polished_spectrum(p: FloquetProblem, candidates, diag: dict,
                        autonomous: bool) -> FloquetSpectrum:
     """Bound filter, classes, one polish per class; ``n_certified`` counts every copy.
 
+    ``candidates`` are the (eigenvalue, eigenvector) pairs of one route's
+    solve.  The decay bound is enforced here only: a candidate at or below
+    -k_c + ``DOMAIN_MARGIN`` is dropped and listed in ``bound_filtered``.
     Each certified pair is moved into the canonical strip before
     :func:`canonicalize_spectrum` sees it, so the spectrum's ``pairs`` and
     ``canonical_strip`` share one eigenvector per class.
     """
-    floor = -p.critical_exponent + BOUND_MARGIN  # -inf without a decay bound
+    floor = -p.critical_exponent + DOMAIN_MARGIN  # -inf without a decay bound
     survivors = [(lam, vec) for lam, vec in candidates if lam.real > floor]
     below = [[lam.real, lam.imag] for lam, _ in candidates if lam.real <= floor]
     diag.update({"n_bound_filtered": len(below), "bound_filtered": below, "n_unrefined": 0,

@@ -82,14 +82,13 @@ class Memory1DModel:
             raise ValueError("memory length must be nonnegative")
 
 
-def model1d_problem(m: Memory1DModel, n_harmonics: int = 0,
-                    period: float = 2 * math.pi) -> FloquetProblem:
-    omega0 = 2 * math.pi / period
+def model1d_problem(m: Memory1DModel, n_harmonics: int = 0) -> FloquetProblem:
+    """The scalar model as a FloquetProblem of period 2*pi (the model is time invariant)."""
     jac = toeplitz_from_periodic(
-        MatrixHarmonics.constant([[m.a]], omega0), n_harmonics=n_harmonics)
+        MatrixHarmonics.constant([[m.a]], 1.0), n_harmonics=n_harmonics)
     truncation = None if math.isinf(m.s) else m.s
     transfer = MemoryTransfer(ExponentialDecay([[1.0]], m.k), truncation=truncation)
-    return FloquetProblem(jac, transfer, period, n_harmonics, 1)
+    return FloquetProblem(jac, transfer, 2 * math.pi, n_harmonics, 1)
 
 
 def model1d_exponent(m: Memory1DModel) -> FloquetSpectrum:

@@ -24,6 +24,7 @@ __all__ = [
     "rk4_trajectory",
     "orbit_period_amplitude",
     "circular_orbit",
+    "circular_orbit_exponents",
     "particle_effective_friction",
     "selfcheck",
 ]
@@ -156,6 +157,36 @@ def circular_orbit(alpha: float, beta: float, g: float, k: float, omega: float):
     return math.sqrt(r2) / omega, 2 * math.pi / omega
 
 
+def circular_orbit_exponents(alpha: float, beta: float, g: float, k: float,
+                             omega: float) -> np.ndarray | None:
+    """Floquet exponents, modulo i*omega, of the rotating orbit in an isotropic well.
+
+    In a frame rotating at omega the circular orbit is a fixed point, so its
+    exponents are the eigenvalues of the constant matrix
+    M = A0 - omega*kron(I, J), J = [[0, -1], [1, 0]] (Golubitsky, Stewart &
+    Schaeffer 1988, rotating waves).  A0 is the Jacobian at x = (R, 0),
+    v = (0, V), V^2 = (alpha - g/k)/beta, where gamma(v) = 0 and the memory
+    state is zero: -omega^2 on the position rows, -k on the memory entries
+    and the friction block 2*beta*V^2*e2*e2^T, 6x6, or 4x4 at k = inf.  It is
+    written out here, apart from ``models.particle_system``.  Returns None
+    when no orbit exists.
+    """
+    orbit = circular_orbit(alpha, beta, g, k, omega)
+    if orbit is None:
+        return None
+    friction = 2 * beta * (orbit[0] * omega) ** 2  # 2*beta*V^2, V = R*omega
+    dim = 4 if math.isinf(k) else 6
+    a0 = np.zeros((dim, dim))
+    a0[0, 2] = a0[1, 3] = 1.0
+    a0[2, 0] = a0[3, 1] = -omega ** 2
+    if dim == 4:
+        a0[3, 3] = -friction  # the friction force -gamma(v) v, linearized
+    else:
+        a0[2, 4] = a0[3, 5] = a0[4, 4] = a0[5, 5] = -k
+        a0[5, 3] = friction  # ds/dt = -k s + gamma(v) v, linearized
+    return np.linalg.eigvals(a0 - omega * np.kron(np.eye(dim // 2), [[0.0, -1.0], [1.0, 0.0]]))
+
+
 def particle_effective_friction(m, c) -> MatrixHarmonics:
     """Harmonics of the friction force's velocity Jacobian along a cycle.
 
@@ -240,6 +271,16 @@ def selfcheck() -> list[tuple[str, bool, str]]:
               - kernels.memory_matrix(closed, 0.3, one)[0])[0, 0]
     checks.append(("sampled-kernel transfer vs exponential closed form", err < 1e-8,
                    f"|G - ref| = {err:.2e}"))
+
+    # the rotating orbit at ratio 1: every class is an eigenvalue of M, modulo i*omega
+    orbit = models.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
+    _, spec = models.particle_spectrum(orbit, n_harmonics=12)
+    want = circular_orbit_exponents(1.0, 1.0, 0.1, 1.0, 2.0)
+    err = max(np.min(np.abs(lam - want - 2j * np.round((lam - want).imag / 2.0)))
+              for lam in spec.exponents)
+    checks.append(("rotating-orbit exponents vs rotating-frame matrix",
+                   spec.diagnostics["cycle_seed"] == "rotating" and err < 1e-10,
+                   f"max |lambda - ref| mod i*omega = {err:.2e}"))
 
     tl = models.tl_spectrum(models.TlResonatorModel(R=1.0, Ra=-0.5, Z0=1.0, tau_f=1.0),
                             n_roots=3)

@@ -130,6 +130,18 @@ def test_config_rejects_values_that_hang_or_crash_a_run(tmp_path, capsys, bad, m
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "model = tl\nmode = spectrum\noutput = 1\n",  # descriptor 1: the CSV to stdout, which is then closed
+    '{"model": "tl", "mode": "spectrum", "output": 5}',
+], ids=["key-value", "json"])
+def test_numeric_output_is_a_config_error_not_a_file_descriptor(tmp_path, capsys, text):
+    path = write(tmp_path, "out.cfg", text)
+    with pytest.raises(ConfigError, match="output must be a file name"):
+        cli.parse_config(path)
+    assert cli.main(["run", path]) == 1
+    assert "config error: output must be a file name" in capsys.readouterr().err
+
+
 def test_bisection_stops_at_adjacent_floats(tmp_path):
     cfg = cli.parse_config(write(tmp_path, "tl.cfg", TL_SCAN + "bisect_tol = 1e-300\n"))
     result = cli.run(cfg)

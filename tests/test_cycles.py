@@ -176,7 +176,7 @@ def test_solve_cycle_no_convergence_reports_trace():
     amps[0, 4] = amps[0, 2] = 0.5
     guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(1, 3, amps, 1.0), math.inf)
     with pytest.raises(NoConvergence) as err:
-        C.solve_cycle(model, guess, max_iter=8)
+        C.solve_cycle(model, guess)
     assert len(err.value.trace) >= 1
 
 

@@ -1,6 +1,7 @@
 """Eigenproblem tests: assembly, scalar roots, Hill and contour routes, polish, classes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -648,10 +649,33 @@ def test_contour_assembles_once_per_node(monkeypatch):
         monkeypatch.setattr(F, name, counting(name))
     p = scalar_problem(0.0, 3.0, s=2.0)
     re_lo, re_hi = F._contour_real_extent(p)
-    count, lams = F.contour_eigenvalues(p, (re_lo, re_hi, -0.375, 0.625), 32)
+    count, lams, _ = F.contour_eigenvalues(p, (re_lo, re_hi, -0.375, 0.625), 32)
     assert calls == {"residual_matrices": 128, "memory_matrix": 128}
     assert abs(count - 1) < F.COUNT_TOL
     assert lams == pytest.approx([window_root(0.0, 3.0, 2.0)], abs=1e-9)
+
+
+@pytest.mark.parametrize("build", [lambda: delay_problem(2, 2 * math.pi, tau=5.0),
+                                   lambda: time_varying_problem()],
+                         ids=["delay_tau5", "time_varying_sampled"])
+def test_contour_candidates_arrive_with_their_eigenvectors(monkeypatch, build):
+    # the Hankel SVD of contour_eigenvalues gives each candidate's eigenvector, so R is
+    # assembled and factored nowhere else but in the Newton polish
+    callers = {"residual_matrices": [], "svd": []}
+
+    def recording(name, real):
+        def recorded(*args, **kwargs):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(F, "residual_matrices",
+                        recording("residual_matrices", F.residual_matrices))
+    monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+    spec = F.floquet_spectrum(build())
+    assert spec.diagnostics["route"] == "contour" and spec.canonical_strip
+    assert set(callers["residual_matrices"]) == {"contour_eigenvalues", "refine_eigenpair"}
+    assert set(callers["svd"]) == {"contour_eigenvalues"}
 
 
 def test_problem_constants_are_built_once_and_read_only():

@@ -1,22 +1,30 @@
 """Case-study tests against analytic oracles and closed forms."""
 
 import cmath
+import csv
 import dataclasses
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memflo import cli
 from memflo import floquet as F
 from memflo import kernels as K
 from memflo import models as M
 from memflo.cycles import solve_cycle
 from memflo.errors import MatchedLine, NoCycle
 from memflo.oracles import (
+    circular_orbit_exponents,
     monodromy_multipliers,
     particle_effective_friction,
     quadratic_memory_exponent,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # --- 1-D memory system ----------------------------------------------------------
@@ -127,6 +135,59 @@ def test_particle_cycle_is_exact_circle_at_unit_ratio():
     nh = cyc.harmonics.n_harmonics
     a = np.delete(a, [nh - 1, nh, nh + 1], axis=1)
     assert a.max() < 1e-10
+
+
+def _gap_mod(lam, exponents, omega):
+    """Distance of lam from the nearest of ``exponents``, modulo i*omega."""
+    return min(abs(lam - mu - 1j * omega * round((lam - mu).imag / omega)) for mu in exponents)
+
+
+def _committed_ratio1_rows():
+    """(parameters, committed max_re_lambda) of every ratio-1 row of fig3 and fig4*."""
+    rows = []
+    for name in ("fig3", "fig4", "fig4_k3", "fig4_k10", "fig4_k100"):
+        cfg = cli.parse_config(str(REPO / "figs" / f"{name}.cfg"))
+        fixed, ranged = cfg.fixed_values(), cfg.ranged_names()
+        text = (REPO / cfg.output_path).read_text()
+        if cfg.output_format == "csv":
+            points = [((float(r["param1"]), float(r["param2"])), r["max_re_lambda"])
+                      for r in csv.DictReader(io.StringIO(text))]
+        else:
+            points = [((r["param1"], r["param2"]), r["max_re_lambda"])
+                      for r in json.loads(text)["rows"]]
+        for point, top in points:
+            params = fixed | dict(zip(ranged, point))
+            if params["ratio"] == 1.0 and top not in (None, ""):
+                rows.append((params, float(top)))
+    return rows
+
+
+def test_ratio1_rows_match_the_rotating_frame_oracle():
+    # at ratio 1 the cycle is the circular orbit, a fixed point in the frame rotating at
+    # omega1, so its exponents are the eigenvalues of one constant matrix, modulo i*omega1.
+    # Class counts are not asserted: MERGE_TOL merges a true pair on 8 of these rows
+    checked = 0
+    for p, top in _committed_ratio1_rows():
+        omega = p["omega1"]
+        m = M.BrownianParticleModel(p["alpha"], p["beta"], p["g"], p["k"], (omega, omega))
+        _, spec = M.particle_spectrum(m, n_harmonics=12)
+        if spec.diagnostics["cycle_seed"] == "rest":
+            continue
+        want = circular_orbit_exponents(p["alpha"], p["beta"], p["g"], p["k"], omega)
+        assert max(_gap_mod(lam, want, omega) for lam in spec.exponents) < 1e-10
+        trivial = min(range(len(want)), key=lambda i: _gap_mod(0.0, [want[i]], omega))
+        assert abs(top - max(w.real for i, w in enumerate(want) if i != trivial)) < 1e-10
+        checked += 1
+    assert checked == 62  # fig3: 6; fig4 at k = 1, 3, 10, 100: 13, 12, 17, 14
+
+
+def test_circular_orbit_exponents_without_memory_match_the_hill_classes():
+    m = M.BrownianParticleModel(alpha=0.5, beta=1.0, g=0.1, k=math.inf, omega_bar=(2.0, 2.0))
+    _, spec = M.particle_spectrum(m, n_harmonics=12)
+    want = circular_orbit_exponents(0.5, 1.0, 0.1, math.inf, 2.0)
+    assert len(want) == 4 and len(spec.canonical_strip) == 4
+    assert max(_gap_mod(lam, want, 2.0) for lam in spec.exponents) < 1e-10
+    assert circular_orbit_exponents(0.05, 1.0, 0.1, 1.0, 2.0) is None  # alpha < g/k: no orbit
 
 
 def test_particle_spectrum_builds_each_seed_only_when_it_is_reached(monkeypatch):
@@ -395,13 +456,13 @@ def test_polarized_cycle_keeps_decay_bound_filter():
     assert len(spec.canonical_strip) == 5
     assert spec.diagnostics["n_bound_filtered"] == 1
     assert all(re <= -m.k + 1e-6 for re, _ in spec.diagnostics["bound_filtered"])
-    assert all(c.bound_ok and c.exponent.real > -m.k for c in spec.canonical_strip)
+    assert all(c.exponent.real > -m.k + K.DOMAIN_MARGIN for c in spec.canonical_strip)
 
 
 def test_particle_spectrum_has_no_infinite_eigenvalues():
     m = M.BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 2.0))
     _, spec = M.particle_spectrum(m, n_harmonics=8)
-    assert spec.diagnostics["n_infinite"] == 0
+    assert "n_infinite" not in spec.diagnostics  # the standard eigenproblem has none
     assert spec.diagnostics["n_raw"] == (4 + 2) * 17  # state plus velocity memory
     assert len(spec.canonical_strip) == 6
 
