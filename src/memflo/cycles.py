@@ -126,8 +126,7 @@ class LimitCycle:
 def rotate_phase(hv: HarmonicVector, phi: float) -> HarmonicVector:
     """Shift the time origin: a_h -> a_h * exp(i h phi)."""
     factors = np.exp(1j * hv.harmonics * phi)
-    return HarmonicVector(hv.dim, hv.n_harmonics, hv.amplitudes * factors, hv.omega0,
-                          real_signal=hv.real_signal)
+    return HarmonicVector(hv.amplitudes * factors, hv.omega0, real_signal=hv.real_signal)
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,7 +147,7 @@ def _real_grid(nh: int, odd: bool = False) -> tuple[np.ndarray, np.ndarray, np.n
                 derivative[np.ix_(slots, slots)])
     else:
         forward = _grid_basis(nh, 4 * nh + 1)
-        unpack = unpack_real_coefficients(np.eye(2 * nh + 1), 1, nh)  # d(amplitudes)/du
+        unpack = unpack_real_coefficients(np.eye(2 * nh + 1), nh)  # d(amplitudes)/du
         h = np.arange(-nh, nh + 1)
         grid = (np.ascontiguousarray((forward.shape[1] * forward.conj().T @ unpack[0]).real),
                 pack_real_coefficients(forward[None]),
@@ -294,8 +293,7 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle) -> LimitCycle:
     else:
         raise NoConvergence("cycle Newton did not reach tolerance", trace)
 
-    amps = unpack_real_coefficients(u, n, nh)
-    result = HarmonicVector(n, nh, amps, omega0, real_signal=True)
+    result = HarmonicVector(unpack_real_coefficients(u, nh), omega0, real_signal=True)
     _warn_if_underresolved(result)
     return LimitCycle(2 * np.pi / omega0, result, norm)
 
@@ -372,6 +370,6 @@ def linearize(model: SystemModel, cycle: LimitCycle) -> FloquetProblem:
     if _half_wave_symmetric(model, u, cycle.period):
         even = a_mh.coeffs.copy()
         even[:, :, 1::2] = 0.0  # column i holds harmonic i - 2N: the odd ones
-        a_mh = MatrixHarmonics(n, n, 2 * nh, even, a_mh.omega0)
+        a_mh = MatrixHarmonics(even, a_mh.omega0)
     jac = toeplitz_from_periodic(a_mh, n_harmonics=nh)
     return FloquetProblem(jac, None, cycle.period, nh, n, memory_rate=model.memory_rate)

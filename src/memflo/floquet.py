@@ -87,11 +87,10 @@ MERGE_TOL = 1e-8
 TRIVIAL_FACTOR = 1e-3
 CERTIFICATE_TOL = 1e-10     # residual that certifies a pair, unless R's rounding floor is above it
 CONTOUR_NODES = 32          # Gauss-Legendre nodes per rectangle side, first pass
-CONTOUR_DOUBLINGS = 4       # node doublings before an unmatched count is an incomplete spectrum
 CONTOUR_MARGIN = 1.0        # rectangle clearance beyond the root and decay bounds
 CONTOUR_DEPTH = 5.0         # rectangle left edge at Re = -CONTOUR_DEPTH without a decay bound
-# contour attempt j has its edges at Im = (+-1/2 + CONTOUR_SHIFTS[j]) * omega0; never a
-# shift of 0 or 1/2 mod 1, where real multipliers put exponents
+# contour attempt j: edges at Im = (+-1/2 + CONTOUR_SHIFTS[j]) * omega0, CONTOUR_NODES * 2^j
+# nodes per side; never a shift of 0 or 1/2 mod 1, where real multipliers put exponents
 CONTOUR_SHIFTS = (0.125, 0.375, 0.25, 0.0625, 0.3125)
 COUNT_TOL = 0.05            # distance of the contour count from its integer
 RANK_TOL = 1e-8             # relative singular value that still counts in the Hankel rank
@@ -222,10 +221,9 @@ def floquet_multiplier(exponent: complex, period: float) -> complex:
 def make_eigenpair(problem: FloquetProblem, exponent: complex, vector: np.ndarray,
                    residual: float) -> FloquetEigenpair:
     """Package an eigenpair: gauge-normalized vector and multiplier, no bound test."""
-    vec = _gauge_normalize(np.asarray(vector, dtype=complex))
-    hv = HarmonicVector.from_flat(vec, problem.dim, problem.n_harmonics, problem.omega0)
+    vec = _gauge_normalize(np.asarray(vector, dtype=complex)).reshape(problem.dim, -1)
     return FloquetEigenpair(complex(exponent), floquet_multiplier(exponent, problem.period),
-                            hv, float(residual))
+                            HarmonicVector(vec, problem.omega0), float(residual))
 
 
 def residual_matrices(p: FloquetProblem, lam: complex) -> tuple[np.ndarray, np.ndarray | None]:
@@ -258,12 +256,12 @@ def shift_harmonics(hv: HarmonicVector, m: int) -> HarmonicVector:
     a = np.zeros_like(hv.amplitudes)
     mm = 2 * hv.n_harmonics + 1
     if abs(m) >= mm:
-        return HarmonicVector(hv.dim, hv.n_harmonics, a, hv.omega0)
+        return HarmonicVector(a, hv.omega0)
     if m >= 0:
         a[:, m:] = hv.amplitudes[:, :mm - m]
     else:
         a[:, :mm + m] = hv.amplitudes[:, -m:]
-    return HarmonicVector(hv.dim, hv.n_harmonics, a, hv.omega0)
+    return HarmonicVector(a, hv.omega0)
 
 
 def splitting_shift(p: FloquetProblem, pair: FloquetEigenpair) -> FloquetEigenpair:
@@ -664,8 +662,8 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     ``canonical_strip`` share one eigenvector per class.  The certified plus
     the bound-filtered candidates must number the Hill states, or the contour
     root count; an unmatched contour count moves the rectangle to the next
-    of ``CONTOUR_SHIFTS`` with twice the nodes, at most ``CONTOUR_DOUBLINGS``
-    times.  An unmatched count, or a
+    of ``CONTOUR_SHIFTS`` with twice the nodes, so the shift list is the
+    retry budget.  An unmatched count after its last shift, or a
     matched contour count with no certified class, raises
     :class:`~memflo.errors.IncompleteSpectrum`.  ``autonomous`` marks the
     time-translation class as trivial, and a spectrum without one raises it
@@ -676,7 +674,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     if _hill_applies(p):
         hill = hill_matrix(p)
         n_states = len(hill) // (2 * p.n_harmonics + 1)  # state and memory components
-        rf = real_form(hill, n_states, p.n_harmonics)
+        rf = real_form(hill, p.n_harmonics)
         eigenpairs = []  # (eigenvalue, eigenvector in the full packed layout)
         for block in _parity_blocks(rf, n_states, p.n_harmonics):
             pep = solve_pep([-rf[np.ix_(block, block)], np.eye(len(block))])
@@ -686,7 +684,7 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         eigenpairs.sort(key=lambda t: (t[0].real, t[0].imag))  # the order of one whole solve
         diag = {"route": "hill", "n_raw": len(eigenpairs)}
         amps = unpack_real_coefficients(np.array([v for _, v in eigenpairs]).T,
-                                        n_states, p.n_harmonics)  # complex harmonics
+                                        p.n_harmonics)  # complex harmonics
         weight = np.sum(np.abs(amps) ** 2, axis=0)
         centroid = np.arange(-p.n_harmonics, p.n_harmonics + 1) @ weight / weight.sum(axis=0)
         vecs = amps.reshape(len(hill), -1)[:p.size].T
@@ -700,9 +698,9 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         return spec
     re_lo, re_hi = _contour_real_extent(p)
     real_root = _scalar_window_lemma(p)
-    for doubling in range(CONTOUR_DOUBLINGS + 1):
+    for doubling, shift in enumerate(CONTOUR_SHIFTS):
         nodes = CONTOUR_NODES << doubling
-        mid = CONTOUR_SHIFTS[doubling] * p.omega0
+        mid = shift * p.omega0
         rect = (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2)
         count, lams, vecs = contour_eigenvalues(p, rect, nodes)
         if real_root:  # proven real: drop the quadrature's imaginary rounding

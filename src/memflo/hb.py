@@ -102,22 +102,19 @@ class TimeSamples:
 class HarmonicVector:
     """Truncated complex-exponential Fourier representation of a periodic signal.
 
-    ``amplitudes`` has shape (dim, 2N+1) with harmonics ordered -N..N.  When
-    ``real_signal`` is set the coefficients must be conjugate symmetric,
-    a(c, -h) == conj(a(c, h)).
+    ``amplitudes`` has shape (dim, 2N+1) with harmonics ordered -N..N; ``dim``
+    and ``n_harmonics`` are read from it.  When ``real_signal`` is set the
+    coefficients must be conjugate symmetric, a(c, -h) == conj(a(c, h)).
     """
 
-    dim: int
-    n_harmonics: int
     amplitudes: np.ndarray
     omega0: float
     real_signal: bool = False
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
-        m = 2 * self.n_harmonics + 1
-        if a.shape != (self.dim, m):
-            raise ValueError(f"amplitudes must have shape ({self.dim}, {m}), got {a.shape}")
+        if a.ndim != 2 or a.shape[1] % 2 != 1:
+            raise ValueError(f"amplitudes must have shape (dim, 2N+1), got {a.shape}")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.real_signal:
@@ -125,6 +122,14 @@ class HarmonicVector:
             if defect > _SYMMETRY_TOL * (1.0 + np.max(np.abs(a))):
                 raise ValueError(f"conjugate symmetry violated by {defect:.3e}")
         object.__setattr__(self, "amplitudes", _readonly(a))
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @property
+    def n_harmonics(self) -> int:
+        return (self.amplitudes.shape[1] - 1) // 2
 
     @property
     def period(self) -> float:
@@ -150,18 +155,13 @@ class HarmonicVector:
         phases = np.exp(1j * self.omega0 * np.outer(self.harmonics, t))
         return self.amplitudes @ phases
 
-    @classmethod
-    def from_flat(cls, flat, dim, n_harmonics, omega0, real_signal=False):
-        a = np.asarray(flat, dtype=complex).reshape(dim, 2 * n_harmonics + 1)
-        return cls(dim, n_harmonics, a, omega0, real_signal)
-
 
 def dft(x: TimeSamples) -> HarmonicVector:
     """Transform time samples to harmonic amplitudes; the sample count fixes the truncation."""
     n = x.n_harmonics
     amps = x.samples @ _grid_basis(n, 2 * n + 1).T
     real = bool(np.max(np.abs(np.asarray(x.samples).imag)) == 0.0) if np.iscomplexobj(x.samples) else True
-    return HarmonicVector(x.dim, n, amps, 2 * np.pi / x.period, real_signal=real)
+    return HarmonicVector(amps, 2 * np.pi / x.period, real_signal=real)
 
 
 def idft(a: HarmonicVector) -> TimeSamples:
@@ -173,45 +173,50 @@ def idft(a: HarmonicVector) -> TimeSamples:
 def differentiate(a: HarmonicVector) -> HarmonicVector:
     """Time derivative in harmonic form: a_h -> i*h*omega0 * a_h."""
     factors = 1j * a.harmonics * a.omega0
-    return HarmonicVector(a.dim, a.n_harmonics, a.amplitudes * factors, a.omega0,
-                          real_signal=a.real_signal)
+    return HarmonicVector(a.amplitudes * factors, a.omega0, real_signal=a.real_signal)
 
 
 @dataclass(frozen=True)
 class MatrixHarmonics:
     """Fourier coefficients of a periodic matrix-valued signal.
 
-    ``coeffs`` has shape (rows, cols, 2N+1), harmonic index ordered -N..N.
+    ``coeffs`` has shape (rows, cols, 2N+1), harmonics -N..N; the three sizes are read from it.
     """
 
-    rows: int
-    cols: int
-    n_harmonics: int
     coeffs: np.ndarray
     omega0: float
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        m = 2 * self.n_harmonics + 1
-        if c.shape != (self.rows, self.cols, m):
-            raise ValueError(f"coeffs must have shape ({self.rows}, {self.cols}, {m})")
+        if c.ndim != 3 or c.shape[2] % 2 != 1:
+            raise ValueError(f"coeffs must have shape (rows, cols, 2N+1), got {c.shape}")
         object.__setattr__(self, "coeffs", _readonly(c))
+
+    @property
+    def rows(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def n_harmonics(self) -> int:
+        return (self.coeffs.shape[2] - 1) // 2
 
     @classmethod
     def constant(cls, mat, omega0: float) -> "MatrixHarmonics":
-        mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-        c = mat[:, :, None]
-        return cls(mat.shape[0], mat.shape[1], 0, c, omega0)
+        return cls(np.atleast_2d(np.asarray(mat, dtype=complex))[:, :, None], omega0)
 
     @classmethod
     def from_time_grid(cls, values, period: float, n_keep: int) -> "MatrixHarmonics":
         """Coefficients -n_keep..n_keep from samples on t_g = g*T/G, g = 1..G."""
         values = np.asarray(values)
-        rows, cols, g = values.shape
+        g = values.shape[2]
         if g < 2 * n_keep + 1:
             raise ValueError("grid too coarse for the requested coefficient band")
         coeffs = np.einsum("rcg,hg->rch", values.astype(complex), _grid_basis(n_keep, g))
-        return cls(rows, cols, n_keep, coeffs, 2 * np.pi / period)
+        return cls(coeffs, 2 * np.pi / period)
 
     def coefficient(self, harmonic: int) -> np.ndarray:
         """The (rows, cols) coefficient matrix of one harmonic; zero out of band."""
@@ -286,16 +291,17 @@ def pack_real_coefficients(amps: np.ndarray) -> np.ndarray:
     return out.reshape((dim * m,) + amps.shape[2:])
 
 
-def unpack_real_coefficients(u: np.ndarray, dim: int, n_harmonics: int) -> np.ndarray:
+def unpack_real_coefficients(u: np.ndarray, n_harmonics: int) -> np.ndarray:
     """Inverse of :func:`pack_real_coefficients`; restores conjugate symmetry.
 
-    Trailing axes of ``u`` are carried along: unpacking the identity gives
-    the columns of U = d(amplitudes)/d(packed real unknowns).  The map is
-    complex-linear, a_{+-h} = u_{2h-1} +- i*u_{2h}, so a complex ``u`` unpacks
-    to U u (conjugate symmetric only when ``u`` is real).
+    The first axis of ``u``, of length dim*(2N+1), fixes dim; trailing axes
+    are carried along: unpacking the identity gives the columns of
+    U = d(amplitudes)/d(packed real unknowns).  The map is complex-linear,
+    a_{+-h} = u_{2h-1} +- i*u_{2h}, so a complex ``u`` unpacks to U u
+    (conjugate symmetric only when ``u`` is real).
     """
     u = np.asarray(u)
-    u = u.reshape((dim, 2 * n_harmonics + 1) + u.shape[1:])
+    u = u.reshape((-1, 2 * n_harmonics + 1) + u.shape[1:])
     re, im = u[:, 1::2], 1j * u[:, 2::2]
     amps = np.empty(u.shape, dtype=complex)
     amps[:, n_harmonics] = u[:, 0]
@@ -315,17 +321,19 @@ def _odd_slots(n_harmonics: int) -> np.ndarray:
     return mask
 
 
-def real_form(mat: np.ndarray, dim: int, n_harmonics: int) -> np.ndarray:
+def real_form(mat: np.ndarray, n_harmonics: int) -> np.ndarray:
     """U^-1 mat U: a (dim*(2N+1))-square matrix on the harmonic layout, in the packed basis.
 
-    U is the map of :func:`unpack_real_coefficients`, so an eigenvector v of
-    the result unpacks to the eigenvector U v of ``mat``.  Both factors are
-    applied by slicing the harmonic pairs +-h.  A matrix that maps
-    conjugate-symmetric amplitudes to conjugate-symmetric ones (a real
-    signal operator) has a real form; an imaginary part above the
-    conjugate-symmetry tolerance raises ``ValueError``.
+    dim is read from the side of ``mat``.  U is the map of
+    :func:`unpack_real_coefficients`, so an eigenvector v of the result
+    unpacks to the eigenvector U v of ``mat``.  Both factors are applied by
+    slicing the harmonic pairs +-h.  A matrix that maps conjugate-symmetric
+    amplitudes to conjugate-symmetric ones (a real signal operator) has a
+    real form; an imaginary part above the conjugate-symmetry tolerance
+    raises ``ValueError``.
     """
     n, m = n_harmonics, 2 * n_harmonics + 1
+    dim = len(mat) // m
     a = np.asarray(mat).reshape(dim, m, dim, m)
     # columns of mat U, from the columns of harmonics 0, +h and -h (h = 1..N)
     pos, neg = a[..., n + 1:], a[..., :n][..., ::-1]

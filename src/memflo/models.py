@@ -212,12 +212,11 @@ def _orbit_guess(m: BrownianParticleModel, n_harmonics: int, omega: float,
     The velocities are their derivatives and the memory states are zero.
     """
     nh = n_harmonics
-    dim = 4 if math.isinf(m.k) else 6
-    amps = np.zeros((dim, 2 * nh + 1), dtype=complex)
+    amps = np.zeros((4 if math.isinf(m.k) else 6, 2 * nh + 1), dtype=complex)
     amps[:2, nh + 1] = first
     amps[:2, nh - 1] = np.conj(first)
-    amps[2:4] = differentiate(HarmonicVector(2, nh, amps[:2], omega, real_signal=True)).amplitudes
-    hv = HarmonicVector(dim, nh, amps, omega, real_signal=True)
+    amps[2:4] = differentiate(HarmonicVector(amps[:2], omega, real_signal=True)).amplitudes
+    hv = HarmonicVector(amps, omega, real_signal=True)
     return LimitCycle(2 * math.pi / omega, hv, math.inf)
 
 
@@ -256,19 +255,20 @@ def polarized_cycle_guess(m: BrownianParticleModel, n_harmonics: int,
     return _orbit_guess(m, n_harmonics, omega, first)
 
 
-def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
-    """Exponents of the resting state at the origin.
+def _rest_cycle(system: SystemModel, omega0: float, n_harmonics: int) -> LimitCycle:
+    """The resting state at the origin: the zero-amplitude cycle, an exact solution."""
+    zero = HarmonicVector(np.zeros((system.dim, 2 * n_harmonics + 1)), omega0, real_signal=True)
+    return LimitCycle(2 * math.pi / omega0, zero, 0.0)
 
-    The linearization is the system Jacobian at z = 0, time invariant, so
-    the problem has no harmonics besides the zeroth and its exponents are
-    plain eigenvalues, not folded into a strip.
+
+def particle_equilibrium_spectrum(m: BrownianParticleModel) -> FloquetSpectrum:
+    """Exponents of the resting state at the origin, linearized like any cycle.
+
+    As the zero-amplitude cycle at N = 0 its Jacobian is time invariant, so
+    its exponents are plain eigenvalues, not folded into a strip.
     """
-    system, omega0 = particle_system(m), m.omega_bar[0]
-    a = system.rhs_jacobian(np.zeros(system.dim), 0.0)
-    jac = toeplitz_from_periodic(MatrixHarmonics.constant(a, omega0), n_harmonics=0)
-    problem = FloquetProblem(jac, None, 2 * math.pi / omega0, 0, system.dim,
-                             memory_rate=system.memory_rate)
-    return floquet_spectrum(problem)
+    system = particle_system(m)
+    return floquet_spectrum(linearize(system, _rest_cycle(system, m.omega_bar[0], 0)))
 
 
 def _seeds(m: BrownianParticleModel, n_harmonics: int, warm: LimitCycle | None):
@@ -315,12 +315,7 @@ def particle_spectrum(m: BrownianParticleModel, n_harmonics: int = 30,
     if eq.stability == "Unstable":
         raise NoCycle("no periodic attractor found and the resting state is unstable")
     eq.diagnostics["cycle_seed"] = "rest"
-    zero = LimitCycle(2 * math.pi / m.omega_bar[0],
-                      HarmonicVector(system.dim, n_harmonics,
-                                     np.zeros((system.dim, 2 * n_harmonics + 1)),
-                                     m.omega_bar[0], real_signal=True),
-                      0.0)
-    return zero, eq
+    return _rest_cycle(system, m.omega_bar[0], n_harmonics), eq
 
 
 def cycle_amplitude(cycle: LimitCycle) -> float:
@@ -389,7 +384,7 @@ def tl_spectrum(m: TlResonatorModel, n_roots: int = 5) -> FloquetSpectrum:
     pairs = []
     for k in range(n_roots):
         lam = (base + 2j * math.pi * k) / (2 * m.tau_f)
-        vec = HarmonicVector(1, 0, np.array([[1.0 + 0j]]), omega0)
+        vec = HarmonicVector(np.array([[1.0 + 0j]]), omega0)
         residual = abs(cmath.exp(2 * lam * m.tau_f) + gamma0)
         pairs.append(FloquetEigenpair(lam, floquet_multiplier(lam, period), vec, residual))
     return canonicalize_spectrum(pairs, omega0, period=period,

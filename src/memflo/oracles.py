@@ -255,7 +255,7 @@ def selfcheck() -> list[tuple[str, bool, str]]:
     coeffs = np.zeros((2, 2, 3))
     coeffs[:, :, 1] = [[0.0, 1.0], [-1.0, -0.05]]
     coeffs[1, 0, [0, 2]] = -0.2
-    mathieu = hb.MatrixHarmonics(2, 2, 1, coeffs, 2.0)
+    mathieu = hb.MatrixHarmonics(coeffs, 2.0)
     jac = hb.toeplitz_from_periodic(mathieu, n_harmonics=12)
     spec = floquet.floquet_spectrum(floquet.FloquetProblem(jac, None, math.pi, 12, 2))
     want = monodromy_multipliers(lambda t: mathieu.evaluate(t).real, 2, math.pi)

@@ -17,7 +17,7 @@ import pytest
 import memflo
 
 from memflo import cli
-from memflo.errors import ConfigError
+from memflo.errors import ConfigError, NoCycle
 from memflo.models import (
     BrownianParticleModel,
     Memory1DModel,
@@ -454,3 +454,13 @@ def test_memory1d_row_with_an_overflowing_multiplier(tmp_path):
     assert row.verdict == "Unstable"
     want = model1d_asymptotic_exponent(Memory1DModel(120.0, 3.0, math.inf))
     assert row.max_re_lambda == pytest.approx(want, abs=1e-9)
+
+
+def test_no_seed_and_an_unstable_rest_state_is_a_no_cycle_row():
+    # beta = 0 leaves no seed; the rest friction -alpha + g/k = -0.9 makes the rest state unstable
+    params = {"alpha": 1.0, "beta": 0.0, "g": 0.1, "k": 1.0}
+    with pytest.raises(NoCycle):
+        particle_spectrum(BrownianParticleModel(**params), n_harmonics=4)
+    row, warm = cli._evaluate("particle", (1.0, None), params, 4, "sweep")
+    assert row.error_code == "no_cycle" and warm is None
+    assert cli._bisect_value(row) == 1.0

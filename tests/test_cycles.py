@@ -46,7 +46,7 @@ def forced_memory_model(k):
 
 
 def zero_guess(dim, n_harmonics, period):
-    hv = hb.HarmonicVector(dim, n_harmonics, np.zeros((dim, 2 * n_harmonics + 1)),
+    hv = hb.HarmonicVector(np.zeros((dim, 2 * n_harmonics + 1)),
                            2 * math.pi / period, real_signal=True)
     return C.LimitCycle(period, hv, math.inf)
 
@@ -61,7 +61,7 @@ def test_residual_linear_steady_state_is_zero():
     amps[0, n + 1] = 0.5 / (1 + 1j)
     amps[0, n - 1] = 0.5 / (1 - 1j)
     cand = C.LimitCycle(2 * math.pi,
-                        hb.HarmonicVector(1, n, amps, 1.0, real_signal=True), 0.0)
+                        hb.HarmonicVector(amps, 1.0, real_signal=True), 0.0)
     assert np.linalg.norm(C.hb_residual(model, cand)) < 1e-12
 
 
@@ -94,7 +94,7 @@ def test_residual_memory_term_uses_zero_frequency_transfer():
     amps = np.zeros((2, 2 * n + 1))
     amps[0, n] = zstar
     amps[1, n] = zstar / k
-    cand = C.LimitCycle(2 * math.pi, hb.HarmonicVector(2, n, amps, 1.0, real_signal=True),
+    cand = C.LimitCycle(2 * math.pi, hb.HarmonicVector(amps, 1.0, real_signal=True),
                         0.0)
     assert np.linalg.norm(C.hb_residual(model, cand)) < 1e-12
 
@@ -130,7 +130,7 @@ def test_solve_cycle_carries_exponential_memory(k):
     amps = np.zeros((2, 11), dtype=complex)
     amps[0, 6] = 0.5 / (1 + 1j)
     amps[0, 4] = amps[0, 6].conjugate()
-    guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(2, 5, amps, 1.0, real_signal=True),
+    guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(amps, 1.0, real_signal=True),
                          math.inf)
     cyc = C.solve_cycle(model, guess)
     exact = 0.5 / (1 + 1j - 1 / (k + 1j))
@@ -174,7 +174,7 @@ def test_solve_cycle_no_convergence_reports_trace():
                           lambda z, t: np.array([[2 * z[0]]]), autonomous=True)
     amps = np.zeros((1, 7), dtype=complex)
     amps[0, 4] = amps[0, 2] = 0.5
-    guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(1, 3, amps, 1.0), math.inf)
+    guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(amps, 1.0), math.inf)
     with pytest.raises(NoConvergence) as err:
         C.solve_cycle(model, guess)
     assert len(err.value.trace) >= 1
@@ -255,13 +255,13 @@ def test_newton_matrix_equals_complex_toeplitz_chain(name, nh):
     model, u, omega0 = _newton_case(name, nh)
     n, period = model.dim, 2 * math.pi / omega0
     times = hb.sample_times(2 * nh, period)
-    amps = hb.unpack_real_coefficients(u, n, nh)
-    z = hb.HarmonicVector(n, nh, amps, omega0).evaluate(times).real
+    amps = hb.unpack_real_coefficients(u, nh)
+    z = hb.HarmonicVector(amps, omega0).evaluate(times).real
     samples = np.broadcast_to(np.reshape(model.rhs_jacobian(z, times), (n, n, -1)),
                               (n, n, len(times)))
     band = hb.MatrixHarmonics.from_time_grid(samples, period, 2 * nh)
     chain = hb.real_form(hb.stacked_diff_matrix(n, nh, omega0)
-                         - hb.toeplitz_from_periodic(band, n_harmonics=nh), n, nh)
+                         - hb.toeplitz_from_periodic(band, n_harmonics=nh), nh)
     jac = C._newton_matrix(model, u, omega0)
     assert np.max(np.abs(jac - chain)) <= 1e-12 * np.max(np.abs(chain))
 

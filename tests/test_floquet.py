@@ -188,7 +188,7 @@ def test_hill_matrix_modulated_memory_row_structure():
     coeffs[1, 0, 1] = 1.0   # constant part of B
     coeffs[1, 0, 2] = 0.25  # e^{+i w0 t}
     coeffs[1, 0, 0] = 0.25
-    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics(2, 2, 1, coeffs, omega0=1.0),
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics(coeffs, omega0=1.0),
                                     n_harmonics=n)
     p = F.FloquetProblem(jac, None, 2 * math.pi, n, 2, memory_rate=2.0)
     h = F.hill_matrix(p)
@@ -244,14 +244,13 @@ def particle_problem(n_harmonics):
 def test_hill_real_form_keeps_the_hill_spectrum(build):
     p = build()
     h = F.hill_matrix(p)
-    n_states = len(h) // (2 * p.n_harmonics + 1)
-    real = hb.real_form(h, n_states, p.n_harmonics)
+    real = hb.real_form(h, p.n_harmonics)
     assert real.dtype == np.float64
     lams, vecs = scipy.linalg.eig(real)
     want = scipy.linalg.eigvals(h)
     rows, cols = linear_sum_assignment(np.abs(lams[:, None] - want[None, :]))
     assert np.all(np.abs(lams[rows] - want[cols]) <= 1e-12 * (1 + np.abs(want[cols])))
-    back = hb.unpack_real_coefficients(vecs, n_states, p.n_harmonics).reshape(len(h), -1)
+    back = hb.unpack_real_coefficients(vecs, p.n_harmonics).reshape(len(h), -1)
     resid = np.linalg.norm(h @ back - back * lams, axis=0)
     assert np.all(resid <= 1e-10 * np.linalg.norm(back, axis=0))
 
@@ -354,7 +353,7 @@ def test_refine_returns_none_where_the_transfer_overflows():
 def _plain_pair(lam, period=2 * math.pi, residual=0.0, n=2):
     vec = np.zeros(2 * n + 1, dtype=complex)
     vec[n] = 1.0
-    hv = hb.HarmonicVector(1, n, vec[None, :], 2 * math.pi / period)
+    hv = hb.HarmonicVector(vec[None, :], 2 * math.pi / period)
     return F.FloquetEigenpair(lam, np.exp(lam * period), hv, residual)
 
 
@@ -457,7 +456,7 @@ def test_mathieu_tongue_keeps_one_copy_of_each_class(n):
     coeffs = np.zeros((2, 2, 3))
     coeffs[:, :, 1] = [[0.0, 1.0], [-1.0, -0.05]]
     coeffs[1, 0, [0, 2]] = -0.2
-    mathieu = hb.MatrixHarmonics(2, 2, 1, coeffs, 2.0)
+    mathieu = hb.MatrixHarmonics(coeffs, 2.0)
     p = F.FloquetProblem(hb.toeplitz_from_periodic(mathieu, n_harmonics=n), None, math.pi, n, 2)
     spec = F.floquet_spectrum(p)
     assert len(spec.canonical_strip) == 2
@@ -573,6 +572,16 @@ def test_delay_kernel_characteristic_root():
     spec = F.floquet_spectrum(p)
     lam_m = max(q.exponent.real for q in spec.canonical_strip)
     assert lam_m == pytest.approx(lam, abs=1e-10)
+
+
+def test_delay_beyond_the_memory_window_leaves_the_memoryless_exponent():
+    # y' = -y + y(t - 1)/2 seen through a window of 0.5: the delayed term never enters
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant([[-1.0]], 1.0), n_harmonics=2)
+    mt = K.MemoryTransfer(K.Delay([[0.5]], 1.0), truncation=0.5)
+    spec = F.floquet_spectrum(F.FloquetProblem(jac, mt, 2 * math.pi, 2, 1))
+    assert spec.diagnostics["route"] == "contour"
+    assert len(spec.canonical_strip) == 1
+    assert abs(spec.canonical_strip[0].exponent - (-1.0)) < 1e-12
 
 
 def delay_problem(n_harmonics, period, a=-1.0, b=0.5, dim=1, tau=1.0):
@@ -784,7 +793,7 @@ def test_contour_route_raises_on_a_lost_candidate(monkeypatch):
         return refine(problem, exponent, vector)
 
     monkeypatch.setattr(F, "refine_eigenpair", failing)
-    monkeypatch.setattr(F, "CONTOUR_DOUBLINGS", 1)
+    monkeypatch.setattr(F, "CONTOUR_SHIFTS", F.CONTOUR_SHIFTS[:2])
     with pytest.raises(IncompleteSpectrum, match="64 nodes"):
         F.floquet_spectrum(p)
 
@@ -965,7 +974,7 @@ def test_half_wave_cycle_solves_its_hill_matrix_as_two_parity_blocks(
     # six states; harmonic 0 and the cos/sin pairs of the even h, then those of the odd h
     assert [len(c) for c, _ in pep_blocks] == [6 * (1 + 2 * (n // 2)), 6 * 2 * ((n + 1) // 2)]
     assert spec.diagnostics["n_raw"] == 6 * (2 * n + 1)
-    h = hb.real_form(F.hill_matrix(C.linearize(M.particle_system(m), cycle)), 6, n)
+    h = hb.real_form(F.hill_matrix(C.linearize(M.particle_system(m), cycle)), n)
     whole = scipy.linalg.eig(h, right=False)
     split = np.array([lam for _, pep in pep_blocks for lam, _, _ in pep.eigenpairs])
     rows, cols = linear_sum_assignment(np.abs(whole[:, None] - split[None, :]))
@@ -997,7 +1006,7 @@ def test_half_wave_cycle_newton_runs_on_the_odd_slots(solve_rows, monkeypatch, o
     # six states, the cos/sin pairs of the odd h, and omega0
     guess = M.circular_cycle_guess(m, n)
     guess = C.LimitCycle(guess.period, hb.HarmonicVector(
-        6, n, 0.8 * guess.harmonics.amplitudes, guess.harmonics.omega0, real_signal=True),
+        0.8 * guess.harmonics.amplitudes, guess.harmonics.omega0, real_signal=True),
         math.inf)
     solve_rows.clear()
     odd = C.solve_cycle(system, guess)

@@ -54,7 +54,7 @@ def test_time_samples_reject_even_count():
 
 
 def test_idft_zero_amplitudes():
-    a = hb.HarmonicVector(2, 3, np.zeros((2, 7)), omega0=1.0)
+    a = hb.HarmonicVector(np.zeros((2, 7)), omega0=1.0)
     x = hb.idft(a)
     assert np.max(np.abs(x.samples)) == 0.0
 
@@ -63,7 +63,7 @@ def test_idft_half_amplitudes_give_cosine():
     n = 3
     amps = np.zeros((1, 7), dtype=complex)
     amps[0, n + 1] = amps[0, n - 1] = 0.5
-    a = hb.HarmonicVector(1, n, amps, omega0=1.0, real_signal=True)
+    a = hb.HarmonicVector(amps, omega0=1.0, real_signal=True)
     x = hb.idft(a)
     assert np.max(np.abs(x.samples - np.cos(x.times))) < 1e-14
 
@@ -74,7 +74,7 @@ def test_idft_conjugate_symmetric_amplitudes_are_real():
     half = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     amps = np.concatenate([half[:, ::-1].conj(),
                            rng.normal(size=(3, 1)).astype(complex), half], axis=1)
-    a = hb.HarmonicVector(3, n, amps, omega0=2.0, real_signal=True)
+    a = hb.HarmonicVector(amps, omega0=2.0, real_signal=True)
     x = hb.idft(a)
     assert np.max(np.abs(x.samples.imag)) < 1e-12
 
@@ -83,7 +83,7 @@ def test_idft_conjugate_symmetric_amplitudes_are_real():
 
 
 def test_differentiate_constant_is_zero():
-    a = hb.HarmonicVector(1, 2, np.array([[0, 0, 3.0, 0, 0]]), omega0=5.0)
+    a = hb.HarmonicVector(np.array([[0, 0, 3.0, 0, 0]]), omega0=5.0)
     d = hb.differentiate(a)
     assert np.max(np.abs(d.amplitudes)) == 0.0
 
@@ -93,7 +93,7 @@ def test_differentiate_sine_gives_scaled_cosine():
     amps = np.zeros((1, 5), dtype=complex)
     amps[0, n + 1] = 1 / 2j
     amps[0, n - 1] = -1 / 2j
-    d = hb.differentiate(hb.HarmonicVector(1, n, amps, omega0))
+    d = hb.differentiate(hb.HarmonicVector(amps, omega0))
     assert d.amplitude(0, 1) == pytest.approx(omega0 / 2, abs=1e-15)
     assert d.amplitude(0, -1) == pytest.approx(omega0 / 2, abs=1e-15)
 
@@ -102,7 +102,7 @@ def test_differentiate_twice_cosine():
     n, omega0 = 2, 1.5
     amps = np.zeros((1, 5), dtype=complex)
     amps[0, n + 1] = amps[0, n - 1] = 0.5
-    a = hb.HarmonicVector(1, n, amps, omega0)
+    a = hb.HarmonicVector(amps, omega0)
     dd = hb.differentiate(hb.differentiate(a))
     assert np.max(np.abs(dd.amplitudes + omega0**2 * a.amplitudes)) < 1e-14
 
@@ -127,11 +127,11 @@ def test_toeplitz_cosine_times_cosine():
     n = 3
     coeffs = np.zeros((1, 1, 2 * n + 1), dtype=complex)
     coeffs[0, 0, n + 1] = coeffs[0, 0, n - 1] = 0.5
-    mh = hb.MatrixHarmonics(1, 1, n, coeffs, omega0=1.0)
+    mh = hb.MatrixHarmonics(coeffs, omega0=1.0)
     top = hb.toeplitz_from_periodic(mh)
     amps = np.zeros((1, 2 * n + 1), dtype=complex)
     amps[0, n + 1] = amps[0, n - 1] = 0.5
-    a = hb.HarmonicVector(1, n, amps, omega0=1.0)
+    a = hb.HarmonicVector(amps, omega0=1.0)
     out = top @ a.flat
     assert out[n] == pytest.approx(0.5, abs=1e-14)
     assert out[n + 2] == pytest.approx(0.25, abs=1e-14)
@@ -161,7 +161,7 @@ def test_toeplitz_random_matrix_against_oversampling_oracle():
     half = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     amps = np.concatenate([half[:, ::-1].conj(),
                            rng.normal(size=(2, 1)).astype(complex), half], axis=1)
-    a = hb.HarmonicVector(2, n, amps, omega0=2 * np.pi / period)
+    a = hb.HarmonicVector(amps, omega0=2 * np.pi / period)
     out = hb.toeplitz_from_periodic(mh) @ a.flat
     oracle = _oversampled_product_oracle(mh, a)
     assert np.max(np.abs(out.reshape(2, -1) - oracle)) < 1e-10
@@ -173,7 +173,7 @@ def test_toeplitz_is_the_read_only_component_major_matrix(band, n_out):
     rng = np.random.default_rng(9)
     m = 2 * n_out + 1
     coeffs = rng.normal(size=(2, 2, 2 * band + 1)) + 1j * rng.normal(size=(2, 2, 2 * band + 1))
-    mh = hb.MatrixHarmonics(2, 2, band, coeffs, omega0=1.0)
+    mh = hb.MatrixHarmonics(coeffs, omega0=1.0)
     top = hb.toeplitz_from_periodic(mh, n_harmonics=n_out)
     want = np.zeros((2 * m, 2 * m), dtype=complex)
     for r, c, j, l in np.ndindex(2, 2, m, m):
@@ -227,7 +227,7 @@ def test_spectral_derivative_matches_sampled_derivative():
     half = rng.normal(size=(1, n)) + 1j * rng.normal(size=(1, n))
     amps = np.concatenate([half[:, ::-1].conj(),
                            rng.normal(size=(1, 1)).astype(complex), half], axis=1)
-    a = hb.HarmonicVector(1, n, amps, omega0=1.0, real_signal=True)
+    a = hb.HarmonicVector(amps, omega0=1.0, real_signal=True)
     t = hb.sample_times(n, period)
     h = np.arange(-n, n + 1)
     analytic = (amps * (1j * h)) @ np.exp(1j * np.outer(h, t))
@@ -239,20 +239,32 @@ def test_real_flag_enforces_conjugate_symmetry():
     amps = np.zeros((1, 5), dtype=complex)
     amps[0, 3] = 1.0  # h = +1 only, no conjugate partner
     with pytest.raises(ValueError, match="conjugate symmetry"):
-        hb.HarmonicVector(1, 2, amps, omega0=1.0, real_signal=True)
+        hb.HarmonicVector(amps, omega0=1.0, real_signal=True)
 
 
 def test_flat_layout_is_component_major():
     amps = np.arange(10).reshape(2, 5).astype(complex)
-    a = hb.HarmonicVector(2, 2, amps, omega0=1.0)
+    a = hb.HarmonicVector(amps, omega0=1.0)
     assert np.array_equal(a.flat[:5], amps[0])
     assert a.amplitude(1, -2) == 5.0
+
+
+def test_harmonic_arrays_carry_their_own_sizes():
+    a = hb.HarmonicVector(np.zeros((3, 9)), 1.0)
+    assert (a.dim, a.n_harmonics) == (3, 4)
+    with pytest.raises(ValueError, match="shape"):
+        hb.HarmonicVector(np.zeros((3, 8)), 1.0)  # an even width has no harmonic -N..N layout
+    mh = hb.MatrixHarmonics(np.zeros((2, 3, 5)), 1.0)
+    assert (mh.rows, mh.cols, mh.n_harmonics) == (2, 3, 2)
+    for bad in (np.zeros((2, 5)), np.zeros((2, 2, 4))):  # not 3-D; an even harmonic axis
+        with pytest.raises(ValueError, match="shape"):
+            hb.MatrixHarmonics(bad, 1.0)
 
 
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(2)
     u = rng.normal(size=3 * 9)
-    amps = hb.unpack_real_coefficients(u, 3, 4)
+    amps = hb.unpack_real_coefficients(u, 4)
     assert np.max(np.abs(hb.pack_real_coefficients(amps) - u)) == 0.0
     assert np.max(np.abs(amps[:, ::-1].conj() - amps)) == 0.0
 
@@ -260,8 +272,8 @@ def test_pack_unpack_round_trip():
 def test_unpack_is_complex_linear():
     rng = np.random.default_rng(3)
     re, im = rng.normal(size=(2, 2 * 7))
-    want = hb.unpack_real_coefficients(re, 2, 3) + 1j * hb.unpack_real_coefficients(im, 2, 3)
-    assert np.max(np.abs(hb.unpack_real_coefficients(re + 1j * im, 2, 3) - want)) < 1e-15
+    want = hb.unpack_real_coefficients(re, 3) + 1j * hb.unpack_real_coefficients(im, 3)
+    assert np.max(np.abs(hb.unpack_real_coefficients(re + 1j * im, 3) - want)) < 1e-15
 
 
 @pytest.mark.parametrize("n_harmonics", [0, 1, 4])
@@ -273,8 +285,8 @@ def test_real_form_of_a_real_signal_operator(n_harmonics):
                                            period, 2 * n_harmonics)
     op = hb.toeplitz_from_periodic(mh, n_harmonics) - hb.stacked_diff_matrix(
         2, n_harmonics, mh.omega0)
-    real = hb.real_form(op, 2, n_harmonics)
+    real = hb.real_form(op, n_harmonics)
     assert real.dtype == np.float64 and real.shape == op.shape
     u = rng.normal(size=(len(op), 3))
-    amps = op @ hb.unpack_real_coefficients(u, 2, n_harmonics).reshape(len(op), 3)
+    amps = op @ hb.unpack_real_coefficients(u, n_harmonics).reshape(len(op), 3)
     assert np.max(np.abs(real @ u - hb.pack_real_coefficients(amps.reshape(2, -1, 3)))) < 1e-12

@@ -63,6 +63,13 @@ def test_transfer_delay_pure_phase():
     assert val[0, 0] == pytest.approx(1.0, abs=1e-12)  # e^{-2 pi i}
 
 
+def test_delay_beyond_the_memory_window_transfers_nothing():
+    mt = K.MemoryTransfer(K.Delay([[0.5]], 1.0), truncation=0.5)
+    q, dq = K.memory_matrix(mt, 0.3 + 0.2j, np.arange(-2.0, 3.0))
+    assert q.shape == dq.shape == (5, 5)
+    assert not q.any() and not dq.any()
+
+
 def test_transfer_matrix_coefficient_scales():
     c = np.array([[1.0, 2.0], [0.0, -1.0]])
     mt = K.MemoryTransfer(K.ExponentialDecay(c, 2.0))

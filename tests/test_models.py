@@ -376,7 +376,7 @@ def test_effective_friction_at_rest_is_scalar():
     import memflo.hb as hb
     from memflo.cycles import LimitCycle
 
-    cyc = LimitCycle(math.pi, hb.HarmonicVector(4, 4, np.zeros((4, 9)), 2.0,
+    cyc = LimitCycle(math.pi, hb.HarmonicVector(np.zeros((4, 9)), 2.0,
                                                 real_signal=True), 0.0)
     prof = particle_effective_friction(m, cyc)
     want = (-m.alpha + m.g / m.k) * np.eye(2)
@@ -394,7 +394,7 @@ def test_effective_friction_beta_zero_is_constant():
     half = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     amps = np.concatenate([half[:, ::-1].conj(), rng.normal(size=(4, 1)).astype(complex),
                            half], axis=1)
-    cyc = LimitCycle(math.pi, hb.HarmonicVector(4, 4, amps, 2.0, real_signal=True), 0.0)
+    cyc = LimitCycle(math.pi, hb.HarmonicVector(amps, 2.0, real_signal=True), 0.0)
     prof = particle_effective_friction(m, cyc)
     assert np.allclose(prof.coefficient(0), (-0.3 + 0.1) * np.eye(2), atol=1e-12)
     for h in range(1, 5):
