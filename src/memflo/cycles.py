@@ -11,14 +11,15 @@ analysis P and derivative D on the oversampled grid ``sample_times(2N, T)``
 residual rho = omega0 D u - P f(S u, t) is driven to zero by damped Newton
 iteration (to a residual norm of 1e-10, halving the step at most 20 times)
 on the Galerkin matrix kron(I, omega0 D) - P A(t) S, A = df/dz on the grid.
-For autonomous systems the fundamental frequency is an unknown (its column
-is D u) and one first-harmonic imaginary part, on the component with the
-largest first-harmonic magnitude in the seed, is pinned to zero to fix the
-time origin.  The caller supplies the seed in harmonic form.  A half-wave
-symmetric seed (even harmonics exactly zero, f(-z, t + T/2) = -f(z, t)
-bitwise on its grid) is solved in the odd-harmonic subspace: the Newton
-matrix, the omega0 column and the phase row take the rows and columns of
-the odd-harmonic slots only, and the even harmonics stay exact zeros.  The
+For autonomous systems the fundamental frequency is an unknown and one
+first-harmonic imaginary part, on the component with the largest
+first-harmonic magnitude in the seed, is held at zero to fix the time
+origin; that slot's column of the Newton matrix becomes omega0's, D u, so
+the system stays square.  The caller supplies the seed in harmonic form.
+A half-wave symmetric seed (even harmonics exactly zero, f(-z, t + T/2) =
+-f(z, t) bitwise on its grid) is solved in the odd-harmonic subspace: the
+Newton matrix, omega0's column included, takes the rows and columns of the
+odd-harmonic slots only, and the even harmonics stay exact zeros.  The
 residual is always evaluated on every slot; when the odd slots converge,
 the full residual must be below the tolerance too, or the iteration goes on
 over all slots.  Only :func:`linearize` keeps the complex band -2N..2N of A,
@@ -188,18 +189,6 @@ def _newton_matrix(model: SystemModel, u: np.ndarray, omega0: float,
     return out
 
 
-def _newton_rows(dim: int, nh: int, odd: bool, autonomous: bool) -> np.ndarray:
-    """Unknowns of the Newton system, as indices into (u, omega0).
-
-    The packed slots of every component, all of them or the odd-harmonic
-    ones, then omega0 for an autonomous model.  The same indices pick the
-    system's rows from (residual, phase condition).
-    """
-    size = dim * (2 * nh + 1)
-    rows = np.flatnonzero(np.tile(_odd_slots(nh), dim)) if odd else np.arange(size)
-    return np.append(rows, size) if autonomous else rows
-
-
 def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
     """Packed real harmonic-balance residual of a candidate, read through its harmonics h >= 0."""
     return _residual(model, pack_real_coefficients(cycle.harmonics.amplitudes), cycle.omega0)
@@ -208,17 +197,18 @@ def hb_residual(model: SystemModel, cycle: LimitCycle) -> np.ndarray:
 def solve_cycle(model: SystemModel, initial_guess: LimitCycle) -> LimitCycle:
     """Damped Newton iteration on the harmonic-balance residual.
 
-    For autonomous models the fundamental frequency joins the unknowns and
-    the phase condition Im a_{anchor,1} = 0 closes the system; the anchor is
-    the component with the largest first-harmonic magnitude in the seed, so
-    an autonomous guess needs at least one harmonic (``ValueError``).
+    For autonomous models the phase condition Im a_{anchor,1} = 0 is held
+    exactly and the fundamental frequency takes that slot's place among the
+    unknowns, so the Newton system stays square; the anchor is the
+    component with the largest first-harmonic magnitude in the seed, so an
+    autonomous guess needs at least one harmonic (``ValueError``).
     When the guess is half-wave symmetric (:func:`_half_wave_symmetric`,
     tested once per solve), Newton runs on the odd-harmonic slots only
-    (6*2*ceil(N/2) + 1 unknowns for the particle instead of 6*(2N+1) + 1)
-    and the even harmonics of the result are exact zeros.  Once the odd
-    slots converge, the full residual is read; above ``NEWTON_TOL`` the same
+    (6*2*ceil(N/2) unknowns for the particle instead of 6*(2N+1)) and the
+    even harmonics of the result are exact zeros.  Once the odd slots
+    converge, the full residual is read; above ``NEWTON_TOL`` the same
     iteration goes on over all slots.  ``LimitCycle.residual`` is always the
-    norm of the full residual, phase condition included.  Raises
+    norm of the full harmonic-balance residual.  Raises
     :class:`NoConvergence` with the residual trace when the iteration stalls
     or runs past ``NEWTON_MAX_ITER`` steps and :class:`SingularJacobian` when the
     Newton system is singular.
@@ -232,7 +222,6 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle) -> LimitCycle:
         raise ValueError("an autonomous cycle needs n_harmonics >= 1 for its phase condition")
     omega0 = 2 * np.pi / initial_guess.period
     m = 2 * nh + 1
-    anchor_slot = None
     if model.autonomous:
         anchor = int(np.argmax(np.abs(hv.amplitudes[:, nh + 1])))
         pivot = hv.amplitudes[anchor, nh + 1]
@@ -240,56 +229,52 @@ def solve_cycle(model: SystemModel, initial_guess: LimitCycle) -> LimitCycle:
             hv = rotate_phase(hv, -np.angle(pivot))
         anchor_slot = anchor * m + 2  # packed index of Im a_{anchor,1}
     u = pack_real_coefficients(hv.amplitudes)
+    if model.autonomous:
+        u[anchor_slot] = 0.0  # the phase condition, held exactly: its column is omega0's
     odd = _half_wave_symmetric(model, u, 2 * np.pi / omega0)
-    rows = _newton_rows(n, nh, odd, model.autonomous)
+    rows = np.flatnonzero(np.tile(_odd_slots(nh), n)) if odd else np.arange(u.size)
 
-    def full_residual(uvec, w0):
-        rr = _residual(model, uvec, w0)
-        return np.append(rr, uvec[anchor_slot]) if model.autonomous else rr
-
-    rr = full_residual(u, omega0)
+    rr = _residual(model, u, omega0)
     norm = float(np.linalg.norm(rr[rows]))
     trace = [norm]
     for _ in range(NEWTON_MAX_ITER):
         if odd and norm < NEWTON_TOL:
             # converged on the odd slots: read every slot, and go on over all
             # of them if the even ones are not balanced too
-            odd, rows = False, np.arange(rr.size)
+            odd, rows = False, np.arange(u.size)
             norm = float(np.linalg.norm(rr))
         if norm < NEWTON_TOL:
             break
         jr = _newton_matrix(model, u, omega0, odd)
-        k = len(jr)
         if model.autonomous:
             # d(residual)/d(omega0): only the derivative term depends on omega0
-            dw = (u.reshape(n, m) @ _real_grid(nh)[2].T).reshape(-1)[rows[:k]]
-            jr = np.block([[jr, dw[:, None]],
-                           [np.zeros((1, k + 1))]])
-            jr[-1, np.searchsorted(rows, anchor_slot)] = 1.0
+            col = np.searchsorted(rows, anchor_slot)
+            jr[:, col] = (u.reshape(n, m) @ _real_grid(nh)[2].T).reshape(-1)[rows]
         try:
             delta = np.linalg.solve(jr, -rr[rows])
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
+        dw = 0.0
+        if model.autonomous:  # the anchor's entry is the omega0 step; the anchor holds
+            dw, delta[col] = delta[col], 0.0
 
         step = 1.0
-        accepted = False
         for _ in range(20):
-            u_new = u.copy()
-            u_new[rows[:k]] += step * delta[:k]
-            w_new = omega0 + step * delta[k] if model.autonomous else omega0
+            w_new = omega0 + step * dw
             if w_new <= 0:
                 step *= 0.5
                 continue
-            rr_new = full_residual(u_new, w_new)
+            u_new = u.copy()
+            u_new[rows] += step * delta
+            rr_new = _residual(model, u_new, w_new)
             norm_new = float(np.linalg.norm(rr_new[rows]))
             if norm_new < norm:
                 u, omega0, rr, norm = u_new, w_new, rr_new, norm_new
-                accepted = True
                 break
             step *= 0.5
+        else:
+            raise NoConvergence("cycle Newton stalled (no decreasing step)", trace + [norm])
         trace.append(norm)
-        if not accepted:
-            raise NoConvergence("cycle Newton stalled (no decreasing step)", trace)
     else:
         raise NoConvergence("cycle Newton did not reach tolerance", trace)
 

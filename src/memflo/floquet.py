@@ -24,10 +24,10 @@ exponent lies between it and -k and that the one it encloses is real
 i*omega0, so a Hill matrix of d states holds d classes of 2N+1 copies: the
 route keeps each class's copy with centred eigenvector harmonics, and is
 complete when d classes are certified or filtered.  Candidates are filtered
-against the decay bound, polished by bordered Newton iteration on the exact
-transcendental operator, and collapsed into classes (multipliers
-exp(lambda*T) label them uniquely); each class's eigenvector is stored
-once, shared by the spectrum's pairs and its canonical strip.  Every route
+against the decay bound, polished by Newton iteration on the exact
+transcendental operator (one eigenvector entry held at 1, so the system is
+square), and collapsed into classes (multipliers exp(lambda*T) label them
+uniquely); each class's eigenvector is stored once, shared by the spectrum's pairs and its canonical strip.  Every route
 has one certificate: a pair's residual ||R(lambda) r|| / ||r|| lies below
 ``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1
 where that is larger.  The tolerances are the module constants below; the
@@ -157,6 +157,19 @@ class FloquetProblem:
         out = self.jacobian - stacked_diff_matrix(self.dim, self.n_harmonics, self.omega0)
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def _window_lemma(self) -> bool:
+        """Jacobian a*I, one truncated exponential kernel c*e^{-k u}, c > 0, a > -k.
+
+        The lemma of :func:`_contour_real_extent` covers such a problem: its
+        rectangle encloses exactly one exponent, and that exponent is real.
+        Decided once per problem with memory, on first use.
+        """
+        k, a, window = self.transfer.kernel, self.jacobian[0, 0].real, self.transfer.truncation
+        return self.dim == 1 and window is not None and math.isfinite(window) \
+            and isinstance(k, ExponentialDecay) and k.coefficient[0, 0] > 0 and a > -k.rate \
+            and np.array_equal(self.jacobian, a * np.eye(self.size))
 
 
 @dataclass(slots=True)
@@ -319,7 +332,7 @@ def hill_matrix(p: FloquetProblem) -> np.ndarray:
     return h
 
 
-def _parity_blocks(rf: np.ndarray, n_states: int, n_harmonics: int) -> list[np.ndarray]:
+def _parity_blocks(rf: np.ndarray, n_harmonics: int) -> list[np.ndarray]:
     """Index sets of the real Hill matrix ``rf`` that solve as separate eigenproblems.
 
     In the packed basis each component holds harmonic 0, then the cos/sin
@@ -330,7 +343,7 @@ def _parity_blocks(rf: np.ndarray, n_states: int, n_harmonics: int) -> list[np.n
     blocks: the Floquet-Bloch split of the T/2-periodic problem (Deconinck &
     Kutz, JCP 2006).  Otherwise, and at N = 0, the matrix is one block.
     """
-    odd = np.tile(_odd_slots(n_harmonics), n_states)
+    odd = np.tile(_odd_slots(n_harmonics), len(rf) // (2 * n_harmonics + 1))
     if odd.any() and not rf[np.ix_(odd, ~odd)].any() and not rf[np.ix_(~odd, odd)].any():
         return [np.flatnonzero(~odd), np.flatnonzero(odd)]
     return [np.arange(len(rf))]
@@ -403,19 +416,6 @@ def solve_pep(coeffs: list[np.ndarray]) -> PepResult:
     return PepResult(pairs, n_inf)
 
 
-def _scalar_window_lemma(p: FloquetProblem) -> bool:
-    """Jacobian a*I, one truncated exponential kernel c*e^{-k u}, c > 0, a > -k.
-
-    The lemma of :func:`_contour_real_extent` covers such a problem: its
-    rectangle encloses exactly one exponent, and that exponent is real.
-    """
-    k, a = p.transfer.kernel, p.jacobian[0, 0].real
-    window = p.transfer.truncation
-    return p.dim == 1 and window is not None and math.isfinite(window) \
-        and isinstance(k, ExponentialDecay) and k.coefficient[0, 0] > 0 and a > -k.rate \
-        and np.array_equal(p.jacobian, a * np.eye(p.size))
-
-
 def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
     """(Re lo, Re hi) of every contour rectangle, whichever strip it spans.
 
@@ -439,7 +439,7 @@ def _contour_real_extent(p: FloquetProblem) -> tuple[float, float]:
     op = p.linear_operator
     mu2 = np.linalg.eigvalsh(0.5 * (op + op.conj().T))[-1]
     hi = max(0.0, float(mu2) + truncation_error_bound(p.transfer, 0.0, window)) + CONTOUR_MARGIN
-    if _scalar_window_lemma(p):
+    if p._window_lemma:
         return float(p.jacobian[0, 0].real - p.transfer.kernel.rate) / 2, hi
     kc = p.critical_exponent
     return (-kc - CONTOUR_MARGIN if math.isfinite(kc) else -CONTOUR_DEPTH), hi
@@ -504,13 +504,15 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
                      vector: np.ndarray) -> FloquetEigenpair | None:
     """Polish a candidate against the exact transcendental operator.
 
-    Bordered Newton iteration on {R(lambda) x = 0, x_pivot = 1}, at most 50
-    steps, until the residual ||R(lambda) x|| / ||x|| is certified: below
-    ``CERTIFICATE_TOL``, or below the rounding floor 1e3*eps*||R(lambda)||_1
-    where that is larger (fast memory puts entries of size ~rate in R).
-    Each iterate's R and R' come from one :func:`residual_matrices` call;
-    the Newton matrix's lambda column R'(lambda) x is x itself on a
-    memoryless problem.
+    Newton iteration on R(lambda) x = 0 with the pivot entry x_pivot = 1
+    held (Ruhe, SIAM J. Numer. Anal. 1973), at most 50 steps, until the
+    residual ||R(lambda) x|| / ||x|| is certified: below ``CERTIFICATE_TOL``,
+    or below the rounding floor 1e3*eps*||R(lambda)||_1 where that is
+    larger (fast memory puts entries of size ~rate in R).
+    Each iterate's R and R' come from one :func:`residual_matrices` call,
+    and the Newton matrix is that R with its pivot column replaced by
+    lambda's, R'(lambda) x, which is x itself on a memoryless problem: a
+    square system of ``p.size`` unknowns.
     Returns the certified pair, or None on failure (no certified iterate, a
     singular step, or an iterate where the transfer raises
     ``BoundViolation``).  The candidate's residual is measured at the first
@@ -522,7 +524,6 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
     idx = int(np.argmax(np.abs(x)))
     x = x / x[idx]
     lam = complex(exponent)
-    size = p.size
     try:
         for it in range(51):  # the residual at the seed and after each of 50 steps
             rmat, drmat = residual_matrices(p, lam)
@@ -534,20 +535,18 @@ def refine_eigenpair(p: FloquetProblem, exponent: complex,
                 return make_eigenpair(p, lam, x, res)
             if it == 50:
                 break
-            jac = np.zeros((size + 1, size + 1), dtype=complex)
-            jac[:size, :size] = rmat
-            jac[:size, size] = x if drmat is None else drmat @ x
-            jac[size, idx] = 1.0
-            rhs = -np.concatenate([r, [x[idx] - 1.0]])
-            delta = np.linalg.solve(jac, rhs)
+            # x[idx] = 1 is held, so its column of R is free for lambda's, R'(lambda) x
+            rmat[:, idx] = x if drmat is None else drmat @ x
+            delta = np.linalg.solve(rmat, -r)
+            dlam, delta[idx] = delta[idx], 0.0
             step = 1.0
             kc = p.critical_exponent
             if p.transfer is not None and p.transfer.truncation is None and math.isfinite(kc):
                 # keep the iterate inside the transfer domain, a margin clear of its edge
-                while step > 1e-6 and (lam + step * delta[size]).real <= -kc + 2 * DOMAIN_MARGIN:
+                while step > 1e-6 and (lam + step * dlam).real <= -kc + 2 * DOMAIN_MARGIN:
                     step *= 0.5
-            x = x + step * delta[:size]
-            lam = lam + step * delta[size]
+            x = x + step * delta
+            lam = lam + step * dlam
     except (BoundViolation, np.linalg.LinAlgError):  # an iterate off the domain, or singular
         pass
     return None
@@ -655,9 +654,12 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
     candidate drops the quadrature's imaginary rounding.  Candidates are
     grouped into classes modulo i*omega0 before the polish, except for a
     time-invariant problem (``n_harmonics == 0``), whose exponents are not
-    folded.  One member of each class is polished against the exact
-    R(lambda) by :func:`refine_eigenpair`, which certifies it at a residual
-    below ``CERTIFICATE_TOL``, or below the rounding floor of R(lambda) where
+    folded; one strip of the contour then holds only some of them, so such a
+    problem raises :class:`~memflo.errors.IncompleteSpectrum` on the contour
+    route unless the scalar lemma proves its one enclosed root alone.  One
+    member of each class is polished against the exact R(lambda) by
+    :func:`refine_eigenpair`, which certifies it at a residual below
+    ``CERTIFICATE_TOL``, or below the rounding floor of R(lambda) where
     that is larger, and moved into the canonical strip, so ``pairs`` and
     ``canonical_strip`` share one eigenvector per class.  The certified plus
     the bound-filtered candidates must number the Hill states, or the contour
@@ -676,12 +678,11 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         n_states = len(hill) // (2 * p.n_harmonics + 1)  # state and memory components
         rf = real_form(hill, p.n_harmonics)
         eigenpairs = []  # (eigenvalue, eigenvector in the full packed layout)
-        for block in _parity_blocks(rf, n_states, p.n_harmonics):
+        for block in _parity_blocks(rf, p.n_harmonics):
             pep = solve_pep([-rf[np.ix_(block, block)], np.eye(len(block))])
             embedded = np.zeros((len(pep.eigenpairs), len(hill)), dtype=complex)
             embedded[:, block] = [v for _, v, _ in pep.eigenpairs]
             eigenpairs += zip([lam for lam, _, _ in pep.eigenpairs], embedded)
-        eigenpairs.sort(key=lambda t: (t[0].real, t[0].imag))  # the order of one whole solve
         diag = {"route": "hill", "n_raw": len(eigenpairs)}
         amps = unpack_real_coefficients(np.array([v for _, v in eigenpairs]).T,
                                         p.n_harmonics)  # complex harmonics
@@ -696,14 +697,15 @@ def floquet_spectrum(p: FloquetProblem, autonomous: bool = False) -> FloquetSpec
         if found != n_states:
             raise IncompleteSpectrum(f"{found} of {n_states} Hill classes certified or filtered")
         return spec
+    if not (p.n_harmonics or p._window_lemma):  # nothing folds, so no one strip holds them all
+        raise IncompleteSpectrum("a time-invariant contour problem needs n_harmonics >= 1")
     re_lo, re_hi = _contour_real_extent(p)
-    real_root = _scalar_window_lemma(p)
     for doubling, shift in enumerate(CONTOUR_SHIFTS):
         nodes = CONTOUR_NODES << doubling
         mid = shift * p.omega0
         rect = (re_lo, re_hi, mid - p.omega0 / 2, mid + p.omega0 / 2)
         count, lams, vecs = contour_eigenvalues(p, rect, nodes)
-        if real_root:  # proven real: drop the quadrature's imaginary rounding
+        if p._window_lemma:  # proven real: drop the quadrature's imaginary rounding
             lams = lams.real + 0j
         n_enclosed = round(count.real)
         if abs(count - n_enclosed) >= COUNT_TOL:

@@ -96,6 +96,9 @@ def model1d_exponent(m: Memory1DModel) -> FloquetSpectrum:
 
     An infinite window runs the Hill route on its two states; a finite one
     runs the contour route, whose left edge (a - k)/2 is proven for a > -k.
+    For a <= -k the lemma gives nothing, and one strip of a time-invariant
+    problem is not a whole spectrum, so a finite window raises
+    :class:`~memflo.errors.IncompleteSpectrum`.
     """
     return floquet_spectrum(model1d_problem(m))
 

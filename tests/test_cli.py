@@ -173,6 +173,18 @@ def test_tl_bisection_finds_threshold(tmp_path):
     assert result.metadata["bisect"]["history"]  # bracket trail is kept
 
 
+def test_bisection_without_a_sign_change_reports_no_boundary(tmp_path, capsys):
+    # every scan point lies right of the threshold Ra = -R, so there is nothing to bisect
+    text = TL_BISECT.replace("range(-1.5, -0.5, 11)", "range(0.25, 1, 4)")
+    path = write(tmp_path, "tl.cfg", text)
+    result = cli.run(cli.parse_config(path))
+    assert len(result.rows) == 4 and not result.failed
+    assert result.metadata["bisect"]["boundary"] is None
+    assert result.metadata["bisect"]["history"] == []
+    assert cli.main(["run", path, "--out", str(tmp_path / "tl.json")]) == 0
+    assert "no sign change bracketed" in capsys.readouterr().out
+
+
 def test_committed_fig4_boundaries_lie_at_the_rest_state_hopf_point():
     # below the boundary a row has no cycle, so fig4 bisects the birth of the cycle from
     # the rest state, whose friction -alpha + g/k changes sign at alpha = g/k

@@ -10,7 +10,7 @@ import pytest
 from memflo import cycles as C
 from memflo import floquet as F
 from memflo import hb
-from memflo.errors import NoConvergence, SpectralResolutionWarning
+from memflo.errors import NoConvergence, SingularJacobian, SpectralResolutionWarning
 from memflo.models import (
     BrownianParticleModel,
     circular_cycle_guess,
@@ -180,6 +180,36 @@ def test_solve_cycle_no_convergence_reports_trace():
     assert len(err.value.trace) >= 1
 
 
+def test_solve_cycle_singular_newton_matrix_is_reported():
+    # dz/dt = 0: the mean's Newton row, omega0 * 0 - 0, is zero
+    model = C.SystemModel(1, lambda z, t: 0 * z, lambda z, t: np.zeros((1, 1)))
+    amps = np.array([[0.5 + 0.5j, 1.0, 0.5 - 0.5j]])
+    guess = C.LimitCycle(2 * math.pi, hb.HarmonicVector(amps, 1.0, real_signal=True), math.inf)
+    with pytest.raises(SingularJacobian, match="Singular matrix"):
+        C.solve_cycle(model, guess)
+
+
+def test_solve_cycle_stops_after_its_step_budget(monkeypatch):
+    # the particle cycle takes several Newton steps from its circular seed
+    m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 1.9))
+    monkeypatch.setattr(C, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="did not reach tolerance") as err:
+        C.solve_cycle(particle_system(m), circular_cycle_guess(m, 12))
+    assert len(err.value.trace) == 2 and err.value.trace[1] < err.value.trace[0]
+
+
+@pytest.mark.parametrize("ratio", [2.0, 1.9])
+def test_autonomous_cycle_holds_its_phase_exactly(ratio):
+    # Im a_{anchor,1} is fixed, not solved for: it is an exact zero on the solved cycle
+    m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, ratio))
+    guess = circular_cycle_guess(m, 12)
+    anchor = int(np.argmax(np.abs(guess.harmonics.amplitudes[:, 13])))
+    cyc = C.solve_cycle(particle_system(m), guess)
+    assert cyc.residual <= C.NEWTON_TOL
+    assert cyc.harmonics.amplitudes[anchor, 13].imag == 0.0
+    assert cyc.harmonics.amplitudes[anchor, 13].real != 0.0
+
+
 def test_newton_quadratic_tail():
     # track the residual trace of a genuinely nonlinear solve
     m = BrownianParticleModel(alpha=1.0, beta=1.0, g=0.1, k=1.0, omega_bar=(2.0, 1.9))
@@ -269,7 +299,7 @@ def test_newton_matrix_equals_complex_toeplitz_chain(name, nh):
 @pytest.mark.parametrize("name, nh", NEWTON_CASES)
 def test_odd_newton_matrix_is_the_odd_slot_block_of_the_full_one(name, nh):
     model, u, omega0 = _newton_case(name, nh)
-    rows = C._newton_rows(model.dim, nh, True, False)
+    rows = np.flatnonzero(np.tile(hb._odd_slots(nh), model.dim))
     assert len(rows) == model.dim * 2 * ((nh + 1) // 2)
     full = C._newton_matrix(model, u, omega0)
     odd = C._newton_matrix(model, u, omega0, odd=True)

@@ -751,7 +751,7 @@ def test_changing_a_returned_residual_matrix_leaves_the_next_call_unchanged(buil
 
 
 def test_refine_builds_no_identity_on_a_memoryless_problem(monkeypatch):
-    # the lambda column R'(lambda) x of the bordered Newton matrix is x itself
+    # the lambda column R'(lambda) x of the Newton matrix, in the pivot's place, is x itself
     p, _ = periodic_2d_problem(n_harmonics=6)
     pair = F.floquet_spectrum(p).canonical_strip[0]
     rng = np.random.default_rng(5)
@@ -767,6 +767,60 @@ def test_refine_builds_no_identity_on_a_memoryless_problem(monkeypatch):
     out = F.refine_eigenpair(p, pair.exponent + 1e-4, vec)
     assert out is not None and abs(out.exponent - pair.exponent) < 1e-10
     assert p.size not in sizes
+
+
+def test_refine_solves_square_newton_systems(monkeypatch):
+    # x_pivot = 1 is held and its column carries lambda's, so each Newton matrix is R's size
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    rng = np.random.default_rng(6)
+    memoryless, _ = periodic_2d_problem(n_harmonics=6)
+    pair = F.floquet_spectrum(memoryless).canonical_strip[0]
+    seed = np.zeros(5, dtype=complex)
+    seed[2] = 1.0
+    for p, lam, vec, want in ((memoryless, pair.exponent + 1e-4, pair.eigenvector.flat,
+                               pair.exponent),
+                              (scalar_problem(0.0, 3.0, n_harmonics=2), 0.30, seed, LAM_A0_K3)):
+        vec = vec + 1e-4 * (rng.normal(size=p.size) + 1j * rng.normal(size=p.size))
+        shapes.clear()
+        out = F.refine_eigenpair(p, lam, vec)
+        assert out is not None and abs(out.exponent - want) < 1e-10
+        assert shapes and set(shapes) == {(p.size, p.size)}
+
+
+def two_delay_problem(n_harmonics):
+    # y' = -y + W y(t - 3/2), W = diag(-2, 1/2), period 2*pi: the first component has the
+    # unstable pair -1 + W_k(-3 e^{3/2}) / (3/2), k = 0, -1, at Im = +-1.466
+    jac = hb.toeplitz_from_periodic(hb.MatrixHarmonics.constant(-np.eye(2), 1.0),
+                                    n_harmonics=n_harmonics)
+    return F.FloquetProblem(jac, K.MemoryTransfer(K.Delay(np.diag([-2.0, 0.5]), 1.5)),
+                            2 * math.pi, n_harmonics, 2)
+
+
+@pytest.mark.parametrize("build", [lambda: two_delay_problem(0),
+                                   lambda: delay_problem(0, 2 * math.pi, tau=5.0)],
+                         ids=["two_delays", "delay_tau5"])
+def test_time_invariant_contour_problem_is_incomplete(build):
+    # nothing folds at N = 0, and one strip of the contour misses the roots beyond it
+    with pytest.raises(IncompleteSpectrum, match="n_harmonics"):
+        F.floquet_spectrum(build())
+
+
+def test_time_invariant_delay_pair_is_found_once_harmonics_fold_it():
+    p = two_delay_problem(2)
+    spec = F.floquet_spectrum(p)
+    assert spec.stability == "Unstable"
+    for k in (0, -1):
+        want = -1.0 + complex(lambertw(-3.0 * math.exp(1.5), k)) / 1.5
+        want -= 1j * p.omega0 * F._strip_steps(want.imag, p.omega0)
+        assert np.min(np.abs(spec.exponents - want)) < 1e-10
+    assert abs(spec.max_nontrivial_re() - 0.0656177110507119) < 1e-10
 
 
 def test_contour_route_that_encloses_no_exponent_is_incomplete():
@@ -1003,20 +1057,20 @@ def test_half_wave_cycle_newton_runs_on_the_odd_slots(solve_rows, monkeypatch, o
     assert cycle.residual <= C.NEWTON_TOL
     assert np.linalg.norm(C.hb_residual(system, cycle)) <= C.NEWTON_TOL
     # from a shrunken seed, so that Newton iterates even where the seed is the cycle:
-    # six states, the cos/sin pairs of the odd h, and omega0
+    # six states and the cos/sin pairs of the odd h, omega0 in the anchor's column
     guess = M.circular_cycle_guess(m, n)
     guess = C.LimitCycle(guess.period, hb.HarmonicVector(
         0.8 * guess.harmonics.amplitudes, guess.harmonics.omega0, real_signal=True),
         math.inf)
     solve_rows.clear()
     odd = C.solve_cycle(system, guess)
-    assert solve_rows and set(solve_rows) == {6 * 2 * ((n + 1) // 2) + 1}
+    assert solve_rows and set(solve_rows) == {6 * 2 * ((n + 1) // 2)}
     assert not np.any(odd.harmonics.amplitudes[:, even])
     # the all-slot solve of the same seed
     solve_rows.clear()
     monkeypatch.setattr(C, "_half_wave_symmetric", lambda *args: False)
     full = C.solve_cycle(system, guess)
-    assert set(solve_rows) == {6 * (2 * n + 1) + 1}
+    assert set(solve_rows) == {6 * (2 * n + 1)}
     a = full.harmonics.amplitudes
     assert np.max(np.abs(odd.harmonics.amplitudes - a)) <= 1e-12 * np.max(np.abs(a))
     assert odd.period == pytest.approx(full.period, rel=1e-12)
